@@ -4,12 +4,11 @@
 //!
 //! The sigmoid rows compare the levelized engine's scheduling modes —
 //! `scalar` (per-gate one-shot predictions, the pre-levelization
-//! behavior), `batched` (one `predict_batch` per model and level round on
-//! one thread), and `parallel` (batched + the worker pool) — first with a
-//! cheap analytic transfer isolating scheduling overhead, then with
-//! untrained paper-architecture MLPs where batched inference is the win.
-//! All modes produce bit-identical traces; only wall-clock differs (the
-//! parallel rows only separate from `batched` on multi-core hosts).
+//! behavior) and `batched` (one `predict_batch` per model and level round,
+//! duplicate gates evaluated once) — first with a cheap analytic transfer
+//! isolating scheduling overhead, then with untrained paper-architecture
+//! MLPs where batched inference is the win. Both modes produce
+//! bit-identical traces; only wall-clock differs.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -68,20 +67,7 @@ fn synthetic_ann_models() -> GateModels {
 fn bench_simulators(c: &mut Criterion) {
     let scheduling_modes = [
         ("scalar", SigmoidSimConfig::scalar()),
-        (
-            "batched",
-            SigmoidSimConfig {
-                parallelism: 1,
-                batch: true,
-            },
-        ),
-        (
-            "parallel",
-            SigmoidSimConfig {
-                parallelism: 0,
-                batch: true,
-            },
-        ),
+        ("batched", SigmoidSimConfig::default()),
     ];
     for name in ["c17", "c499", "c1355"] {
         let bench = Benchmark::by_name(name).expect("benchmark");
@@ -441,10 +427,7 @@ fn bench_fleet(c: &mut Criterion) {
                 .collect()
         })
         .collect();
-    let batched = SigmoidSimConfig {
-        parallelism: 1,
-        batch: true,
-    };
+    let batched = SigmoidSimConfig::default();
     let mut group = c.benchmark_group("fleet_c1355");
     group.sample_size(10);
     let mut scratch = SimScratch::new();

@@ -177,13 +177,14 @@ impl ValidRegion {
     /// Projects the query into the region: queries already inside are
     /// returned unchanged, outside queries snap to the closest training
     /// point ("compute the closest point on the concave hull and use these
-    /// coordinates as inputs instead", Sec. IV-B).
+    /// coordinates as inputs instead", Sec. IV-B). One kd-tree search
+    /// yields both the membership distance and the snap target.
     #[must_use]
     pub fn project(&self, query: TransferQuery) -> TransferQuery {
-        if self.contains(&query) {
+        let (d, p) = self.nearest_point(self.normalize(&query));
+        if d <= self.threshold {
             return query;
         }
-        let (_, p) = self.nearest_point(self.normalize(&query));
         TransferQuery {
             t: p[0] * self.scales[0],
             a_in: p[1] * self.scales[1],
@@ -308,7 +309,62 @@ mod tests {
         let _ = ValidRegion::build(&[], 3.0);
     }
 
+    /// The two-search projection: membership from [`ValidRegion::contains`],
+    /// then a second search for the snap target.
+    fn two_search_project(r: &ValidRegion, query: TransferQuery) -> TransferQuery {
+        if r.contains(&query) {
+            return query;
+        }
+        let (_, p) = r.nearest_point(r.normalize(&query));
+        q(p[0] * r.scales[0], p[1] * r.scales[1], p[2] * r.scales[2])
+    }
+
     proptest! {
+        #[test]
+        fn single_search_projection_matches_two_searches(seed in 0u64..u64::MAX) {
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            // Points on a coarse integer grid, so repeated points and
+            // equidistant neighbours (tied distances) are common.
+            let grid = |rng: &mut rand::rngs::StdRng| -> [f64; 3] {
+                [0, 1, 2].map(|_| f64::from(rng.gen_range(0..4u32)) * 0.5)
+            };
+            let mut pts: Vec<[f64; 3]> =
+                (0..rng.gen_range(1..40usize)).map(|_| grid(&mut rng)).collect();
+            for _ in 0..rng.gen_range(0..8usize) {
+                let again = pts[rng.gen_range(0..pts.len())];
+                pts.push(again);
+            }
+            let r = ValidRegion::build(&pts, rng.gen_range(0.5..4.0f64));
+            for _ in 0..32 {
+                let base = pts[rng.gen_range(0..pts.len())];
+                let [t, a, p] = match rng.gen_range(0..4u32) {
+                    // A training point or a grid point: distance 0 or ties.
+                    0 => base,
+                    1 => grid(&mut rng),
+                    // Midway between two grid points: an exact tie.
+                    2 => {
+                        let g = grid(&mut rng);
+                        [0, 1, 2].map(|i| (base[i] + g[i]) / 2.0)
+                    }
+                    // Near or far off the cloud, inside or outside the
+                    // threshold.
+                    _ => {
+                        let spread = [0.05, 0.5, 5.0][rng.gen_range(0..3usize)];
+                        [0, 1, 2].map(|i| base[i] + rng.gen_range(-spread..spread))
+                    }
+                };
+                let query = q(t, a, p);
+                let one = r.project(query);
+                let two = two_search_project(&r, query);
+                prop_assert!(
+                    [one.t, one.a_in, one.a_prev_out].map(f64::to_bits)
+                        == [two.t, two.a_in, two.a_prev_out].map(f64::to_bits),
+                    "{query:?}: one search {one:?} vs two {two:?}"
+                );
+            }
+        }
+
         #[test]
         fn nearest_matches_brute_force(
             pts in proptest::collection::vec(

@@ -359,10 +359,16 @@ fn exchange(addr: &str, request: &Request) -> Response {
         eprintln!("sigctl: cannot connect to {addr}: {e}");
         std::process::exit(1);
     });
-    writeln!(stream, "{}", encode_request(request)).unwrap_or_else(|e| {
-        eprintln!("sigctl: send failed: {e}");
-        std::process::exit(1);
-    });
+    // Nagle off and the frame with its newline in one write: a split
+    // write would wait on the daemon's delayed ACK.
+    let frame = encode_request(request) + "\n";
+    stream
+        .set_nodelay(true)
+        .and_then(|()| stream.write_all(frame.as_bytes()))
+        .unwrap_or_else(|e| {
+            eprintln!("sigctl: send failed: {e}");
+            std::process::exit(1);
+        });
     let reader = BufReader::new(stream.try_clone().unwrap_or_else(|e| {
         eprintln!("sigctl: stream clone failed: {e}");
         std::process::exit(1);

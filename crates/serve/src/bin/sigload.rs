@@ -201,10 +201,7 @@ fn drive_windowed(
     cap: Option<u64>,
     deadline: Option<Instant>,
 ) -> DriveTotals {
-    let stream = TcpStream::connect(&o.addr).unwrap_or_else(|e| {
-        eprintln!("sigload: cannot connect to {}: {e}", o.addr);
-        std::process::exit(1);
-    });
+    let stream = connect(&o.addr);
     let read_half = stream.try_clone().unwrap_or_else(|e| {
         eprintln!("sigload: stream clone failed: {e}");
         std::process::exit(1);
@@ -317,12 +314,8 @@ fn drive_windowed(
             } else {
                 &sim_template
             };
-            let line = format!("{{\"id\":{id},{template}");
-            if stream
-                .write_all(line.as_bytes())
-                .and_then(|()| stream.write_all(b"\n"))
-                .is_err()
-            {
+            let line = format!("{{\"id\":{id},{template}\n");
+            if stream.write_all(line.as_bytes()).is_err() {
                 window.inflight.lock().expect("window poisoned").remove(&id);
                 break;
             }
@@ -346,10 +339,7 @@ fn drive_windowed(
 /// One connection's classic closed loop: `requests` frames back to
 /// back, each awaited before the next.
 fn drive_closed(o: &Options, conn: usize) -> DriveTotals {
-    let mut stream = TcpStream::connect(&o.addr).unwrap_or_else(|e| {
-        eprintln!("sigload: cannot connect to {}: {e}", o.addr);
-        std::process::exit(1);
-    });
+    let mut stream = connect(&o.addr);
     let mut reader = BufReader::new(stream.try_clone().unwrap_or_else(|e| {
         eprintln!("sigload: stream clone failed: {e}");
         std::process::exit(1);
@@ -387,6 +377,20 @@ fn drive_closed(o: &Options, conn: usize) -> DriveTotals {
     totals
 }
 
+/// Connects with Nagle's algorithm off: every frame goes out in one write,
+/// so a closed-loop client never waits on a delayed ACK.
+fn connect(addr: &str) -> TcpStream {
+    let stream = TcpStream::connect(addr).unwrap_or_else(|e| {
+        eprintln!("sigload: cannot connect to {addr}: {e}");
+        std::process::exit(1);
+    });
+    stream.set_nodelay(true).unwrap_or_else(|e| {
+        eprintln!("sigload: cannot set TCP_NODELAY: {e}");
+        std::process::exit(1);
+    });
+    stream
+}
+
 /// Sends one request on an open connection and reads frames until the
 /// response with the matching id arrives.
 fn exchange_on(
@@ -394,7 +398,8 @@ fn exchange_on(
     reader: &mut BufReader<TcpStream>,
     request: &Request,
 ) -> Response {
-    writeln!(stream, "{}", encode_request(request)).unwrap_or_else(|e| {
+    let frame = encode_request(request) + "\n";
+    stream.write_all(frame.as_bytes()).unwrap_or_else(|e| {
         eprintln!("sigload: send failed: {e}");
         std::process::exit(1);
     });

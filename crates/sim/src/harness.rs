@@ -53,8 +53,10 @@ pub struct HarnessConfig {
     pub tail: f64,
     /// How the sigmoid simulator's inputs are derived.
     pub sigmoid_inputs: SigmoidInputMode,
-    /// Scheduling of the sigmoid simulator (batching/parallelism); traces
-    /// are identical at every setting, only `wall_sigmoid` changes.
+    /// Scheduling of the sigmoid simulator (batched or scalar); traces
+    /// are identical at either setting, only `wall_sigmoid` changes. One
+    /// simulation runs on one thread; Monte-Carlo campaigns spread whole
+    /// runs over threads ([`MonteCarloConfig::parallelism`]).
     pub sigmoid_sim: SigmoidSimConfig,
     /// SIMD kernel policy override. `None` leaves the process-global
     /// policy untouched (resolved from the `SIG_SIMD` environment

@@ -8,10 +8,10 @@
 //! * [`simulate_sigmoid`] — the prototype simulator: NOR-only circuits,
 //!   sigmoid traces in, sigmoid traces out, with separate models for
 //!   inverters, fan-out-1 and fan-out-≥2 NOR gates (Sec. V-A). The engine
-//!   is levelized: gates are scheduled per ASAP level, their queries
-//!   batched per model and fanned over the worker pool
+//!   is levelized: gates are scheduled per ASAP level and their queries
+//!   batched per model on the calling thread
 //!   ([`simulate_sigmoid_with`] + [`SigmoidSimConfig`]; results are
-//!   bit-identical at every setting — see `docs/architecture.md` § Levelized batched
+//!   bit-identical at either setting — see `docs/architecture.md` § Levelized batched
 //!   engine).
 //! * [`CircuitProgram`] — the compile-once / execute-many engine core:
 //!   [`CircuitProgram::compile`] resolves slots, validates gates and

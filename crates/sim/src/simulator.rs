@@ -5,9 +5,8 @@
 //! ([`Circuit::levels`]): all gates within one ASAP level are independent,
 //! so their pending transfer-function queries are grouped by
 //! [`CellModels`] slot and evaluated as one [`predict_batch`] call per
-//! (model, round), and the per-gate plan/apply work fans out over the
-//! `sigwave::parallel` worker pool. Both knobs live in
-//! [`SigmoidSimConfig`]; every setting produces bit-identical traces (see
+//! (model, round), on the calling thread. [`SigmoidSimConfig`] selects
+//! batched or scalar evaluation; both produce bit-identical traces (see
 //! `docs/architecture.md`).
 //!
 //! Two cell sets are built in: the paper's NOR-only four-slot
@@ -294,53 +293,33 @@ impl From<&GateModels> for CellModels {
     }
 }
 
-/// Scheduling knobs of the levelized simulator. Every setting produces
-/// bit-identical traces; the knobs trade scheduling overhead against
-/// batching and multi-core throughput.
+/// Scheduling of the levelized simulator. Both settings produce
+/// bit-identical traces. One execution always runs on the calling
+/// thread; callers parallelize across independent executions (the
+/// service runs one request per worker).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SigmoidSimConfig {
-    /// Worker threads for the per-level fan-out (`0` = auto-detect the
-    /// hardware parallelism, `1` = everything on the calling thread).
-    /// Small levels stay sequential regardless — the pool only engages
-    /// when a level has enough gates (or a batch enough rows) to amortize
-    /// the fan-out.
-    pub parallelism: usize,
     /// `true`: group each level's pending queries by model slot and issue
-    /// one [`GateModel::predict_batch`] per (model, round). `false`:
-    /// evaluate each gate's plan with scalar predictions — together with
-    /// `parallelism: 1` this recovers the pre-levelization scalar path.
+    /// one [`GateModel::predict_batch`] per (model, round), evaluating
+    /// duplicate gates once. `false`: evaluate each gate's plan with
+    /// scalar predictions — the pre-levelization reference path.
     pub batch: bool,
 }
 
 impl Default for SigmoidSimConfig {
     fn default() -> Self {
-        Self {
-            parallelism: sigwave::parallel::available_parallelism(),
-            batch: true,
-        }
+        Self { batch: true }
     }
 }
 
 impl SigmoidSimConfig {
-    /// The sequential scalar reference configuration: no batching, no
-    /// worker pool — the baseline every other setting must match
-    /// bit-for-bit.
+    /// The scalar reference configuration: no batching — the baseline
+    /// the batched schedule must match bit-for-bit.
     #[must_use]
     pub fn scalar() -> Self {
-        Self {
-            parallelism: 1,
-            batch: false,
-        }
+        Self { batch: false }
     }
 }
-
-/// Minimum gates in a level before per-gate work fans out to the pool
-/// (below this, thread-scope setup costs more than it saves).
-const PAR_MIN_GATES: usize = 8;
-
-/// Minimum queries per worker before a batched inference call is chunked
-/// across the pool.
-const PAR_MIN_BATCH_ROWS: usize = 32;
 
 /// Error from the sigmoid circuit simulator. Unsupported gates are
 /// rejected by an upfront validation pass over the whole circuit —
@@ -436,9 +415,8 @@ impl SigmoidSimResult {
 }
 
 /// Simulates a NOR-only circuit with the default scheduling
-/// ([`SigmoidSimConfig::default`]: batched, auto parallelism). See
-/// [`simulate_sigmoid_with`] for the knobs; results are identical at any
-/// setting.
+/// ([`SigmoidSimConfig::default`]: batched). See
+/// [`simulate_sigmoid_with`]; results are identical at either setting.
 ///
 /// # Errors
 ///
@@ -883,10 +861,12 @@ impl CircuitProgram {
     /// sequence is unchanged by the merge, and batched inference is
     /// row-independent — regrouping rows never changes a row's arithmetic
     /// (the same contract the levelized engine already relies on for
-    /// round interleaving and chunked parallel inference).
+    /// round interleaving).
     ///
-    /// Results are returned in run order. An empty `stimuli` slice returns
-    /// an empty vector.
+    /// The fleet always batches, so the config selects nothing here
+    /// (both settings give the same bits); it keeps the solo and fleet
+    /// signatures alike. Results are returned in run order. An empty
+    /// `stimuli` slice returns an empty vector.
     ///
     /// # Errors
     ///
@@ -896,7 +876,7 @@ impl CircuitProgram {
     pub fn execute_fleet_with(
         &self,
         stimuli: &[HashMap<NetId, Arc<SigmoidTrace>>],
-        config: &SigmoidSimConfig,
+        _config: &SigmoidSimConfig,
         scratch: &mut FleetScratch,
     ) -> Result<Vec<SigmoidSimResult>, SigmoidSimError> {
         let k = stimuli.len();
@@ -908,7 +888,6 @@ impl CircuitProgram {
         let cells = &*self.cells;
         let tables = &self.tables;
         let options = self.options;
-        let parallelism = sigwave::parallel::resolve_parallelism(config.parallelism);
         let nc = circuit.net_count();
         let FleetScratch {
             nets,
@@ -1011,7 +990,7 @@ impl CircuitProgram {
                     ROUND_ROWS.record(queries.len() as u64);
                     let mut infer_span = sigobs::span("execute.infer");
                     infer_span.set_arg("rows", queries.len() as u64);
-                    predict_chunked(cells.by_slot(slot), queries, predictions, parallelism);
+                    cells.by_slot(slot).predict_batch(queries, predictions);
                     drop(infer_span);
                     round.clear();
                     std::mem::swap(member, round);
@@ -1304,11 +1283,11 @@ impl IncrementalState {
 /// [`simulate_cells_with`]: binds one stimulus set to compiled tables.
 ///
 /// Within a level every gate is independent, so the engine binds all of
-/// their plan templates, then repeatedly gathers each plan's next pending
-/// query, groups the queries by [`CellModels`] slot, and issues one
-/// [`GateModel::predict_batch`] per (model, round) — with the bind/apply
-/// work and large inference batches fanned over the `sigwave::parallel`
-/// pool per `config`. Traces are bit-identical at every `config` setting.
+/// their plan templates (evaluating duplicate gates once, see
+/// [`GateMemo`]), then repeatedly gathers each plan's next pending query,
+/// groups the queries by [`CellModels`] slot, and issues one
+/// [`GateModel::predict_batch`] per (model, round). Everything runs on the
+/// calling thread; traces are bit-identical at either `config` setting.
 fn execute_program(
     circuit: &Circuit,
     cells: &CellModels,
@@ -1318,9 +1297,6 @@ fn execute_program(
     config: &SigmoidSimConfig,
     scratch: &mut SimScratch,
 ) -> Result<SigmoidSimResult, SigmoidSimError> {
-    // Resolve the auto setting once: `available_parallelism` is a syscall
-    // and the engine consults the worker count per level and per round.
-    let parallelism = sigwave::parallel::resolve_parallelism(config.parallelism);
     // Reset the arena to this program's exact sizes (idempotent for
     // repeated executions of the same program; defensive against a
     // previous run that died mid-level).
@@ -1349,72 +1325,43 @@ fn execute_program(
     }
 
     for level in circuit.levels() {
-        // Small levels run on the calling thread: the scoped-pool setup
-        // would dwarf a handful of gate predictions.
-        let level_parallelism = if level.len() >= PAR_MIN_GATES {
-            parallelism
-        } else {
-            1
-        };
         if config.batch {
-            // Bind every template of the level (model-independent). The
-            // parallel form fans gates over the pool with per-gate merge
-            // buffers; the sequential form reuses the arena's.
-            // Duplicate gates (same slot, function, and input traces)
-            // evaluate once; the rest alias the first copy's output `Arc`
-            // after the level finalizes. See [`GateMemo`]. The parallel
-            // bind skips the table — fanning the binds out already hides
-            // the duplicate work, and results are bit-identical either
-            // way (gate evaluation is deterministic in its inputs).
+            // Bind every template of the level (model-independent) with the
+            // arena's merge buffers. Duplicate gates (same slot, function,
+            // and input traces) evaluate once; the rest alias the first
+            // copy's output `Arc` after the level finalizes. See
+            // [`GateMemo`].
             let mut bind_span = sigobs::span("execute.bind");
             let mut aliases: Vec<(NetId, NetId)> = Vec::new();
-            let mut plans: Vec<(usize, NetId, GatePlan)> = if level_parallelism > 1 {
-                sigwave::parallel::par_map(level_parallelism, level, |_, &gi| {
-                    let gate = &circuit.gates()[gi];
-                    let ins: Vec<&SigmoidTrace> = gate
-                        .inputs
-                        .iter()
-                        .map(|i| nets[i.0].as_deref().expect("level order"))
-                        .collect();
-                    (
-                        tables.slots[gi],
-                        gate.output,
-                        tables.templates[gi].bind(&ins, options),
-                    )
-                })
-            } else {
-                memo.clear();
-                let mut out = Vec::with_capacity(level.len());
-                for &gi in level {
-                    let gate = &circuit.gates()[gi];
-                    let slot = tables.slots[gi];
-                    let template = &tables.templates[gi];
-                    let key = memo_key(slot, template.function(), &gate.inputs, nets, 0);
-                    match memo.entry(key) {
-                        std::collections::hash_map::Entry::Occupied(first) => {
-                            aliases.push((gate.output, *first.get()));
-                            continue;
-                        }
-                        std::collections::hash_map::Entry::Vacant(v) => {
-                            v.insert(gate.output);
-                        }
+            let mut plans: Vec<(usize, NetId, GatePlan)> = Vec::with_capacity(level.len());
+            memo.clear();
+            for &gi in level {
+                let gate = &circuit.gates()[gi];
+                let slot = tables.slots[gi];
+                let template = &tables.templates[gi];
+                let key = memo_key(slot, template.function(), &gate.inputs, nets, 0);
+                match memo.entry(key) {
+                    std::collections::hash_map::Entry::Occupied(first) => {
+                        aliases.push((gate.output, *first.get()));
+                        continue;
                     }
-                    // Compiled arities are <= MAX_CELL_ARITY (slot
-                    // resolution enforces it), so the gather fits a
-                    // fixed stack buffer.
-                    let first = nets[gate.inputs[0].0].as_deref().expect("level order");
-                    let mut ins: [&SigmoidTrace; MAX_CELL_ARITY] = [first; MAX_CELL_ARITY];
-                    for (k, i) in gate.inputs.iter().enumerate().skip(1) {
-                        ins[k] = nets[i.0].as_deref().expect("level order");
+                    std::collections::hash_map::Entry::Vacant(v) => {
+                        v.insert(gate.output);
                     }
-                    out.push((
-                        slot,
-                        gate.output,
-                        template.bind_with(&ins[..gate.inputs.len()], options, plan),
-                    ));
                 }
-                out
-            };
+                // Compiled arities are <= MAX_CELL_ARITY (slot resolution
+                // enforces it), so the gather fits a fixed stack buffer.
+                let first = nets[gate.inputs[0].0].as_deref().expect("level order");
+                let mut ins: [&SigmoidTrace; MAX_CELL_ARITY] = [first; MAX_CELL_ARITY];
+                for (k, i) in gate.inputs.iter().enumerate().skip(1) {
+                    ins[k] = nets[i.0].as_deref().expect("level order");
+                }
+                plans.push((
+                    slot,
+                    gate.output,
+                    template.bind_with(&ins[..gate.inputs.len()], options, plan),
+                ));
+            }
             bind_span.set_arg("plans", plans.len() as u64);
             drop(bind_span);
             // Group the still-pending plans by model slot, then evaluate
@@ -1442,7 +1389,7 @@ fn execute_program(
                     ROUND_ROWS.record(queries.len() as u64);
                     let mut infer_span = sigobs::span("execute.infer");
                     infer_span.set_arg("rows", queries.len() as u64);
-                    predict_chunked(cells.by_slot(slot), queries, predictions, parallelism);
+                    cells.by_slot(slot).predict_batch(queries, predictions);
                     drop(infer_span);
                     round.clear();
                     std::mem::swap(member, round);
@@ -1473,24 +1420,18 @@ fn execute_program(
             }
             drop(finalize_span);
         } else {
-            // Scalar mode: per-gate one-shot predictions, optionally
-            // fanned over the pool (gates within a level are independent).
-            let outs: Vec<(NetId, SigmoidTrace)> =
-                sigwave::parallel::par_map(level_parallelism, level, |_, &gi| {
-                    let gate = &circuit.gates()[gi];
-                    let ins: Vec<&SigmoidTrace> = gate
-                        .inputs
-                        .iter()
-                        .map(|i| nets[i.0].as_deref().expect("level order"))
-                        .collect();
-                    let model = cells.by_slot(tables.slots[gi]);
-                    (
-                        gate.output,
-                        apply_plan(tables.templates[gi].bind(&ins, options), model),
-                    )
-                });
-            for (output, trace) in outs {
-                nets[output.0] = Some(Arc::new(trace));
+            // Scalar mode: per-gate one-shot predictions. Gates within a
+            // level are independent, so outputs publish as they finish.
+            for &gi in level {
+                let gate = &circuit.gates()[gi];
+                let ins: Vec<&SigmoidTrace> = gate
+                    .inputs
+                    .iter()
+                    .map(|i| nets[i.0].as_deref().expect("level order"))
+                    .collect();
+                let model = cells.by_slot(tables.slots[gi]);
+                let trace = apply_plan(tables.templates[gi].bind(&ins, options), model);
+                nets[gate.output.0] = Some(Arc::new(trace));
             }
         }
     }
@@ -1511,43 +1452,6 @@ fn execute_program(
         })
         .collect();
     Ok(SigmoidSimResult { traces, undriven })
-}
-
-/// One batched model evaluation: queries are clamped/projected in place
-/// (the round buffer doubles as the scratch — no allocation per call),
-/// then inference is chunked across the worker pool when the batch is
-/// large enough to amortize the fan-out. Chunking only regroups rows;
-/// every row's arithmetic is unchanged, so results are identical to the
-/// single-call form. `workers` must already be resolved (`>= 1`).
-fn predict_chunked(
-    model: &GateModel,
-    queries: &mut [TransferQuery],
-    out: &mut Vec<sigtom::TransferPrediction>,
-    workers: usize,
-) {
-    model.prepare_batch(queries);
-    if workers <= 1 || queries.len() < 2 * PAR_MIN_BATCH_ROWS {
-        model.transfer.predict_batch(queries, out);
-        return;
-    }
-    let queries: &[TransferQuery] = queries;
-    let chunk = queries.len().div_ceil(workers).max(PAR_MIN_BATCH_ROWS);
-    let ranges: Vec<std::ops::Range<usize>> = (0..queries.len())
-        .step_by(chunk)
-        .map(|start| start..(start + chunk).min(queries.len()))
-        .collect();
-    let parts = sigwave::parallel::par_map(workers, &ranges, |_, range| {
-        let mut part = Vec::with_capacity(range.len());
-        model
-            .transfer
-            .predict_batch(&queries[range.clone()], &mut part);
-        part
-    });
-    out.clear();
-    out.reserve(queries.len());
-    for part in parts {
-        out.extend(part);
-    }
 }
 
 #[cfg(test)]
@@ -1741,24 +1645,7 @@ mod tests {
         let opts = TomOptions::default();
         let reference =
             simulate_sigmoid_with(c, &stim, &m, opts, &SigmoidSimConfig::scalar()).unwrap();
-        for config in [
-            SigmoidSimConfig {
-                parallelism: 1,
-                batch: true,
-            },
-            SigmoidSimConfig {
-                parallelism: 4,
-                batch: true,
-            },
-            SigmoidSimConfig {
-                parallelism: 4,
-                batch: false,
-            },
-            SigmoidSimConfig {
-                parallelism: 0,
-                batch: true,
-            },
-        ] {
+        for config in [SigmoidSimConfig::scalar(), SigmoidSimConfig::default()] {
             let got = simulate_sigmoid_with(c, &stim, &m, opts, &config).unwrap();
             for net in 0..c.net_count() {
                 assert_eq!(
@@ -1788,7 +1675,7 @@ mod tests {
 
     proptest::proptest! {
         #[test]
-        fn batched_and_parallel_match_scalar_on_random_dags(seed in 0u64..u64::MAX) {
+        fn batched_matches_scalar_on_random_dags(seed in 0u64..u64::MAX) {
             use rand::{Rng, SeedableRng};
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
 
@@ -1848,11 +1735,7 @@ mod tests {
             let opts = TomOptions::default();
             let reference =
                 simulate_sigmoid_with(&c, &stim, &m, opts, &SigmoidSimConfig::scalar()).unwrap();
-            for config in [
-                SigmoidSimConfig { parallelism: 1, batch: true },
-                SigmoidSimConfig { parallelism: 3, batch: true },
-                SigmoidSimConfig { parallelism: 3, batch: false },
-            ] {
+            for config in [SigmoidSimConfig::scalar(), SigmoidSimConfig::default()] {
                 let got = simulate_sigmoid_with(&c, &stim, &m, opts, &config).unwrap();
                 for net in 0..c.net_count() {
                     proptest::prop_assert_eq!(
@@ -2040,8 +1923,8 @@ mod tests {
 
     #[test]
     fn native_c1355_bit_reproducible_across_runs_and_configs() {
-        // The acceptance headline: native-library c1355 end-to-end, twice,
-        // at several scheduling settings — every trace bit-identical.
+        // The acceptance headline: native-library c1355 end-to-end, batched
+        // twice against the scalar reference — every trace bit-identical.
         let bench = sigcircuit::Benchmark::by_name("c1355").unwrap();
         let c = &bench.native;
         let cells = native_cells();
@@ -2052,14 +1935,6 @@ mod tests {
         for config in [
             SigmoidSimConfig::default(),
             SigmoidSimConfig::default(), // a second identical run
-            SigmoidSimConfig {
-                parallelism: 3,
-                batch: true,
-            },
-            SigmoidSimConfig {
-                parallelism: 1,
-                batch: true,
-            },
         ] {
             let got = simulate_cells_with(c, &stim, &cells, opts, &config).unwrap();
             for net in 0..c.net_count() {
@@ -2162,12 +2037,7 @@ mod tests {
                     opts,
                 )
                 .expect("simulable DAG compiles");
-                for config in [
-                    SigmoidSimConfig::scalar(),
-                    SigmoidSimConfig { parallelism: 1, batch: true },
-                    SigmoidSimConfig { parallelism: 3, batch: true },
-                    SigmoidSimConfig { parallelism: 3, batch: false },
-                ] {
+                for config in [SigmoidSimConfig::scalar(), SigmoidSimConfig::default()] {
                     let fused =
                         simulate_cells_with(circuit, &stim, &cells, opts, &config).unwrap();
                     let executed = program.execute_with(&stim, &config, &mut scratch).unwrap();
@@ -2293,6 +2163,58 @@ mod tests {
         let empty = program.execute_fleet(&[], &mut scratch).unwrap();
         assert!(empty.is_empty());
         assert_eq!(scratch.runs(), 6);
+    }
+
+    /// Counts the rows every batched inference call carries.
+    struct RowCounter {
+        rows: Arc<std::sync::atomic::AtomicU64>,
+    }
+    impl TransferFunction for RowCounter {
+        fn predict(&self, q: TransferQuery) -> TransferPrediction {
+            HistoryTransfer.predict(q)
+        }
+        fn predict_batch(&self, queries: &[TransferQuery], out: &mut Vec<TransferPrediction>) {
+            self.rows
+                .fetch_add(queries.len() as u64, std::sync::atomic::Ordering::Relaxed);
+            HistoryTransfer.predict_batch(queries, out);
+        }
+        fn backend_name(&self) -> &'static str {
+            "row-counter"
+        }
+    }
+
+    #[test]
+    fn solo_execute_infers_as_many_rows_as_a_fleet_of_one_on_c1355() {
+        // Duplicate-gate elimination must cover every level of a solo
+        // execute, wide ones included: NOR-mapped c1355 (62 levels, all
+        // with >= 8 gates) infers exactly the rows of the fleet path,
+        // which has always eliminated duplicates on every level.
+        let bench = sigcircuit::Benchmark::by_name("c1355").unwrap();
+        let rows = Arc::new(std::sync::atomic::AtomicU64::new(0));
+        let counting = GateModel::new(Arc::new(RowCounter {
+            rows: Arc::clone(&rows),
+        }));
+        let program = CircuitProgram::compile(
+            Arc::new(bench.nor_mapped.clone()),
+            Arc::new(CellModels::nor_only(&GateModels::uniform(counting))),
+            TomOptions::default(),
+        )
+        .unwrap();
+        let stim = random_native_stimuli(&bench.nor_mapped, 20251017);
+        program
+            .execute_with(&stim, &SigmoidSimConfig::default(), &mut SimScratch::new())
+            .unwrap();
+        let solo = rows.swap(0, std::sync::atomic::Ordering::Relaxed);
+        let mut fleet = FleetScratch::new();
+        program
+            .execute_fleet(std::slice::from_ref(&stim), &mut fleet)
+            .unwrap();
+        assert_eq!(
+            rows.load(std::sync::atomic::Ordering::Relaxed),
+            fleet.rows_merged()
+        );
+        assert!(solo > 0);
+        assert_eq!(solo, fleet.rows_merged(), "solo vs fleet-of-one rows");
     }
 
     #[test]
