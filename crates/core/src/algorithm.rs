@@ -71,28 +71,21 @@ impl GateModel {
         self.transfer.predict(self.prepare(query))
     }
 
-    /// Prepares a batch of raw queries **in place**: each is
-    /// clamped/projected exactly as the scalar [`GateModel`] prediction
-    /// does before inference. Idempotent, so re-preparing is harmless.
-    pub fn prepare_batch(&self, queries: &mut [TransferQuery]) {
-        for q in queries.iter_mut() {
-            *q = self.prepare(*q);
-        }
-    }
-
     /// Predicts a batch of independent queries: each is clamped/projected
-    /// in place (see [`GateModel::prepare_batch`] — the batch buffer is
-    /// the scratch, so nothing is allocated per call), then the whole
-    /// batch goes through [`TransferFunction::predict_batch`] in one
-    /// call. `out` is overwritten with one prediction per query, in
-    /// order, bit-identical to per-query [`TransferFunction::predict`]
-    /// calls.
+    /// **in place** exactly as the scalar [`GateModel`] prediction does
+    /// (the batch buffer is the scratch, so nothing is allocated per
+    /// call), then the whole batch goes through
+    /// [`TransferFunction::predict_batch`] in one call. `out` is
+    /// overwritten with one prediction per query, in order,
+    /// bit-identical to per-query [`TransferFunction::predict`] calls.
     pub fn predict_batch(
         &self,
         queries: &mut [TransferQuery],
         out: &mut Vec<crate::transfer::TransferPrediction>,
     ) {
-        self.prepare_batch(queries);
+        for q in queries.iter_mut() {
+            *q = self.prepare(*q);
+        }
         self.transfer.predict_batch(queries, out);
     }
 }

@@ -1460,6 +1460,7 @@ mod tests {
     use sigcircuit::CircuitBuilder;
     use sigtom::{TransferFunction, TransferPrediction};
     use sigwave::{Sigmoid, VDD_DEFAULT};
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     struct Fixed(f64);
     impl TransferFunction for Fixed {
@@ -2167,15 +2168,14 @@ mod tests {
 
     /// Counts the rows every batched inference call carries.
     struct RowCounter {
-        rows: Arc<std::sync::atomic::AtomicU64>,
+        rows: Arc<AtomicU64>,
     }
     impl TransferFunction for RowCounter {
         fn predict(&self, q: TransferQuery) -> TransferPrediction {
             HistoryTransfer.predict(q)
         }
         fn predict_batch(&self, queries: &[TransferQuery], out: &mut Vec<TransferPrediction>) {
-            self.rows
-                .fetch_add(queries.len() as u64, std::sync::atomic::Ordering::Relaxed);
+            self.rows.fetch_add(queries.len() as u64, Ordering::Relaxed);
             HistoryTransfer.predict_batch(queries, out);
         }
         fn backend_name(&self) -> &'static str {
@@ -2185,12 +2185,12 @@ mod tests {
 
     #[test]
     fn solo_execute_infers_as_many_rows_as_a_fleet_of_one_on_c1355() {
-        // Duplicate-gate elimination must cover every level of a solo
-        // execute, wide ones included: NOR-mapped c1355 (62 levels, all
-        // with >= 8 gates) infers exactly the rows of the fleet path,
-        // which has always eliminated duplicates on every level.
+        // Duplicate-gate elimination covers every level of a solo
+        // execute, wide ones included: on NOR-mapped c1355 (62 levels,
+        // each with >= 8 gates) it infers exactly the rows of a fleet of
+        // one.
         let bench = sigcircuit::Benchmark::by_name("c1355").unwrap();
-        let rows = Arc::new(std::sync::atomic::AtomicU64::new(0));
+        let rows = Arc::new(AtomicU64::new(0));
         let counting = GateModel::new(Arc::new(RowCounter {
             rows: Arc::clone(&rows),
         }));
@@ -2204,15 +2204,12 @@ mod tests {
         program
             .execute_with(&stim, &SigmoidSimConfig::default(), &mut SimScratch::new())
             .unwrap();
-        let solo = rows.swap(0, std::sync::atomic::Ordering::Relaxed);
+        let solo = rows.swap(0, Ordering::Relaxed);
         let mut fleet = FleetScratch::new();
         program
             .execute_fleet(std::slice::from_ref(&stim), &mut fleet)
             .unwrap();
-        assert_eq!(
-            rows.load(std::sync::atomic::Ordering::Relaxed),
-            fleet.rows_merged()
-        );
+        assert_eq!(rows.load(Ordering::Relaxed), fleet.rows_merged());
         assert!(solo > 0);
         assert_eq!(solo, fleet.rows_merged(), "solo vs fleet-of-one rows");
     }
