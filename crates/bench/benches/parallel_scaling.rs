@@ -18,7 +18,8 @@ use sigchar::{
     characterize, AnalogOptions, CharacterizationConfig, DelayTable, GateTag, PulseSweep,
 };
 use sigsim::{
-    compare_circuit_monte_carlo, GateModels, HarnessConfig, MonteCarloConfig, StimulusSpec,
+    compare_circuit_monte_carlo_cells, CellModels, HarnessConfig, LibrarySpec, MonteCarloConfig,
+    StimulusSpec,
 };
 use sigtom::{
     AnnTrainConfig, AnnTransfer, GateModel, TransferFunction, TransferPrediction, TransferQuery,
@@ -91,7 +92,14 @@ impl TransferFunction for Analytic {
 fn bench_monte_carlo(c: &mut Criterion) {
     let bench = sigcircuit::Benchmark::by_name("c17").expect("benchmark");
     let circuit = &bench.nor_mapped;
-    let models = GateModels::uniform(GateModel::new(Arc::new(Analytic)));
+    let model = GateModel::new(Arc::new(Analytic));
+    let cells = CellModels::from_cells(
+        "nor-only",
+        LibrarySpec::nor_only()
+            .tags
+            .into_iter()
+            .map(|tag| (tag, model.clone())),
+    );
     let delays = DelayTable::measure(1..=3, &AnalogOptions::default(), &EngineConfig::default())
         .expect("delays");
     let spec = StimulusSpec::fast();
@@ -108,10 +116,10 @@ fn bench_monte_carlo(c: &mut Criterion) {
         };
         group.bench_function(label, |b| {
             b.iter(|| {
-                let outcomes = compare_circuit_monte_carlo(
+                let outcomes = compare_circuit_monte_carlo_cells(
                     black_box(circuit),
                     &spec,
-                    &models,
+                    &cells,
                     &delays,
                     &config,
                     &mc,

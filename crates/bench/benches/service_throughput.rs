@@ -58,10 +58,13 @@ fn bench_service(workers: usize) -> Arc<Service> {
         name: "bench".to_string(),
         library: "nor-only".to_string(),
         policy: sigcircuit::MappingPolicy::NorOnly,
-        trained: None,
-        cells: Arc::new(sigsim::CellModels::nor_only(&sigsim::GateModels::uniform(
-            GateModel::new(Arc::new(Fixed)),
-        ))),
+        cells: Arc::new(sigsim::CellModels::from_cells(
+            "nor-only",
+            sigsim::LibrarySpec::nor_only()
+                .tags
+                .into_iter()
+                .map(|tag| (tag, GateModel::new(Arc::new(Fixed)))),
+        )),
         delays: sigserve::registry::DelaySource::none(),
         options: TomOptions::default(),
     });
@@ -69,7 +72,6 @@ fn bench_service(workers: usize) -> Arc<Service> {
         name: "bench".to_string(),
         library: "native".to_string(),
         policy: sigcircuit::MappingPolicy::Native,
-        trained: None,
         cells: Arc::new(native_cells()),
         delays: sigserve::registry::DelaySource::none(),
         options: TomOptions::default(),

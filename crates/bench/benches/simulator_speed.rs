@@ -22,8 +22,8 @@ use sigcircuit::Benchmark;
 use signn::simd::{set_policy, SimdPolicy};
 use signn::{Mlp, ScaledModel, Standardizer};
 use sigsim::{
-    digital_to_sigmoid, simulate_cells_with, simulate_sigmoid_with, CellModels, CircuitProgram,
-    FleetScratch, GateModels, SigmoidSimConfig, SimScratch, StimulusEdit, StimulusSpec,
+    digital_to_sigmoid, simulate_cells_with, CellModels, CircuitProgram, FleetScratch, LibrarySpec,
+    SigmoidSimConfig, StimulusEdit, StimulusSpec,
 };
 use sigtom::{
     AnnTransfer, GateModel, TomOptions, TransferFunction, TransferPrediction, TransferQuery,
@@ -50,9 +50,20 @@ impl TransferFunction for Analytic {
     }
 }
 
+/// One model in all four slots of the paper's `nor-only` set.
+fn nor_only_cells(model: GateModel) -> CellModels {
+    CellModels::from_cells(
+        "nor-only",
+        LibrarySpec::nor_only()
+            .tags
+            .into_iter()
+            .map(|tag| (tag, model.clone())),
+    )
+}
+
 /// Untrained paper-architecture networks: real `3 → 10 → 10 → 5 → 1`
 /// inference cost without a training campaign in the bench.
-fn synthetic_ann_models() -> GateModels {
+fn synthetic_ann_models() -> CellModels {
     let net = |seed: u64| {
         ScaledModel::new(
             Mlp::paper_architecture(3, seed),
@@ -61,7 +72,7 @@ fn synthetic_ann_models() -> GateModels {
         )
     };
     let ann = AnnTransfer::from_parts(net(1), net(2), net(3), net(4));
-    GateModels::uniform(GateModel::new(Arc::new(ann)))
+    nor_only_cells(GateModel::new(Arc::new(ann)))
 }
 
 fn bench_simulators(c: &mut Criterion) {
@@ -83,7 +94,7 @@ fn bench_simulators(c: &mut Criterion) {
             .iter()
             .map(|(&i, t)| (i, Arc::new(digital_to_sigmoid(t, 0.8))))
             .collect();
-        let analytic = GateModels::uniform(GateModel::new(Arc::new(Analytic)));
+        let analytic = nor_only_cells(GateModel::new(Arc::new(Analytic)));
         let ann = synthetic_ann_models();
         let channels = GateChannels::uniform(&circuit, InertialDelay::symmetric(5.5e-12));
 
@@ -92,7 +103,7 @@ fn bench_simulators(c: &mut Criterion) {
         for (label, config) in scheduling_modes {
             group.bench_function(label, |b| {
                 b.iter(|| {
-                    simulate_sigmoid_with(
+                    simulate_cells_with(
                         black_box(&circuit),
                         &sigmoid_stimuli,
                         &analytic,
@@ -106,7 +117,7 @@ fn bench_simulators(c: &mut Criterion) {
         for (label, config) in scheduling_modes {
             group.bench_function(format!("ann_{label}"), |b| {
                 b.iter(|| {
-                    simulate_sigmoid_with(
+                    simulate_cells_with(
                         black_box(&circuit),
                         &sigmoid_stimuli,
                         &ann,
@@ -147,7 +158,7 @@ fn bench_mapping_policies(c: &mut Criterion) {
             .iter()
             .map(|&i| (i, spec.sample(&mut rng)))
             .collect();
-        let analytic_nor = GateModels::uniform(GateModel::new(Arc::new(Analytic)));
+        let analytic_nor = nor_only_cells(GateModel::new(Arc::new(Analytic)));
         let analytic_native = uniform_native_cells(GateModel::new(Arc::new(Analytic)));
         let ann_native = {
             let net = |seed: u64| {
@@ -180,7 +191,7 @@ fn bench_mapping_policies(c: &mut Criterion) {
             format!("nor_only_{}_gates", bench.nor_mapped.gates().len()),
             |b| {
                 b.iter(|| {
-                    simulate_sigmoid_with(
+                    simulate_cells_with(
                         black_box(&bench.nor_mapped),
                         &nor_stimuli,
                         &analytic_nor,
@@ -208,7 +219,7 @@ fn bench_mapping_policies(c: &mut Criterion) {
         );
         group.bench_function("ann_nor_only", |b| {
             b.iter(|| {
-                simulate_sigmoid_with(
+                simulate_cells_with(
                     black_box(&bench.nor_mapped),
                     &nor_stimuli,
                     &ann_nor,
@@ -238,7 +249,7 @@ fn bench_mapping_policies(c: &mut Criterion) {
 /// `compile` prices the one-off circuit-dependent work
 /// ([`CircuitProgram::compile`]: validation, slot resolution, plan
 /// templates), `execute` the steady-state per-request work against the
-/// resident program with a reused [`SimScratch`], and `legacy` the fused
+/// resident program with a reused [`FleetScratch`], and `legacy` the fused
 /// entry point paying both per call — the service's warm-path win is
 /// `legacy − execute`.
 fn bench_program(c: &mut Criterion) {
@@ -264,9 +275,7 @@ fn bench_program(c: &mut Criterion) {
             (
                 "nor_only",
                 Arc::new(bench.nor_mapped.clone()),
-                Arc::new(CellModels::nor_only(&GateModels::uniform(GateModel::new(
-                    Arc::new(Analytic),
-                )))),
+                Arc::new(nor_only_cells(GateModel::new(Arc::new(Analytic)))),
             ),
             (
                 "native",
@@ -295,7 +304,7 @@ fn bench_program(c: &mut Criterion) {
                 TomOptions::default(),
             )
             .expect("compiles");
-            let mut scratch = SimScratch::new();
+            let mut scratch = FleetScratch::new();
             group.bench_function(format!("{library}_execute"), |b| {
                 b.iter(|| {
                     program
@@ -333,9 +342,7 @@ fn bench_delta(c: &mut Criterion) {
     for name in ["c17", "c1355"] {
         let bench = Benchmark::by_name(name).expect("benchmark");
         let circuit = Arc::new(bench.nor_mapped.clone());
-        let cells = Arc::new(CellModels::nor_only(&GateModels::uniform(GateModel::new(
-            Arc::new(Analytic),
-        ))));
+        let cells = Arc::new(nor_only_cells(GateModel::new(Arc::new(Analytic))));
         let program = CircuitProgram::compile(Arc::clone(&circuit), cells, TomOptions::default())
             .expect("compiles");
         let mut rng = StdRng::seed_from_u64(4);
@@ -360,7 +367,7 @@ fn bench_delta(c: &mut Criterion) {
                 })
                 .collect()
         };
-        let mut scratch = SimScratch::new();
+        let mut scratch = FleetScratch::new();
         let mut group = c.benchmark_group(format!("delta_{name}"));
         group.sample_size(20);
         for (label, count) in [("1edit", 1), ("10pct_edits", inputs.len().div_ceil(10))] {
@@ -413,7 +420,7 @@ fn bench_fleet(c: &mut Criterion) {
     let runs = 16u64;
     let bench = Benchmark::by_name("c1355").expect("benchmark");
     let circuit = Arc::new(bench.nor_mapped.clone());
-    let cells = Arc::new(CellModels::nor_only(&synthetic_ann_models()));
+    let cells = Arc::new(synthetic_ann_models());
     let program = CircuitProgram::compile(Arc::clone(&circuit), cells, TomOptions::default())
         .expect("compiles");
     let spec = StimulusSpec::fast();
@@ -430,7 +437,7 @@ fn bench_fleet(c: &mut Criterion) {
     let batched = SigmoidSimConfig::default();
     let mut group = c.benchmark_group("fleet_c1355");
     group.sample_size(10);
-    let mut scratch = SimScratch::new();
+    let mut scratch = FleetScratch::new();
     for (label, config) in [
         ("per_run_scalar", SigmoidSimConfig::scalar()),
         ("per_run_batched", batched),

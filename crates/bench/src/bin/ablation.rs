@@ -15,21 +15,28 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use nanospice::EngineConfig;
-use sigbench::{load_models, results_dir_from, write_csv, Args};
+use sigbench::{load_library, results_dir_from, write_csv, Args};
 use sigchar::{AnalogOptions, DelayTable, GateTag};
-use sigcircuit::Benchmark;
+use sigcircuit::{Benchmark, MappingPolicy};
 use sigsim::{
-    compare_circuit, random_stimuli, GateModels, HarnessConfig, StimulusSpec, TrainedModels,
+    compare_circuit_cells, random_stimuli, CellLibrary, CellModels, HarnessConfig, StimulusSpec,
 };
 use sigtom::{GateModel, LutTransfer, PolyTransfer, TomOptions, ValidRegion};
 
-fn backend_models(trained: &TrainedModels, backend: &str) -> GateModels {
-    let base = trained.gate_models();
-    if backend == "ann" {
-        return base;
-    }
-    let build = |tag: GateTag, template: &GateModel| -> GateModel {
-        let data = trained.dataset(tag).expect("dataset stored");
+/// The library's cells with each trained model replaced by `rebuild`.
+fn variant(library: &CellLibrary, rebuild: impl Fn(GateTag, GateModel) -> GateModel) -> CellModels {
+    CellModels::from_cells(
+        library.name(),
+        library.tags().into_iter().map(|tag| {
+            let model = library.model(tag).expect("trained tag");
+            (tag, rebuild(tag, model))
+        }),
+    )
+}
+
+fn backend_models(library: &CellLibrary, backend: &str) -> CellModels {
+    variant(library, |tag, template| {
+        let data = library.dataset(tag).expect("dataset stored");
         let transfer: Arc<dyn sigtom::TransferFunction + Send + Sync> = match backend {
             "lut" => Arc::new(LutTransfer::build(data, 4).expect("lut build")),
             "poly" => Arc::new(PolyTransfer::fit(data).expect("poly fit")),
@@ -40,75 +47,57 @@ fn backend_models(trained: &TrainedModels, backend: &str) -> GateModels {
             m = m.with_region(r.clone());
         }
         m
-    };
-    GateModels {
-        inverter: build(GateTag::Inverter, &base.inverter),
-        inverter_fo2: build(GateTag::InverterFo2, &base.inverter_fo2),
-        nor_fo1: build(GateTag::NorFo1, &base.nor_fo1),
-        nor_fo2: build(GateTag::NorFo2, &base.nor_fo2),
-    }
+    })
 }
 
-fn strip_region(models: &GateModels) -> GateModels {
-    let strip = |m: &GateModel| GateModel::new(m.transfer.clone());
-    GateModels {
-        inverter: strip(&models.inverter),
-        inverter_fo2: strip(&models.inverter_fo2),
-        nor_fo1: strip(&models.nor_fo1),
-        nor_fo2: strip(&models.nor_fo2),
-    }
+fn strip_region(library: &CellLibrary) -> CellModels {
+    variant(library, |_, m| GateModel::new(m.transfer))
 }
 
-fn tighten_region(trained: &TrainedModels, models: &GateModels, margin: f64) -> GateModels {
-    let rebuild = |tag: GateTag, m: &GateModel| {
-        let data = trained.dataset(tag).expect("dataset stored");
+fn tighten_region(library: &CellLibrary, margin: f64) -> CellModels {
+    variant(library, |tag, m| {
+        let data = library.dataset(tag).expect("dataset stored");
         let pts: Vec<[f64; 3]> = data
             .rising
             .iter()
             .chain(&data.falling)
             .map(|s| s.features())
             .collect();
-        GateModel::new(m.transfer.clone()).with_region(Arc::new(ValidRegion::build(&pts, margin)))
-    };
-    GateModels {
-        inverter: rebuild(GateTag::Inverter, &models.inverter),
-        inverter_fo2: rebuild(GateTag::InverterFo2, &models.inverter_fo2),
-        nor_fo1: rebuild(GateTag::NorFo1, &models.nor_fo1),
-        nor_fo2: rebuild(GateTag::NorFo2, &models.nor_fo2),
-    }
+        GateModel::new(m.transfer).with_region(Arc::new(ValidRegion::build(&pts, margin)))
+    })
 }
 
 fn main() {
     let args = Args::parse();
     let runs: usize = args.get_num("runs", 5);
     let circuit_name = args.get("circuit", "c17");
-    let trained = load_models(&args);
+    let library = load_library(&args, MappingPolicy::NorOnly);
     let delays = DelayTable::measure(1..=6, &AnalogOptions::default(), &EngineConfig::default())
         .expect("delay extraction");
     let bench = Benchmark::by_name(&circuit_name).expect("unknown circuit");
     let circuit = &bench.nor_mapped;
 
-    let ann = trained.gate_models();
-    let variants: Vec<(String, GateModels, TomOptions)> = vec![
+    let ann = library.cell_models();
+    let variants: Vec<(String, CellModels, TomOptions)> = vec![
         ("ann(paper)".into(), ann.clone(), TomOptions::default()),
         (
             "lut".into(),
-            backend_models(&trained, "lut"),
+            backend_models(&library, "lut"),
             TomOptions::default(),
         ),
         (
             "poly".into(),
-            backend_models(&trained, "poly"),
+            backend_models(&library, "poly"),
             TomOptions::default(),
         ),
         (
             "ann,no-region".into(),
-            strip_region(&ann),
+            strip_region(&library),
             TomOptions::default(),
         ),
         (
             "ann,tight-region".into(),
-            tighten_region(&trained, &ann, 1.5),
+            tighten_region(&library, 1.5),
             TomOptions::default(),
         ),
         (
@@ -136,7 +125,7 @@ fn main() {
         for r in 0..runs {
             let mut rng = StdRng::seed_from_u64(77 + r as u64);
             let stimuli = random_stimuli(circuit, &StimulusSpec::fast(), &mut rng);
-            let outcome = compare_circuit(circuit, &stimuli, models, &delays, &config)
+            let outcome = compare_circuit_cells(circuit, &stimuli, models, &delays, &config)
                 .expect("comparison failed");
             sum_sig += outcome.t_err_sigmoid;
             sum_dig += outcome.t_err_digital;

@@ -13,10 +13,12 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use nanospice::EngineConfig;
-use sigbench::{load_models, results_dir_from, write_csv, Args};
+use sigbench::{load_library, results_dir_from, write_csv, Args};
 use sigchar::{AnalogOptions, DelayTable};
-use sigcircuit::Benchmark;
-use sigsim::{compare_circuit, random_stimuli, HarnessConfig, SigmoidInputMode, StimulusSpec};
+use sigcircuit::{Benchmark, MappingPolicy};
+use sigsim::{
+    compare_circuit_cells, random_stimuli, HarnessConfig, SigmoidInputMode, StimulusSpec,
+};
 use sigwave::metrics::t_err_digital;
 
 fn main() {
@@ -24,8 +26,7 @@ fn main() {
     let name = args.get("circuit", "c1355");
     let seed: u64 = args.get_num("seed", 3);
 
-    let trained = load_models(&args);
-    let models = trained.gate_models();
+    let cells = load_library(&args, MappingPolicy::NorOnly).cell_models();
     let delays = DelayTable::measure(1..=6, &AnalogOptions::default(), &EngineConfig::default())
         .expect("delay extraction");
 
@@ -37,8 +38,8 @@ fn main() {
         sigmoid_inputs: SigmoidInputMode::SameAsDigital,
         ..HarnessConfig::default()
     };
-    let outcome =
-        compare_circuit(circuit, &stimuli, &models, &delays, &config).expect("comparison failed");
+    let outcome = compare_circuit_cells(circuit, &stimuli, &cells, &delays, &config)
+        .expect("comparison failed");
 
     // Pick the busiest output.
     let bundle = outcome

@@ -27,7 +27,7 @@
 use std::time::Duration;
 
 use nanospice::EngineConfig;
-use sigbench::{load_cell_models, results_dir_from, write_csv_text, Args};
+use sigbench::{load_library, results_dir_from, write_csv_text, Args};
 use sigchar::{AnalogOptions, DelayTable};
 use sigcircuit::{Benchmark, MappingPolicy};
 use sigsim::{
@@ -82,7 +82,7 @@ fn main() {
         wire_cap_variation: variation,
         ..AnalogOptions::default()
     };
-    let cells = load_cell_models(&args, policy);
+    let cells = load_library(&args, policy).cell_models();
     // Extraction covers the classes the mapped circuits actually
     // instantiate: NOR/INV for the prototype mapping, every native cell
     // for --library native (NAND2/AND2/OR2 get their own chain delays

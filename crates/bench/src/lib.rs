@@ -9,7 +9,9 @@ use std::collections::HashMap;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use sigsim::{train_models_cached, PipelineConfig, TrainedModels};
+use sigsim::{
+    library_cache_path, train_cell_library_cached, CellLibrary, LibrarySpec, PipelineConfig,
+};
 
 /// Minimal `--key value` / `--flag` argument parser for the experiment
 /// binaries (keeps the dependency set to the approved list).
@@ -141,42 +143,25 @@ pub fn pipeline_from_args(args: &Args) -> (PipelineConfig, PathBuf) {
     )
 }
 
-/// Loads (or trains) the standard gate models: `--paper-scale` switches to
-/// the full-granularity characterization sweep and long training.
+/// Loads (or trains) the cell library of a mapping policy at the scale the
+/// standard flags select (`--paper-scale` switches to the full-granularity
+/// characterization sweep and long training): the paper's four-variant
+/// `nor-only` set for [`sigcircuit::MappingPolicy::NorOnly`], the full
+/// native library for [`sigcircuit::MappingPolicy::Native`]. Each is
+/// cached beside the selected model-cache path as
+/// `<stem>.<library>.json` ([`library_cache_path`]), exactly as the
+/// service registry caches its presets.
 ///
 /// # Panics
 ///
 /// Panics if the pipeline fails — the experiment binaries have no way to
 /// proceed without models.
 #[must_use]
-pub fn load_models(args: &Args) -> TrainedModels {
+pub fn load_library(args: &Args, policy: sigcircuit::MappingPolicy) -> CellLibrary {
     let (config, cache) = pipeline_from_args(args);
-    train_models_cached(&cache, &config).expect("training pipeline failed")
-}
-
-/// Loads (or trains) the runtime cell models of a mapping policy at the
-/// scale the standard flags select: the paper's four-variant bundle for
-/// [`sigcircuit::MappingPolicy::NorOnly`], the full native
-/// [`sigsim::CellLibrary`] (cached beside the legacy artifact with a
-/// `.native.json` suffix) for [`sigcircuit::MappingPolicy::Native`].
-///
-/// # Panics
-///
-/// Panics if the pipeline fails.
-#[must_use]
-pub fn load_cell_models(args: &Args, policy: sigcircuit::MappingPolicy) -> sigsim::CellModels {
-    match policy {
-        sigcircuit::MappingPolicy::NorOnly => {
-            sigsim::CellModels::nor_only(&load_models(args).gate_models())
-        }
-        sigcircuit::MappingPolicy::Native => {
-            let (config, cache) = pipeline_from_args(args);
-            let path = sigsim::native_cache_path(&cache);
-            sigsim::train_cell_library_cached(&path, &sigsim::LibrarySpec::native(), &config)
-                .expect("library training pipeline failed")
-                .cell_models()
-        }
-    }
+    let spec = LibrarySpec::for_policy(policy);
+    train_cell_library_cached(&library_cache_path(&cache, &spec.name), &spec, &config)
+        .expect("training pipeline failed")
 }
 
 /// Writes rows of `f64` columns as CSV with a header.

@@ -71,13 +71,12 @@
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
-use std::sync::Arc;
 
 use sigserve::protocol::{
     decode_response, encode_request, encode_response, CacheOutcome, CircuitSource, Request,
     Response, SessionEdit, SimRequest,
 };
-use sigserve::{run_sim_edited, ModelSet};
+use sigserve::run_sim_edited;
 use sigwave::{DigitalTrace, Level, VcdSignal};
 
 fn usage() -> ! {
@@ -418,48 +417,24 @@ fn golden(o: &Options) {
             sigserve::service::map_for_simulation(parsed, policy)
         }
     };
-    // The exact preset table the daemon's registry uses, so golden loads
-    // the identical on-disk artifact.
-    let Some((config, cache_file)) = sigserve::preset_config(&o.sim.models) else {
-        eprintln!(
-            "sigctl: golden supports preset models only ({}), not {:?}",
-            sigserve::registry::PRESETS.join("/"),
-            o.sim.models
-        );
-        std::process::exit(1);
-    };
-    let fail = |e: sigsim::PipelineError| -> ! {
-        eprintln!("sigctl: model pipeline failed: {e}");
-        std::process::exit(1);
-    };
-    let (trained, cells) = match policy {
-        sigcircuit::MappingPolicy::NorOnly => {
-            let trained = sigsim::train_models_cached(&o.models_dir.join(cache_file), &config)
-                .unwrap_or_else(|e| fail(e));
-            let cells = Arc::new(sigsim::CellModels::nor_only(&trained.gate_models()));
-            (Some(Arc::new(trained)), cells)
-        }
-        sigcircuit::MappingPolicy::Native => {
-            let library = sigsim::train_cell_library_cached(
-                &sigsim::native_cache_path(&o.models_dir.join(cache_file)),
-                &sigsim::LibrarySpec::native(),
-                &config,
-            )
-            .unwrap_or_else(|e| fail(e));
-            (None, Arc::new(library.cell_models()))
-        }
-    };
-    let set = ModelSet {
-        name: o.sim.models.clone(),
-        library: o.sim.library.clone(),
-        policy,
-        trained,
-        cells,
-        // Lazy like the daemon's registry sets: measured only when the
-        // request actually compares, with the policy's cell classes.
-        delays: sigserve::registry::DelaySource::for_policy(policy),
-        options: sigtom::TomOptions::default(),
-    };
+    // Load through the daemon's own registry, so golden reads the
+    // identical on-disk artifact. Its delay table is measured lazily,
+    // only when the request actually compares.
+    let set = sigserve::ModelRegistry::new(&o.models_dir)
+        .get_or_load(&o.sim.models, &o.sim.library)
+        .unwrap_or_else(|e| {
+            match e {
+                sigserve::RegistryError::UnknownName(_) => eprintln!(
+                    "sigctl: golden supports preset models only ({}), not {:?}",
+                    sigserve::registry::PRESETS.join("/"),
+                    o.sim.models
+                ),
+                sigserve::RegistryError::Pipeline(e) => {
+                    eprintln!("sigctl: model pipeline failed: {e}");
+                }
+            }
+            std::process::exit(1);
+        });
     // A fresh daemon's first request is always a cache miss; golden
     // mirrors that so the frames compare byte-for-byte. `--edit` flags
     // replace the seeded stimuli of named inputs first, producing the

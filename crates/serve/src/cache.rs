@@ -499,9 +499,9 @@ mod tests {
                 "fixed"
             }
         }
-        Arc::new(sigsim::CellModels::nor_only(&sigsim::GateModels::uniform(
-            GateModel::new(Arc::new(Fixed)),
-        )))
+        Arc::new(crate::registry::nor_only_cells(&GateModel::new(Arc::new(
+            Fixed,
+        ))))
     }
 
     fn compile(tag: usize, cells: &Arc<sigsim::CellModels>) -> CircuitProgram {

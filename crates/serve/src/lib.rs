@@ -5,11 +5,11 @@
 //! invocation. This crate gives the expensive artifacts a resident home
 //! and puts a wire protocol in front of the PR-2 batched engine:
 //!
-//! * [`ModelRegistry`] — model sets keyed by `(preset, library)`: the
-//!   `nor-only` library loads the paper's four-variant
-//!   [`sigsim::TrainedModels`], the `native` library a full
-//!   [`sigsim::CellLibrary`] (NAND2/AND2/OR2/INV/NOR as first-class
-//!   cells); each loads once and is shared as `Arc` across all requests,
+//! * [`ModelRegistry`] — model sets keyed by `(preset, library)`: each
+//!   loads one trained [`sigsim::CellLibrary`] — `nor-only` the paper's
+//!   four-variant prototype set, `native` the full library
+//!   (NAND2/AND2/OR2/INV/NOR as first-class cells) — once, and shares it
+//!   as `Arc` across all requests,
 //! * [`CircuitCache`] — an LRU keyed by content hash *and* mapping
 //!   policy, so repeated requests skip `.bench`/JSON parsing,
 //!   validation, technology mapping and levelization,
@@ -22,8 +22,8 @@
 //!   daemon and `sigctl` client binaries wrap them.
 //!
 //! The service is a **scheduling layer, never a numerics layer**:
-//! responses are bit-identical to direct [`sigsim::compare_circuit`] /
-//! [`sigsim::simulate_sigmoid`] calls with the same seed (enforced by
+//! responses are bit-identical to direct [`sigsim::compare_circuit_cells`]
+//! / [`sigsim::simulate_cells_with`] calls with the same seed (enforced by
 //! `tests/service_parity.rs`). The protocol grammar is normatively
 //! specified in `docs/protocol.md`; cache keys and backpressure
 //! semantics are documented in `docs/architecture.md`.
@@ -51,7 +51,7 @@ pub use protocol::{
     ErrorKind, FrameReader, ProtocolError, Request, Response, SessionEdit, SimRequest, SimResult,
     StatsReply, MAX_FRAME_BYTES,
 };
-pub use registry::{preset_config, DelaySource, ModelRegistry, ModelSet, RegistryError};
+pub use registry::{DelaySource, ModelRegistry, ModelSet, RegistryError};
 pub use server::{run_connection, serve_stdio, serve_tcp, serve_tcp_blocking};
 pub use service::{run_sim, run_sim_edited, Handled, Service, ServiceConfig};
 pub use session::SessionTable;
@@ -240,7 +240,6 @@ mod service_tests {
             name: name.to_string(),
             library: "native".to_string(),
             policy: sigcircuit::MappingPolicy::Native,
-            trained: None,
             cells: Arc::new(cells),
             delays: crate::registry::DelaySource::none(),
             options: sigtom::TomOptions::default(),
@@ -338,7 +337,7 @@ mod service_tests {
     #[test]
     fn pooled_fleet_arena_counters_reset_between_requests() {
         // Regression: `FleetScratch` accumulates `runs`/`rows_merged`
-        // across executions, and `FleetPool` reuses arenas. Without the
+        // across executions, and `ScratchPool` reuses arenas. Without the
         // reset on acquire, a warm request's counters included the
         // arena's whole history, so the daemon's `fleet_rows` stat grew
         // quadratically instead of linearly.
@@ -440,9 +439,9 @@ mod service_tests {
         // with different models: the cached program compiled against the
         // old cells must not answer for the new set.
         let mut swapped = synthetic_set("synth");
-        swapped.cells = Arc::new(sigsim::CellModels::nor_only(&sigsim::GateModels::uniform(
-            GateModel::new(Arc::new(Slow)),
-        )));
+        swapped.cells = Arc::new(crate::registry::nor_only_cells(&GateModel::new(Arc::new(
+            Slow,
+        ))));
         service.registry().insert(swapped);
         let second = service.execute_sim(&sim).unwrap();
         assert_eq!(

@@ -45,7 +45,7 @@ use std::collections::HashMap;
 use std::io::{BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -61,10 +61,6 @@ use crate::session::SessionTable;
 /// same regardless of transport.
 static DECODE: sigobs::Hist = sigobs::Hist::new("serve.decode");
 static ENCODE: sigobs::Hist = sigobs::Hist::new("serve.encode");
-
-/// Times `epoll_wait` returned across all reactors since process start.
-/// A test-visible busy-poll tripwire: an idle daemon must not tick.
-static WAKEUPS: AtomicU64 = AtomicU64::new(0);
 
 const TOKEN_LISTENER: u64 = 0;
 const TOKEN_WAKER: u64 = 1;
@@ -236,7 +232,10 @@ impl Reactor {
             if self.poller.wait(&mut events, None).is_err() {
                 break;
             }
-            WAKEUPS.fetch_add(1, Ordering::Relaxed);
+            self.shared
+                .service
+                .reactor_wakeups()
+                .fetch_add(1, Ordering::Relaxed);
             for &ev in &events {
                 match ev.token {
                     TOKEN_WAKER => {
@@ -911,7 +910,13 @@ mod tests {
 
     #[test]
     fn idle_daemon_does_zero_periodic_work() {
-        let service = mux_service(ServiceConfig::default());
+        // Other tests in this binary run reactors and journal spans
+        // concurrently, so count only this daemon's work: the wake-ups
+        // of its own reactors and the spans of its one worker thread.
+        let service = mux_service(ServiceConfig {
+            workers: 1,
+            ..ServiceConfig::default()
+        });
         let (addr, server) = spawn_daemon(&service);
         // An idle open connection (the old transport's 200 ms read
         // timeout made exactly this case spin).
@@ -922,13 +927,26 @@ mod tests {
         std::thread::sleep(Duration::from_millis(50)); // settle accept wakeups
         let was = sigobs::mode();
         sigobs::set_mode(sigobs::ObsMode::Trace);
-        let _ = sigobs::drain_chrome_trace();
-        let before = WAKEUPS.load(Ordering::Relaxed);
+        // A probe span names the worker's journal thread.
+        service
+            .pool_for_tests()
+            .execute(|| drop(sigobs::span("test.idle_probe")));
+        service.drain();
+        let (probe, _dropped) = sigobs::drain_chrome_trace();
+        let worker = probe
+            .iter()
+            .find(|e| e.name == "test.idle_probe")
+            .expect("probe span journaled")
+            .tid;
+        let before = service.reactor_wakeups().load(Ordering::Relaxed);
         std::thread::sleep(Duration::from_millis(400));
-        let after = WAKEUPS.load(Ordering::Relaxed);
-        let (spans, _dropped) = sigobs::drain_chrome_trace();
+        let after = service.reactor_wakeups().load(Ordering::Relaxed);
+        let (events, _dropped) = sigobs::drain_chrome_trace();
         sigobs::set_mode(was);
         assert_eq!(after - before, 0, "idle reactors must not tick");
+        // A reactor that never woke ran no code, so the worker is the
+        // only thread of this daemon that could have journaled.
+        let spans: Vec<_> = events.iter().filter(|e| e.tid == worker).collect();
         assert!(
             spans.is_empty(),
             "no spans may accumulate on an idle traced daemon: {spans:?}"

@@ -83,7 +83,7 @@ pub struct SimRequest {
     pub sigma: f64,
     /// Transitions per input.
     pub transitions: usize,
-    /// `true`: run the full three-way comparison ([`sigsim::compare_circuit`]
+    /// `true`: run the full three-way comparison ([`sigsim::compare_circuit_cells`]
     /// — analog reference, digital baseline, sigmoid prototype) and report
     /// `t_err` statistics. `false`: sigmoid-only prediction (stimuli
     /// converted at the fixed same-stimulus slope), no analog run.

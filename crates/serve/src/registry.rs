@@ -1,8 +1,8 @@
-//! The model registry: named [`TrainedModels`] bundles loaded **once**
-//! and shared as `Arc` across every request and worker thread.
+//! The model registry: named [`sigsim::CellLibrary`] sets loaded **once** and
+//! shared as `Arc` across every request and worker thread.
 //!
 //! Before this layer existed, every entry point re-ran
-//! [`train_models_cached`] (and a [`DelayTable`] extraction) per
+//! [`train_cell_library_cached`] (and a [`DelayTable`] extraction) per
 //! invocation. The registry makes those artifacts resident: the first
 //! request for a name pays the load (disk cache hit or full training),
 //! every later request clones an `Arc`. The load counter backs the
@@ -18,8 +18,8 @@ use nanospice::EngineConfig;
 use sigchar::{AnalogOptions, DelayTable};
 use sigcircuit::MappingPolicy;
 use sigsim::{
-    train_cell_library_cached, train_models_cached, CellModels, LibrarySpec, PipelineConfig,
-    PipelineError, TrainedModels,
+    library_cache_path, train_cell_library_cached, CellModels, LibrarySpec, PipelineConfig,
+    PipelineError,
 };
 use sigtom::TomOptions;
 
@@ -35,10 +35,6 @@ pub struct ModelSet {
     /// The mapping policy requests against this set apply to circuits
     /// before simulation (NOR expansion vs native cells).
     pub policy: MappingPolicy,
-    /// The legacy trained artifact (weights, datasets); present only for
-    /// `nor-only` preset loads, `None` for native-library and synthetic
-    /// sets.
-    pub trained: Option<Arc<TrainedModels>>,
     /// The runtime cell models (shared weight allocations) that drive
     /// the simulator.
     pub cells: Arc<CellModels>,
@@ -86,34 +82,21 @@ impl DelaySource {
         Self::default()
     }
 
-    /// Measure the legacy NOR/inverter classes lazily on first use, then
-    /// stay resident — the `nor-only` library's source.
-    #[must_use]
-    pub fn on_demand() -> Self {
-        Self {
-            classes: sigchar::LEGACY_DELAY_CELLS.to_vec(),
-            cell: Mutex::new(None),
-        }
-    }
-
-    /// Measure every native cell class lazily on first use — the
-    /// `native` library's source.
-    #[must_use]
-    pub fn on_demand_native() -> Self {
-        Self {
-            classes: sigchar::NATIVE_DELAY_CELLS.to_vec(),
-            cell: Mutex::new(None),
-        }
-    }
-
-    /// The on-demand source matching a mapping policy — shared by the
-    /// daemon's registry and `sigctl golden`, so both measure identical
-    /// tables and the CI byte-parity smoke keeps holding.
+    /// Measure the cell classes of a mapping policy lazily on first use,
+    /// then stay resident: the NOR/inverter classes for `nor-only`,
+    /// every native cell class for `native`. The registry gives every
+    /// set it loads this source, and `sigctl golden` loads through the
+    /// registry, so both measure identical tables and the CI byte-parity
+    /// smoke keeps holding.
     #[must_use]
     pub fn for_policy(policy: MappingPolicy) -> Self {
-        match policy {
-            MappingPolicy::NorOnly => Self::on_demand(),
-            MappingPolicy::Native => Self::on_demand_native(),
+        let classes = match policy {
+            MappingPolicy::NorOnly => sigchar::LEGACY_DELAY_CELLS.to_vec(),
+            MappingPolicy::Native => sigchar::NATIVE_DELAY_CELLS.to_vec(),
+        };
+        Self {
+            classes,
+            cell: Mutex::new(None),
         }
     }
 
@@ -181,15 +164,14 @@ pub const PRESETS: [&str; 4] = ["default", "fast", "ci", "paper"];
 
 /// The cell libraries each preset can be loaded for: `nor-only` is the
 /// paper's four-variant prototype set, `native` the full multi-cell
-/// library (see `docs/cell-libraries.md`).
+/// library (see `docs/cell-libraries.md`). Each is cached beside the
+/// preset's file as `<stem>.<library>.json` ([`library_cache_path`]).
 pub const LIBRARIES: [&str; 2] = ["nor-only", "native"];
 
 /// The pipeline config and on-disk cache file name of a preset, or
-/// `None` for unknown names. Shared with `sigctl golden` so the
-/// service-free reference path trains/loads exactly the same artifact
-/// the daemon would.
-#[must_use]
-pub fn preset_config(name: &str) -> Option<(PipelineConfig, &'static str)> {
+/// `None` for unknown names. A library's artifact lives beside that file
+/// at [`library_cache_path`].
+fn preset_config(name: &str) -> Option<(PipelineConfig, &'static str)> {
     match name {
         "default" => Some((PipelineConfig::default(), "default.json")),
         "fast" => Some((PipelineConfig::fast(), "quickstart.json")),
@@ -255,9 +237,11 @@ impl ModelRegistry {
     /// Resolves a `(preset, library)` pair: a resident set is cloned; a
     /// known preset × known library is loaded (disk cache or training),
     /// inserted and returned (its delay table is measured lazily on first
-    /// compare-mode use). The `nor-only` library loads the legacy
-    /// [`TrainedModels`] artifact; `native` loads/trains the full
-    /// [`sigsim::CellLibrary`] under a `.native.json`-suffixed cache.
+    /// compare-mode use). Every library loads the same way: the
+    /// [`sigsim::CellLibrary`] of its [`LibrarySpec`], cached at
+    /// [`library_cache_path`] beside the preset's file. `sigctl golden`
+    /// loads through this method too, so the daemon and the golden
+    /// reference always read the same artifact.
     ///
     /// # Errors
     ///
@@ -273,41 +257,24 @@ impl ModelRegistry {
         }
         let (config, cache_file) =
             preset_config(name).ok_or_else(|| RegistryError::UnknownName(name.to_string()))?;
+        let policy = MappingPolicy::from_name(library)
+            .ok_or_else(|| RegistryError::UnknownName(key.clone()))?;
+        let spec = LibrarySpec::for_policy(policy);
         // Load while holding this key's slot lock: a racing request for
         // the same pair waits here, then takes the resident branch above —
         // never a second training run.
-        let set = match library {
-            "nor-only" => {
-                let trained = train_models_cached(&self.base_dir.join(cache_file), &config)
-                    .map_err(RegistryError::Pipeline)?;
-                let cells = Arc::new(CellModels::nor_only(&trained.gate_models()));
-                ModelSet {
-                    name: name.to_string(),
-                    library: library.to_string(),
-                    policy: MappingPolicy::NorOnly,
-                    trained: Some(Arc::new(trained)),
-                    cells,
-                    delays: DelaySource::on_demand(),
-                    options: TomOptions::default(),
-                }
-            }
-            "native" => {
-                let path = sigsim::native_cache_path(&self.base_dir.join(cache_file));
-                let lib = train_cell_library_cached(&path, &LibrarySpec::native(), &config)
-                    .map_err(RegistryError::Pipeline)?;
-                ModelSet {
-                    name: name.to_string(),
-                    library: library.to_string(),
-                    policy: MappingPolicy::Native,
-                    trained: None,
-                    cells: Arc::new(lib.cell_models()),
-                    delays: DelaySource::on_demand_native(),
-                    options: TomOptions::default(),
-                }
-            }
-            other => return Err(RegistryError::UnknownName(registry_key(name, other))),
-        };
-        let set = Arc::new(set);
+        let path = library_cache_path(&self.base_dir.join(cache_file), &spec.name);
+        let cells = train_cell_library_cached(&path, &spec, &config)
+            .map_err(RegistryError::Pipeline)?
+            .cell_models();
+        let set = Arc::new(ModelSet {
+            name: name.to_string(),
+            library: spec.name,
+            policy,
+            cells: Arc::new(cells),
+            delays: DelaySource::for_policy(policy),
+            options: TomOptions::default(),
+        });
         *state = Some(Arc::clone(&set));
         self.loads.fetch_add(1, Ordering::Relaxed);
         Ok(set)
@@ -346,7 +313,6 @@ impl ModelRegistry {
 /// `nor-only` library so requests without a `library` field resolve it.
 #[cfg(test)]
 pub(crate) fn synthetic_set(name: &str) -> ModelSet {
-    use sigsim::GateModels;
     use sigtom::{GateModel, TransferFunction, TransferPrediction, TransferQuery};
 
     struct Fixed;
@@ -366,13 +332,22 @@ pub(crate) fn synthetic_set(name: &str) -> ModelSet {
         name: name.to_string(),
         library: "nor-only".to_string(),
         policy: MappingPolicy::NorOnly,
-        trained: None,
-        cells: Arc::new(CellModels::nor_only(&GateModels::uniform(GateModel::new(
-            Arc::new(Fixed),
-        )))),
+        cells: Arc::new(nor_only_cells(&GateModel::new(Arc::new(Fixed)))),
         delays: DelaySource::none(),
         options: TomOptions::default(),
     }
+}
+
+/// One model in all four slots of the `nor-only` library (tests).
+#[cfg(test)]
+pub(crate) fn nor_only_cells(model: &sigtom::GateModel) -> CellModels {
+    CellModels::from_cells(
+        "nor-only",
+        LibrarySpec::nor_only()
+            .tags
+            .into_iter()
+            .map(|tag| (tag, model.clone())),
+    )
 }
 
 #[cfg(test)]

@@ -18,8 +18,7 @@ use rand::SeedableRng;
 use sigcircuit::{Benchmark, Circuit, MappingPolicy, NetId};
 use sigsim::{
     compare_circuit_cells, digital_to_sigmoid, random_stimuli, simulate_cells_with, CircuitProgram,
-    FleetScratch, HarnessConfig, SigmoidSimConfig, SigmoidSimResult, SimScratch, StimulusEdit,
-    StimulusSpec,
+    FleetScratch, HarnessConfig, SigmoidSimConfig, SigmoidSimResult, StimulusEdit, StimulusSpec,
 };
 use sigwave::parallel::WorkerPool;
 use sigwave::{DigitalTrace, Level, SigmoidTrace};
@@ -102,68 +101,34 @@ pub enum Handled {
     Shutdown,
 }
 
-/// A bounded free-list of [`SimScratch`] arenas shared by the resident
-/// workers: each executing request pops one (or starts fresh), runs, and
-/// returns it, so steady-state traffic reuses grown buffers instead of
-/// re-allocating per request. Bounded so a one-off burst cannot pin
-/// memory forever.
+/// A bounded free-list of [`FleetScratch`] arenas shared by the resident
+/// workers: each executing request — solo, fleet or session open — pops
+/// one (or starts fresh), runs, and returns it, so steady-state traffic
+/// reuses grown buffers instead of re-allocating per request. Bounded so
+/// a one-off burst cannot pin memory forever.
 #[derive(Debug, Default)]
 struct ScratchPool {
-    pool: Mutex<Vec<SimScratch>>,
+    pool: Mutex<Vec<FleetScratch>>,
 }
 
 /// Upper bound on pooled arenas (comfortably above any sane worker
 /// count; beyond it, returned scratch is simply dropped).
 const MAX_POOLED_SCRATCH: usize = 32;
 
-/// Largest per-net slot capacity a returned arena may retain. An arena
-/// grown by a one-off huge inline netlist is dropped instead of pooled,
-/// so resident memory is bounded by count × this cap — not by the
-/// largest circuit the daemon ever saw. 2^18 slots comfortably covers
-/// every built-in benchmark (c1355 ≈ 2.6 k nets) while capping a pooled
-/// arena's dominant allocation at a few megabytes.
-const MAX_POOLED_NET_SLOTS: usize = 1 << 18;
+/// Largest retained arena, in `runs × nets` slots. An arena's dominant
+/// allocation is one trace slot per run per net, so the cap bounds
+/// pooled memory by count × this cap — sized for a max-width fleet (256
+/// runs) of every built-in benchmark while dropping arenas grown by huge
+/// inline netlists, instead of pinning the largest circuit the daemon
+/// ever saw.
+const MAX_POOLED_NET_SLOTS: usize = 1 << 20;
 
 impl ScratchPool {
-    fn acquire(&self) -> SimScratch {
-        self.pool
-            .lock()
-            .expect("scratch pool poisoned")
-            .pop()
-            .unwrap_or_default()
-    }
-
-    fn release(&self, scratch: SimScratch) {
-        if scratch.net_capacity() > MAX_POOLED_NET_SLOTS {
-            return;
-        }
-        let mut pool = self.pool.lock().expect("scratch pool poisoned");
-        if pool.len() < MAX_POOLED_SCRATCH {
-            pool.push(scratch);
-        }
-    }
-}
-
-/// The [`FleetScratch`] twin of [`ScratchPool`], pooling the fleet
-/// arenas `sim.batch` requests execute with.
-#[derive(Debug, Default)]
-struct FleetPool {
-    pool: Mutex<Vec<FleetScratch>>,
-}
-
-/// Largest retained fleet arena, in `runs × nets` slots. A fleet arena's
-/// dominant allocation is one trace slot per run per net, so the cap
-/// bounds pooled memory the way [`MAX_POOLED_NET_SLOTS`] does for solo
-/// arenas — sized for a max-width fleet (256 runs) of every built-in
-/// benchmark while dropping arenas grown by huge inline netlists.
-const MAX_POOLED_FLEET_SLOTS: usize = 1 << 20;
-
-impl FleetPool {
     fn acquire(&self) -> FleetScratch {
         let mut scratch = self
             .pool
             .lock()
-            .expect("fleet pool poisoned")
+            .expect("scratch pool poisoned")
             .pop()
             .unwrap_or_default();
         // The engine accumulates `runs`/`rows_merged` across executions;
@@ -175,10 +140,10 @@ impl FleetPool {
     }
 
     fn release(&self, scratch: FleetScratch) {
-        if scratch.net_capacity() > MAX_POOLED_FLEET_SLOTS {
+        if scratch.net_capacity() > MAX_POOLED_NET_SLOTS {
             return;
         }
-        let mut pool = self.pool.lock().expect("fleet pool poisoned");
+        let mut pool = self.pool.lock().expect("scratch pool poisoned");
         if pool.len() < MAX_POOLED_SCRATCH {
             pool.push(scratch);
         }
@@ -192,7 +157,6 @@ pub struct Service {
     cache: CircuitCache,
     programs: ProgramCache,
     scratch: ScratchPool,
-    fleet: FleetPool,
     pool: WorkerPool,
     completed: AtomicU64,
     rejected: AtomicU64,
@@ -213,6 +177,9 @@ pub struct Service {
     /// Gauge: connections currently open on the epoll transport (the
     /// mux increments on accept, decrements on close).
     connections_open: AtomicU64,
+    /// Times `epoll_wait` returned across this service's reactors — a
+    /// busy-poll tripwire: an idle daemon must not tick.
+    reactor_wakeups: AtomicU64,
     /// Frames read while the same connection already had a request in
     /// flight — i.e. actual pipelining observed on the wire.
     frames_pipelined: AtomicU64,
@@ -240,7 +207,6 @@ impl Service {
             cache: CircuitCache::new(config.cache_capacity),
             programs: ProgramCache::new(config.cache_capacity),
             scratch: ScratchPool::default(),
-            fleet: FleetPool::default(),
             pool,
             completed: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
@@ -251,6 +217,7 @@ impl Service {
             fleet_runs: AtomicU64::new(0),
             fleet_rows: AtomicU64::new(0),
             connections_open: AtomicU64::new(0),
+            reactor_wakeups: AtomicU64::new(0),
             frames_pipelined: AtomicU64::new(0),
             admission_rejects: AtomicU64::new(0),
             config,
@@ -260,6 +227,11 @@ impl Service {
     /// The open-connection gauge, owned by the epoll transport.
     pub(crate) fn connections_gauge(&self) -> &AtomicU64 {
         &self.connections_open
+    }
+
+    /// The reactor wake-up counter, owned by the epoll transport.
+    pub(crate) fn reactor_wakeups(&self) -> &AtomicU64 {
+        &self.reactor_wakeups
     }
 
     /// Counts one frame read while its connection already had a request
@@ -863,7 +835,7 @@ impl Service {
     ///
     /// Sigmoid-only requests run through the compiled-program path: warm
     /// traffic binds stimuli to a cached [`CircuitProgram`] with a pooled
-    /// [`SimScratch`] — no parsing, mapping, validation, planning or
+    /// [`FleetScratch`] — no parsing, mapping, validation, planning or
     /// buffer allocation. Compare-mode requests keep the fused harness
     /// path (they are analog-dominated); both paths are bit-identical to
     /// the direct library calls.
@@ -961,12 +933,12 @@ impl Service {
             .collect();
         // Pooled arenas are counter-reset on acquire, so the arena's
         // counters after the run are exactly this request's totals.
-        let mut scratch = self.fleet.acquire();
+        let mut scratch = self.scratch.acquire();
         let start = Instant::now();
         let executed = program.execute_fleet(&sets, &mut scratch);
         let wall = start.elapsed();
         let rows = scratch.rows_merged();
-        self.fleet.release(scratch);
+        self.scratch.release(scratch);
         let results = executed.map_err(|e| (ErrorKind::Simulation, e.to_string()))?;
         self.fleet_runs.fetch_add(runs as u64, Ordering::Relaxed);
         self.fleet_rows.fetch_add(rows, Ordering::Relaxed);
@@ -1269,7 +1241,7 @@ fn run_program(
     set: &ModelSet,
     sim: &SimRequest,
     cache: CacheOutcome,
-    scratch: &mut SimScratch,
+    scratch: &mut FleetScratch,
 ) -> Result<SimResult, (ErrorKind, String)> {
     let circuit = program.circuit();
     let stimuli = stimuli_for(circuit, sim);

@@ -18,7 +18,6 @@ use sigserve::protocol::{
     decode_response, encode_request, CircuitSource, Request, Response, SessionEdit, SimRequest,
 };
 use sigserve::{serve_tcp, Service, ServiceConfig};
-use sigsim::{train_models_cached, PipelineConfig};
 
 // Shares the ci model cache with the rest of the workspace tests.
 const MODELS_DIR: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../target/sigmodels");
@@ -53,11 +52,9 @@ fn traced_daemon_reports_timings_stats_and_spans() {
     sigobs::set_mode(sigobs::ObsMode::Trace);
     assert!(sigobs::counting() && sigobs::tracing());
 
-    train_models_cached(
-        &PathBuf::from(MODELS_DIR).join("ci.json"),
-        &PipelineConfig::ci(),
-    )
-    .expect("ci models");
+    sigserve::ModelRegistry::new(MODELS_DIR)
+        .get_or_load("ci", "nor-only")
+        .expect("ci models");
     let service = Service::new(ServiceConfig {
         models_dir: PathBuf::from(MODELS_DIR),
         ..ServiceConfig::default()

@@ -15,7 +15,6 @@ use sigserve::protocol::{
     decode_response, encode_request, CircuitSource, Request, Response, SessionEdit, SimRequest,
 };
 use sigserve::{serve_tcp, Service, ServiceConfig};
-use sigsim::{train_models_cached, PipelineConfig};
 
 // The workspace target dir (tests run with cwd = crates/serve): shares
 // the ci model cache with every other test and the CI smoke job.
@@ -164,11 +163,9 @@ fn run_sequential(addr: std::net::SocketAddr, plan: &[Request]) -> Vec<String> {
 fn pipelined_burst_is_byte_identical_to_sequential_golden_path() {
     // Shared on-disk ci models so both daemons serve from the same
     // artifact (train once, load twice).
-    train_models_cached(
-        &PathBuf::from(MODELS_DIR).join("ci.json"),
-        &PipelineConfig::ci(),
-    )
-    .expect("ci models");
+    sigserve::ModelRegistry::new(MODELS_DIR)
+        .get_or_load("ci", "nor-only")
+        .expect("ci models");
     let plan = request_plan();
 
     let (golden_service, golden_addr, golden_server) = spawn_daemon();

@@ -17,7 +17,6 @@ use sigserve::protocol::{
 };
 use sigserve::router::serve_router;
 use sigserve::{serve_tcp, Service, ServiceConfig};
-use sigsim::{train_models_cached, PipelineConfig};
 
 // The workspace target dir (tests run with cwd = crates/serve): shares
 // the ci model cache with every other test and the CI smoke job.
@@ -125,11 +124,9 @@ fn one_shot(addr: std::net::SocketAddr, request: &Request) -> Response {
 
 #[test]
 fn router_splits_caches_across_shards_and_stays_byte_identical() {
-    train_models_cached(
-        &PathBuf::from(MODELS_DIR).join("ci.json"),
-        &PipelineConfig::ci(),
-    )
-    .expect("ci models");
+    sigserve::ModelRegistry::new(MODELS_DIR)
+        .get_or_load("ci", "nor-only")
+        .expect("ci models");
     let plan = request_plan();
 
     // The reference: one standalone daemon, same plan.

@@ -20,8 +20,9 @@ use sigserve::protocol::{
 };
 use sigserve::{serve_tcp, Service, ServiceConfig};
 use sigsim::{
-    compare_circuit, digital_to_sigmoid, random_stimuli, simulate_sigmoid, train_models_cached,
-    HarnessConfig, PipelineConfig, StimulusSpec,
+    compare_circuit_cells, digital_to_sigmoid, library_cache_path, random_stimuli,
+    simulate_cells_with, train_cell_library_cached, CellModels, HarnessConfig, LibrarySpec,
+    PipelineConfig, SigmoidSimConfig, StimulusSpec,
 };
 
 // The workspace target dir (tests run with cwd = crates/serve): shares
@@ -147,10 +148,10 @@ fn direct_reference(sim: &SimRequest, artifacts: &DirectArtifacts) -> SimResult 
     let outputs;
     let compare;
     if sim.compare {
-        let outcome = compare_circuit(
+        let outcome = compare_circuit_cells(
             &circuit,
             &stimuli,
-            &artifacts.models,
+            &artifacts.cells,
             &artifacts.delays,
             &HarnessConfig::default(),
         )
@@ -182,11 +183,12 @@ fn direct_reference(sim: &SimRequest, artifacts: &DirectArtifacts) -> SimResult 
                 )
             })
             .collect();
-        let result = simulate_sigmoid(
+        let result = simulate_cells_with(
             &circuit,
             &sigmoid_stimuli,
-            &artifacts.models,
+            &artifacts.cells,
             sigtom::TomOptions::default(),
+            &SigmoidSimConfig::default(),
         )
         .expect("direct sigmoid sim");
         outputs = circuit
@@ -217,7 +219,7 @@ fn direct_reference(sim: &SimRequest, artifacts: &DirectArtifacts) -> SimResult 
 }
 
 struct DirectArtifacts {
-    models: sigsim::GateModels,
+    cells: CellModels,
     delays: sigchar::DelayTable,
 }
 
@@ -226,11 +228,9 @@ struct DirectArtifacts {
 /// counters account for it.
 #[test]
 fn sim_batch_matches_individual_requests() {
-    train_models_cached(
-        &PathBuf::from(MODELS_DIR).join("ci.json"),
-        &PipelineConfig::ci(),
-    )
-    .expect("ci models");
+    sigserve::ModelRegistry::new(MODELS_DIR)
+        .get_or_load("ci", "nor-only")
+        .expect("ci models");
     let service = Service::new(ServiceConfig {
         models_dir: PathBuf::from(MODELS_DIR),
         ..ServiceConfig::default()
@@ -264,13 +264,15 @@ fn sim_batch_matches_individual_requests() {
 fn daemon_matches_direct_harness_bit_for_bit() {
     // Train (or load) the shared ci models *before* the daemon starts so
     // both sides read the same on-disk artifact.
-    let trained = train_models_cached(
-        &PathBuf::from(MODELS_DIR).join("ci.json"),
+    let spec = LibrarySpec::nor_only();
+    let library = train_cell_library_cached(
+        &library_cache_path(&PathBuf::from(MODELS_DIR).join("ci.json"), &spec.name),
+        &spec,
         &PipelineConfig::ci(),
     )
     .expect("ci models");
     let artifacts = DirectArtifacts {
-        models: trained.gate_models(),
+        cells: library.cell_models(),
         delays: sigchar::DelayTable::measure(
             1..=6,
             &sigchar::AnalogOptions::default(),

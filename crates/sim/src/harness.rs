@@ -18,7 +18,7 @@ use sigwave::metrics::{t_err_digital, Window};
 use sigwave::{DigitalTrace, Level, SigmoidTrace, Waveform};
 
 use crate::simulator::{
-    simulate_cells_with, CellModels, CircuitProgram, FleetScratch, GateModels, SigmoidSimConfig,
+    simulate_cells_with, CellModels, CircuitProgram, FleetScratch, SigmoidSimConfig,
     SigmoidSimError,
 };
 
@@ -321,29 +321,6 @@ impl McSummary {
     }
 }
 
-/// Runs the full three-way comparison of a NOR-only circuit with the
-/// paper's four-variant models — a thin wrapper binding `models` as a
-/// [`CellModels`] set and calling [`compare_circuit_cells`].
-///
-/// # Errors
-///
-/// Returns [`HarnessError`] if any stage fails structurally.
-pub fn compare_circuit(
-    circuit: &Circuit,
-    stimuli: &HashMap<NetId, DigitalTrace>,
-    models: &GateModels,
-    delays: &DelayTable,
-    config: &HarnessConfig,
-) -> Result<ComparisonOutcome, HarnessError> {
-    compare_circuit_cells(
-        circuit,
-        stimuli,
-        &CellModels::nor_only(models),
-        delays,
-        config,
-    )
-}
-
 /// Runs the full three-way comparison of a library-cell circuit under the
 /// given digital input stimuli.
 ///
@@ -579,7 +556,7 @@ impl MonteCarloConfig {
     }
 }
 
-/// Runs [`compare_circuit`] for `mc.runs` independently seeded stimuli,
+/// Runs [`compare_circuit_cells`] for `mc.runs` independently seeded stimuli,
 /// fanned out across the worker pool; outcomes are returned in run order
 /// and the `t_err` results are identical at any parallelism setting (each
 /// run owns its RNG).
@@ -589,31 +566,6 @@ impl MonteCarloConfig {
 /// contend for cores and inflate those timings — set `parallelism: 1`
 /// when the wall-clock fields are the quantity of interest (as the
 /// `table1` binary does for the paper's `t_sim` columns).
-///
-/// # Errors
-///
-/// Returns the lowest-index run's [`HarnessError`] if any run fails.
-pub fn compare_circuit_monte_carlo(
-    circuit: &Circuit,
-    spec: &crate::stimulus::StimulusSpec,
-    models: &GateModels,
-    delays: &DelayTable,
-    config: &HarnessConfig,
-    mc: &MonteCarloConfig,
-) -> Result<Vec<ComparisonOutcome>, HarnessError> {
-    compare_circuit_monte_carlo_cells(
-        circuit,
-        spec,
-        &CellModels::nor_only(models),
-        delays,
-        config,
-        mc,
-    )
-}
-
-/// The library-cell form of [`compare_circuit_monte_carlo`]: identical
-/// scheduling, seeding and timing caveats, with the circuit's gates
-/// resolved through `cells` (so native-mapped circuits run directly).
 ///
 /// # Errors
 ///
@@ -742,7 +694,7 @@ pub fn constant_stimuli(circuit: &Circuit, level: Level) -> HashMap<NetId, Digit
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::models::{train_models, PipelineConfig};
+    use crate::models::{train_cell_library, LibrarySpec, PipelineConfig};
     use crate::stimulus::StimulusSpec;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -828,8 +780,9 @@ mod tests {
         // wall_* fields may differ.
         let bench = sigcircuit::Benchmark::by_name("c17").unwrap();
         let circuit = &bench.nor_mapped;
-        let trained = train_models(&tiny_pipeline()).unwrap();
-        let cells = CellModels::nor_only(&trained.gate_models());
+        let cells = train_cell_library(&LibrarySpec::nor_only(), &tiny_pipeline())
+            .unwrap()
+            .cell_models();
         let delays =
             DelayTable::measure(1..=3, &AnalogOptions::default(), &EngineConfig::default())
                 .unwrap();
@@ -886,18 +839,19 @@ mod tests {
     fn c17_three_way_comparison() {
         let bench = sigcircuit::Benchmark::by_name("c17").unwrap();
         let circuit = &bench.nor_mapped;
-        let trained = train_models(&tiny_pipeline()).unwrap();
-        let models = trained.gate_models();
+        let cells = train_cell_library(&LibrarySpec::nor_only(), &tiny_pipeline())
+            .unwrap()
+            .cell_models();
         let delays =
             DelayTable::measure(1..=3, &AnalogOptions::default(), &EngineConfig::default())
                 .unwrap();
         let mut rng = StdRng::seed_from_u64(42);
         let spec = StimulusSpec::new(60e-12, 20e-12, 6);
         let stimuli = random_stimuli(circuit, &spec, &mut rng);
-        let outcome = compare_circuit(
+        let outcome = compare_circuit_cells(
             circuit,
             &stimuli,
-            &models,
+            &cells,
             &delays,
             &HarnessConfig::default(),
         )
@@ -930,7 +884,6 @@ mod tests {
         // compare_circuit_cells on BOTH mapped forms of c17 — the
         // NOR-only prototype form and the native 6-NAND2 form — and all
         // three simulators agree on settled levels in each.
-        use crate::models::{train_cell_library, LibrarySpec};
         let bench = sigcircuit::Benchmark::by_name("c17").unwrap();
         let library = train_cell_library(&LibrarySpec::native(), &tiny_pipeline()).unwrap();
         let cells = library.cell_models();

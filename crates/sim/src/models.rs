@@ -3,16 +3,14 @@
 //! trained artifacts (the paper's "trained ANNs stored with the prototype"
 //! flow).
 //!
-//! Two artifact shapes exist:
-//!
-//! * [`TrainedModels`] — the paper's fixed four-variant bundle (inverter
-//!   and NOR at fan-out 1/2), assembled by [`train_models`].
-//! * [`CellLibrary`] — a named, extensible collection of per-[`GateTag`]
-//!   [`StoredModel`]s, trained from a [`LibrarySpec`] by
-//!   [`train_cell_library`]; its [`CellLibrary::cell_models`] runtime form
-//!   drives the simulator directly on native (un-NOR-mapped) netlists.
-//!   See `docs/cell-libraries.md` for the characterize → train →
-//!   serialize → select workflow.
+//! The artifact is a [`CellLibrary`]: a named collection of per-[`GateTag`]
+//! [`StoredModel`]s, trained from a [`LibrarySpec`] by
+//! [`train_cell_library`]. The paper's prototype set (inverter and NOR at
+//! fan-out 1/2) is [`LibrarySpec::nor_only`]; [`LibrarySpec::native`]
+//! adds the cells that simulate native (un-NOR-mapped) netlists. The
+//! [`CellLibrary::cell_models`] runtime form drives the simulator. See
+//! `docs/cell-libraries.md` for the characterize → train → serialize →
+//! select workflow.
 
 use std::collections::HashMap;
 use std::path::Path;
@@ -21,10 +19,9 @@ use std::sync::Arc;
 use serde::{Deserialize, Serialize};
 
 use sigchar::{characterize, CharError, CharacterizationConfig, Dataset, GateTag};
-use sigcircuit::GateKind;
 use sigtom::{AnnTrainConfig, AnnTransfer, GateModel, TrainTransferError, ValidRegion};
 
-use crate::simulator::{CellModels, GateModels};
+use crate::simulator::CellModels;
 
 /// Configuration of the full pipeline.
 ///
@@ -201,10 +198,9 @@ impl From<serde_json::Error> for PipelineError {
 /// dataset.
 ///
 /// The ANN and region are held behind `Arc` so the runtime model
-/// assemblies ([`TrainedModels::gate_models`],
-/// [`CellLibrary::cell_models`]) share the trained weights instead of
-/// deep-cloning them — the `sigserve` model registry hands the same
-/// allocations to every request.
+/// assembly ([`CellLibrary::cell_models`]) shares the trained weights
+/// instead of deep-cloning them — the `sigserve` model registry hands the
+/// same allocations to every request.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct StoredModel {
     ann: Arc<AnnTransfer>,
@@ -221,42 +217,6 @@ impl StoredModel {
             m = m.with_region(Arc::clone(r));
         }
         m
-    }
-}
-
-/// The trained artifact bundle: gate models plus the datasets they were
-/// trained on (kept for valid-region ablations and benchmarks).
-///
-/// Invariant: the JSON form round-trips exactly (serialize →
-/// deserialize → serialize is byte-identical), and
-/// [`TrainedModels::gate_models`] shares the stored weight allocations
-/// (`Arc`) rather than cloning them.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct TrainedModels {
-    inverter: StoredModel,
-    inverter_fo2: StoredModel,
-    nor_fo1: StoredModel,
-    nor_fo2: StoredModel,
-    /// The characterization datasets by gate variant.
-    pub datasets: HashMap<String, Dataset>,
-}
-
-impl TrainedModels {
-    /// Assembles the runtime gate models.
-    #[must_use]
-    pub fn gate_models(&self) -> GateModels {
-        GateModels {
-            inverter: self.inverter.to_gate_model(),
-            inverter_fo2: self.inverter_fo2.to_gate_model(),
-            nor_fo1: self.nor_fo1.to_gate_model(),
-            nor_fo2: self.nor_fo2.to_gate_model(),
-        }
-    }
-
-    /// The dataset of one gate variant.
-    #[must_use]
-    pub fn dataset(&self, tag: GateTag) -> Option<&Dataset> {
-        self.datasets.get(&tag.to_string())
     }
 }
 
@@ -277,81 +237,6 @@ fn train_one(
         Arc::new(ValidRegion::build(&pts, margin))
     });
     Ok((StoredModel { ann, region }, outcome.dataset))
-}
-
-/// Runs the full pipeline: characterize and train all four gate variants
-/// (inverter at fan-out 1/2, NOR at fan-out 1/2).
-///
-/// # Errors
-///
-/// Returns [`PipelineError`] on characterization or training failure.
-pub fn train_models(config: &PipelineConfig) -> Result<TrainedModels, PipelineError> {
-    // The four gate variants are independent end-to-end (characterization
-    // chain, dataset, networks), so fan them out across the worker pool.
-    let tags = [
-        GateTag::Inverter,
-        GateTag::InverterFo2,
-        GateTag::NorFo1,
-        GateTag::NorFo2,
-    ];
-    // The nested stages (sweep, per-network training) have their own
-    // pools; divide the budget instead of multiplying it, so e.g. a
-    // 16-core default runs 4 variant workers × 4 sweep workers rather
-    // than 4 × 16 oversubscribed threads. Results are unaffected —
-    // parallelism never changes outputs.
-    use sigwave::parallel::resolve_parallelism;
-    let outer = resolve_parallelism(config.parallelism).clamp(1, tags.len());
-    let mut inner = config.clone();
-    inner.characterization.parallelism =
-        (resolve_parallelism(config.characterization.parallelism) / outer).max(1);
-    inner.training.parallelism = (resolve_parallelism(config.training.parallelism) / outer).max(1);
-    let mut trained = sigwave::parallel::try_par_map(config.parallelism, &tags, |_, &tag| {
-        train_one(tag, &inner)
-    })?
-    .into_iter();
-    let mut next = || trained.next().expect("four variants");
-    let (inverter, d_inv) = next();
-    let (inverter_fo2, d_inv2) = next();
-    let (nor_fo1, d_fo1) = next();
-    let (nor_fo2, d_fo2) = next();
-    let mut datasets = HashMap::new();
-    datasets.insert(GateTag::Inverter.to_string(), d_inv);
-    datasets.insert(GateTag::InverterFo2.to_string(), d_inv2);
-    datasets.insert(GateTag::NorFo1.to_string(), d_fo1);
-    datasets.insert(GateTag::NorFo2.to_string(), d_fo2);
-    Ok(TrainedModels {
-        inverter,
-        inverter_fo2,
-        nor_fo1,
-        nor_fo2,
-        datasets,
-    })
-}
-
-/// Like [`train_models`] but cached: loads the JSON artifact at `path` if
-/// present, otherwise trains and writes it.
-///
-/// # Errors
-///
-/// Returns [`PipelineError`] on pipeline or I/O failure. A corrupt cache is
-/// retrained, not an error.
-pub fn train_models_cached(
-    path: &Path,
-    config: &PipelineConfig,
-) -> Result<TrainedModels, PipelineError> {
-    if path.exists() {
-        let text = std::fs::read_to_string(path)?;
-        if let Ok(models) = serde_json::from_str::<TrainedModels>(&text) {
-            return Ok(models);
-        }
-        // fall through: retrain over a corrupt/outdated cache
-    }
-    let models = train_models(config)?;
-    if let Some(dir) = path.parent() {
-        std::fs::create_dir_all(dir)?;
-    }
-    std::fs::write(path, serde_json::to_string(&models)?)?;
-    Ok(models)
 }
 
 /// Which cells a [`CellLibrary`] contains: a name (the registry/wire key)
@@ -375,8 +260,8 @@ pub struct LibrarySpec {
 }
 
 impl LibrarySpec {
-    /// The paper's prototype set: inverter and NOR2 at fan-out 1/2 — the
-    /// same four variants [`train_models`] produces.
+    /// The paper's prototype set: inverter and NOR2 at fan-out 1/2, in
+    /// this slot order (Sec. V-A).
     #[must_use]
     pub fn nor_only() -> Self {
         Self {
@@ -418,8 +303,7 @@ struct LibraryEntry {
     model: StoredModel,
 }
 
-/// A named, serializable collection of trained cell models — the
-/// extensible successor of the fixed four-slot [`TrainedModels`].
+/// A named, serializable collection of trained cell models.
 ///
 /// Invariants: entry tags are unique (training dedups them), and
 /// [`CellLibrary::cell_models`] binds every entry so a circuit gate
@@ -432,8 +316,7 @@ pub struct CellLibrary {
     name: String,
     entries: Vec<LibraryEntry>,
     /// The characterization datasets by cell variant (kept for
-    /// valid-region ablations and benchmarks, like
-    /// [`TrainedModels::datasets`]).
+    /// valid-region ablations and benchmarks).
     pub datasets: HashMap<String, Dataset>,
 }
 
@@ -465,76 +348,25 @@ impl CellLibrary {
         self.datasets.get(&tag.to_string())
     }
 
-    /// Assembles the runtime [`CellModels`]: one slot per entry, bound to
-    /// every gate signature the cell serves. Inverter entries answer both
-    /// `GateKind::Inv` and single-input `GateKind::Nor` (a 1-input NOR
-    /// *is* an inverter); NOR entries answer multi-input NORs (arities
-    /// 2–3, like the prototype); NAND/AND/OR entries answer their
-    /// two-input kinds. Model weights are shared (`Arc`), not cloned.
+    /// Assembles the runtime [`CellModels`]: one slot per entry, in
+    /// training order, bound to every gate signature the cell serves (see
+    /// [`CellModels::from_cells`]). Model weights are shared (`Arc`), not
+    /// cloned.
     #[must_use]
     pub fn cell_models(&self) -> CellModels {
-        let mut cells = CellModels::empty(self.name.clone());
-        for entry in &self.entries {
-            let slot = cells.push(entry.model.to_gate_model());
-            let fo2 = entry.tag.fanout() >= 2;
-            match entry.tag {
-                GateTag::Inverter | GateTag::InverterFo2 => {
-                    cells.bind(slot, GateKind::Inv, true, fo2);
-                    cells.bind(slot, GateKind::Nor, true, fo2);
-                }
-                GateTag::NorFo1 | GateTag::NorFo2 => {
-                    cells.bind(slot, GateKind::Nor, false, fo2);
-                }
-                GateTag::NandFo1 | GateTag::NandFo2 => {
-                    cells.bind(slot, GateKind::Nand, false, fo2);
-                }
-                GateTag::AndFo1 | GateTag::AndFo2 => {
-                    cells.bind(slot, GateKind::And, false, fo2);
-                }
-                GateTag::OrFo1 | GateTag::OrFo2 => {
-                    cells.bind(slot, GateKind::Or, false, fo2);
-                }
-            }
-        }
-        cells
-    }
-}
-
-impl TrainedModels {
-    /// Repackages the four-variant bundle as a [`CellLibrary`] named
-    /// `nor-only` (shared weights, no retraining) — the bridge from the
-    /// legacy artifact shape to library-driven call sites.
-    #[must_use]
-    pub fn to_library(&self) -> CellLibrary {
-        CellLibrary {
-            name: "nor-only".to_string(),
-            entries: vec![
-                LibraryEntry {
-                    tag: GateTag::Inverter,
-                    model: self.inverter.clone(),
-                },
-                LibraryEntry {
-                    tag: GateTag::InverterFo2,
-                    model: self.inverter_fo2.clone(),
-                },
-                LibraryEntry {
-                    tag: GateTag::NorFo1,
-                    model: self.nor_fo1.clone(),
-                },
-                LibraryEntry {
-                    tag: GateTag::NorFo2,
-                    model: self.nor_fo2.clone(),
-                },
-            ],
-            datasets: self.datasets.clone(),
-        }
+        CellModels::from_cells(
+            self.name.clone(),
+            self.entries
+                .iter()
+                .map(|e| (e.tag, e.model.to_gate_model())),
+        )
     }
 }
 
 /// Trains a [`CellLibrary`]: one characterization campaign + ANN training
-/// per cell variant in `spec`, fanned out across the worker pool exactly
-/// like [`train_models`] (results are bit-identical at any parallelism
-/// setting). Duplicate tags in the spec are trained once.
+/// per cell variant in `spec`, fanned out across the worker pool (results
+/// are bit-identical at any parallelism setting). Duplicate tags in the
+/// spec are trained once.
 ///
 /// # Errors
 ///
@@ -549,8 +381,13 @@ pub fn train_cell_library(
             tags.push(t);
         }
     }
-    // Same budget-splitting scheme as `train_models`: divide the nested
-    // stage parallelism instead of multiplying it.
+    // The cell variants are independent end-to-end (characterization
+    // chain, dataset, networks), so fan them out across the worker pool.
+    // The nested stages (sweep, per-network training) have their own
+    // pools; divide the budget instead of multiplying it, so e.g. a
+    // 16-core default runs 4 variant workers × 4 sweep workers rather
+    // than 4 × 16 oversubscribed threads. Results are unaffected —
+    // parallelism never changes outputs.
     use sigwave::parallel::resolve_parallelism;
     let outer = resolve_parallelism(config.parallelism).clamp(1, tags.len().max(1));
     let mut inner = config.clone();
@@ -573,34 +410,35 @@ pub fn train_cell_library(
     })
 }
 
-/// The on-disk cache path of the native library belonging to a legacy
-/// model-cache path: `<stem>.native.json` beside it. Every loader of
-/// native artifacts (the service registry, `sigctl golden`, the
-/// experiment bins) derives the path through this one helper, so the
-/// daemon and the direct golden path can never load different files —
-/// the CI byte-parity smoke contract depends on that.
+/// The on-disk cache path of a preset's `library`: `<stem>.<library>.json`
+/// beside the preset's model-cache path. Every loader of trained
+/// libraries (the service registry, which `sigctl golden` also loads
+/// through, and the experiment bins) derives the path through this one
+/// helper and loads it with [`train_cell_library_cached`], so the daemon
+/// and the direct golden path can never load different files — the CI
+/// byte-parity smoke contract depends on that.
 ///
 /// # Example
 ///
 /// ```
-/// use sigsim::native_cache_path;
+/// use sigsim::library_cache_path;
 /// use std::path::Path;
 /// assert_eq!(
-///     native_cache_path(Path::new("target/sigmodels/ci.json")),
+///     library_cache_path(Path::new("target/sigmodels/ci.json"), "native"),
 ///     Path::new("target/sigmodels/ci.native.json")
 /// );
 /// assert_eq!(
-///     native_cache_path(Path::new("models/custom.bin")),
-///     Path::new("models/custom.native.json")
+///     library_cache_path(Path::new("models/custom.bin"), "nor-only"),
+///     Path::new("models/custom.nor-only.json")
 /// );
 /// ```
 #[must_use]
-pub fn native_cache_path(legacy: &Path) -> std::path::PathBuf {
-    let stem = legacy.file_stem().map_or_else(
+pub fn library_cache_path(preset: &Path, library: &str) -> std::path::PathBuf {
+    let stem = preset.file_stem().map_or_else(
         || "models".to_string(),
         |s| s.to_string_lossy().into_owned(),
     );
-    legacy.with_file_name(format!("{stem}.native.json"))
+    preset.with_file_name(format!("{stem}.{library}.json"))
 }
 
 /// Like [`train_cell_library`] but cached: loads the JSON artifact at
@@ -664,8 +502,7 @@ mod tests {
 
     #[test]
     fn pipeline_trains_all_variants() {
-        let trained = train_models(&tiny()).unwrap();
-        let models = trained.gate_models();
+        let lib = train_cell_library(&LibrarySpec::nor_only(), &tiny()).unwrap();
         // Sanity: a moderate rising input long after the previous output
         // must produce a falling output with positive delay.
         let q = sigtom::TransferQuery {
@@ -673,32 +510,32 @@ mod tests {
             a_in: 15.0,
             a_prev_out: 15.0,
         };
-        for m in [&models.inverter, &models.nor_fo1, &models.nor_fo2] {
-            let p = m.transfer.predict(q);
-            assert!(p.delay > 0.0 && p.delay < 0.5, "delay {p:?}");
-            assert!(p.a_out < 0.0, "inverting polarity {p:?}");
+        for tag in [GateTag::Inverter, GateTag::NorFo1, GateTag::NorFo2] {
+            let p = lib.model(tag).unwrap().transfer.predict(q);
+            assert!(p.delay > 0.0 && p.delay < 0.5, "{tag}: delay {p:?}");
+            assert!(p.a_out < 0.0, "{tag}: inverting polarity {p:?}");
         }
-        assert_eq!(trained.datasets.len(), 4);
-        assert!(trained.dataset(GateTag::NorFo1).is_some());
+        assert_eq!(lib.datasets.len(), 4);
+        assert!(lib.dataset(GateTag::NorFo1).is_some());
     }
 
     #[test]
     fn serde_round_trip_preserves_models() {
-        let trained = train_models(&tiny()).unwrap();
-        let json = serde_json::to_string(&trained).unwrap();
-        let back: TrainedModels = serde_json::from_str(&json).unwrap();
-        // The reloaded bundle must be byte-identical when re-serialized and
-        // must predict identically.
+        let lib = train_cell_library(&LibrarySpec::nor_only(), &tiny()).unwrap();
+        let json = serde_json::to_string(&lib).unwrap();
+        let back: CellLibrary = serde_json::from_str(&json).unwrap();
+        // The reloaded library must be byte-identical when re-serialized
+        // and must predict identically.
         assert_eq!(json, serde_json::to_string(&back).unwrap());
-        assert_eq!(back.datasets.len(), trained.datasets.len());
+        assert_eq!(back.datasets.len(), lib.datasets.len());
         let q = sigtom::TransferQuery {
             t: 0.8,
             a_in: -11.0,
             a_prev_out: 9.0,
         };
         assert_eq!(
-            trained.gate_models().inverter.transfer.predict(q),
-            back.gate_models().inverter.transfer.predict(q)
+            lib.model(GateTag::Inverter).unwrap().transfer.predict(q),
+            back.model(GateTag::Inverter).unwrap().transfer.predict(q)
         );
     }
 
@@ -709,11 +546,12 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         for corrupt in ["", "{not json", "{\"inverter\": 3}"] {
             std::fs::write(&path, corrupt).unwrap();
-            let trained = train_models_cached(&path, &tiny()).expect("retrain over corrupt cache");
-            assert_eq!(trained.datasets.len(), 4);
+            let lib = train_cell_library_cached(&path, &LibrarySpec::nor_only(), &tiny())
+                .expect("retrain over corrupt cache");
+            assert_eq!(lib.datasets.len(), 4);
             // The cache must have been replaced by a loadable artifact.
             let text = std::fs::read_to_string(&path).unwrap();
-            assert!(serde_json::from_str::<TrainedModels>(&text).is_ok());
+            assert!(serde_json::from_str::<CellLibrary>(&text).is_ok());
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -723,9 +561,10 @@ mod tests {
         let dir = std::env::temp_dir().join("sigsim_test_nested_cache");
         let _ = std::fs::remove_dir_all(&dir);
         let path = dir.join("a").join("b").join("models.json");
-        let trained = train_models_cached(&path, &tiny()).expect("train into missing dirs");
+        let lib = train_cell_library_cached(&path, &LibrarySpec::nor_only(), &tiny())
+            .expect("train into missing dirs");
         assert!(path.exists());
-        assert_eq!(trained.datasets.len(), 4);
+        assert_eq!(lib.datasets.len(), 4);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -809,36 +648,14 @@ mod tests {
     }
 
     #[test]
-    fn trained_models_bridge_to_library() {
-        let trained = train_models(&tiny()).unwrap();
-        let lib = trained.to_library();
-        assert_eq!(lib.name(), "nor-only");
-        assert_eq!(lib.tags().len(), 4);
-        let cells = lib.cell_models();
-        // The bridge binds INV too (the library shape is strictly more
-        // capable than the legacy GateModels conversion).
-        assert!(cells.slot_for(sigcircuit::GateKind::Inv, 1, 1).is_some());
-        assert!(cells.slot_for(sigcircuit::GateKind::Nor, 2, 1).is_some());
-        assert!(cells.slot_for(sigcircuit::GateKind::Nand, 2, 1).is_none());
-        // Identical predictions through both assemblies.
-        let q = sigtom::TransferQuery {
-            t: 1.1,
-            a_in: 9.0,
-            a_prev_out: -8.0,
-        };
-        let via_models = trained.gate_models().nor_fo1.transfer.predict(q);
-        let slot = cells.slot_for(sigcircuit::GateKind::Nor, 2, 1).unwrap();
-        assert_eq!(via_models, cells.by_slot(slot).transfer.predict(q));
-    }
-
-    #[test]
     fn cache_round_trip() {
         let dir = std::env::temp_dir().join("sigsim_test_models");
         let path = dir.join("models.json");
         let _ = std::fs::remove_file(&path);
-        let a = train_models_cached(&path, &tiny()).unwrap();
+        let spec = LibrarySpec::nor_only();
+        let a = train_cell_library_cached(&path, &spec, &tiny()).unwrap();
         assert!(path.exists());
-        let b = train_models_cached(&path, &tiny()).unwrap();
+        let b = train_cell_library_cached(&path, &spec, &tiny()).unwrap();
         // The second load must come from cache and be identical.
         let q = sigtom::TransferQuery {
             t: 1.0,
@@ -846,8 +663,8 @@ mod tests {
             a_prev_out: -12.0,
         };
         assert_eq!(
-            a.gate_models().nor_fo1.transfer.predict(q),
-            b.gate_models().nor_fo1.transfer.predict(q)
+            a.model(GateTag::NorFo1).unwrap().transfer.predict(q),
+            b.model(GateTag::NorFo1).unwrap().transfer.predict(q)
         );
         let _ = std::fs::remove_file(&path);
     }

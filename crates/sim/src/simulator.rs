@@ -9,16 +9,18 @@
 //! batched or scalar evaluation; both produce bit-identical traces (see
 //! `docs/architecture.md`).
 //!
-//! Two cell sets are built in: the paper's NOR-only four-slot
-//! [`GateModels`] (inverter/NOR at fan-out 1/2) and the extensible
-//! [`CellModels`] the native library produces (adds NAND2/AND2/OR2/INV;
-//! see `docs/cell-libraries.md`).
+//! Cell sets are [`CellModels`]: one slot per trained cell variant, bound
+//! to the gate signatures it serves. The paper's prototype set (inverter
+//! and NOR at fan-out 1/2) is the `nor-only` library; the native library
+//! adds NAND2/AND2/OR2 (see `docs/cell-libraries.md`).
 //!
 //! The engine is split compile/execute: [`CircuitProgram::compile`] does
 //! every circuit-dependent step once (validation, slot resolution, plan
 //! templates) and [`CircuitProgram::execute`] binds stimuli against the
-//! resident tables with a reusable [`SimScratch`]; the fused entry points
-//! below compile-and-execute per call and stay bit-identical.
+//! resident tables with a reusable [`FleetScratch`]. A solo execution is
+//! a fleet of one: [`CircuitProgram::execute`],
+//! [`CircuitProgram::execute_fleet`] and the fused [`simulate_cells_with`]
+//! all run the same batched level loop.
 //!
 //! On top of the split sits the **event-driven incremental engine**:
 //! [`CircuitProgram::open_session`] captures a full execution in a
@@ -33,6 +35,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use sigchar::GateTag;
 use sigcircuit::{Circuit, GateKind, NetId};
 use sigtom::{
     apply_plan, traces_bit_identical, CellFunction, GateModel, GatePlan, PlanScratch, PlanTemplate,
@@ -40,76 +43,8 @@ use sigtom::{
 };
 use sigwave::{Level, SigmoidTrace};
 
-/// The trained gate models the prototype uses: "all elementary gates of the
-/// same type are identical … the only exception are NOR gates with fan-out
-/// of 2 or more, which use different ANNs than NOR gates with fan-out 1"
-/// (Sec. V-A).
-#[derive(Debug, Clone)]
-pub struct GateModels {
-    /// Model for 1-input NOR (inverter) at fan-out 1.
-    pub inverter: GateModel,
-    /// Model for 1-input NOR at fan-out ≥ 2 (the paper's future-work
-    /// extension to wider fan-outs).
-    pub inverter_fo2: GateModel,
-    /// Model for 2-input NOR with fan-out 1.
-    pub nor_fo1: GateModel,
-    /// Model for 2-input NOR with fan-out ≥ 2.
-    pub nor_fo2: GateModel,
-}
-
-/// Number of model slots in [`GateModels`].
-pub const MODEL_SLOTS: usize = 4;
-
-impl GateModels {
-    /// The slot index a gate of the given arity and fan-out resolves to —
-    /// the grouping key the levelized engine batches queries by.
-    #[must_use]
-    pub fn slot_index(arity: usize, fanout: usize) -> usize {
-        match (arity, fanout) {
-            (1, 0..=1) => 0,
-            (1, _) => 1,
-            (_, 0..=1) => 2,
-            _ => 3,
-        }
-    }
-
-    /// The model in a slot (see [`GateModels::slot_index`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slot >= MODEL_SLOTS`.
-    #[must_use]
-    pub fn by_slot(&self, slot: usize) -> &GateModel {
-        match slot {
-            0 => &self.inverter,
-            1 => &self.inverter_fo2,
-            2 => &self.nor_fo1,
-            3 => &self.nor_fo2,
-            _ => panic!("slot {slot} out of range"),
-        }
-    }
-
-    /// Selects the model for a gate of the given arity and fan-out.
-    #[must_use]
-    pub fn select(&self, arity: usize, fanout: usize) -> &GateModel {
-        self.by_slot(Self::slot_index(arity, fanout))
-    }
-
-    /// Clones one model into all four slots (useful for tests and
-    /// analytic-backend benchmarks).
-    #[must_use]
-    pub fn uniform(model: GateModel) -> Self {
-        Self {
-            inverter: model.clone(),
-            inverter_fo2: model.clone(),
-            nor_fo1: model.clone(),
-            nor_fo2: model,
-        }
-    }
-}
-
-/// An extensible runtime cell-model set: the dynamic-slot generalization
-/// of the fixed four-slot [`GateModels`].
+/// A runtime cell-model set: the models of one cell library, bound to
+/// the gate signatures they serve.
 ///
 /// Each slot holds one [`GateModel`]; the index maps a gate's
 /// `(kind, single-input?, fan-out ≥ 2?)` signature to its slot. One slot
@@ -237,14 +172,77 @@ impl CellModels {
         }
     }
 
+    /// The set of a cell library: one slot per `(tag, model)` pair, in
+    /// the given order, bound to every gate signature the cell serves.
+    /// Inverter cells answer both `GateKind::Inv` and single-input
+    /// `GateKind::Nor` (a 1-input NOR *is* an inverter); NOR cells answer
+    /// multi-input NORs (arities 2–3, like the prototype); NAND/AND/OR
+    /// cells answer their two-input kinds. Fan-out-≥ 2 tags bind the
+    /// fan-out-≥ 2 signatures. The slot order is the batching order, so
+    /// the `nor-only` tags (Inverter, InverterFo2, NorFo1, NorFo2) give
+    /// the prototype's four slots.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use std::sync::Arc;
+    /// use sigchar::GateTag;
+    /// use sigcircuit::GateKind;
+    /// use sigsim::CellModels;
+    /// use sigtom::{GateModel, TransferFunction, TransferPrediction, TransferQuery};
+    ///
+    /// struct Fixed;
+    /// impl TransferFunction for Fixed {
+    ///     fn predict(&self, q: TransferQuery) -> TransferPrediction {
+    ///         TransferPrediction { a_out: -q.a_in.signum() * 14.0, delay: 0.05 }
+    ///     }
+    ///     fn backend_name(&self) -> &'static str { "fixed" }
+    /// }
+    ///
+    /// let model = GateModel::new(Arc::new(Fixed));
+    /// let cells = CellModels::from_cells(
+    ///     "nor-only",
+    ///     [GateTag::Inverter, GateTag::InverterFo2, GateTag::NorFo1, GateTag::NorFo2]
+    ///         .map(|tag| (tag, model.clone())),
+    /// );
+    /// assert_eq!(cells.slots(), 4);
+    /// assert_eq!(cells.slot_for(GateKind::Inv, 1, 1), Some(0));
+    /// assert_eq!(cells.slot_for(GateKind::Nor, 1, 2), Some(1));
+    /// assert_eq!(cells.slot_for(GateKind::Nor, 2, 1), Some(2));
+    /// assert_eq!(cells.slot_for(GateKind::Nor, 3, 2), Some(3));
+    /// assert_eq!(cells.slot_for(GateKind::Nand, 2, 1), None);
+    /// ```
+    #[must_use]
+    pub fn from_cells(
+        name: impl Into<String>,
+        cells: impl IntoIterator<Item = (GateTag, GateModel)>,
+    ) -> Self {
+        let mut set = Self::empty(name);
+        for (tag, model) in cells {
+            let slot = set.push(model);
+            let fo2 = tag.fanout() >= 2;
+            match tag {
+                GateTag::Inverter | GateTag::InverterFo2 => {
+                    set.bind(slot, GateKind::Inv, true, fo2);
+                    set.bind(slot, GateKind::Nor, true, fo2);
+                }
+                GateTag::NorFo1 | GateTag::NorFo2 => set.bind(slot, GateKind::Nor, false, fo2),
+                GateTag::NandFo1 | GateTag::NandFo2 => set.bind(slot, GateKind::Nand, false, fo2),
+                GateTag::AndFo1 | GateTag::AndFo2 => set.bind(slot, GateKind::And, false, fo2),
+                GateTag::OrFo1 | GateTag::OrFo2 => set.bind(slot, GateKind::Or, false, fo2),
+            }
+        }
+        set
+    }
+
     /// One model cloned into a slot per native cell kind (INV, NOR,
     /// NAND, AND, OR), each bound at both fan-out classes, with the
-    /// inverter slot also answering single-input NORs — the
-    /// [`GateModels::uniform`] analogue for the native cell set, used by
-    /// tests and analytic-backend benchmarks. The binding table matches
-    /// [`crate::CellLibrary::cell_models`], so a drift between the two
-    /// is caught by the shared test suite instead of surfacing as a
-    /// bench-only `UnsupportedGate`.
+    /// inverter slot also answering single-input NORs — a five-slot
+    /// synthetic native set for tests and analytic-backend benchmarks.
+    /// It binds the same signatures as [`CellModels::from_cells`] over
+    /// every [`GateTag`], so a drift between the two is caught by the
+    /// shared test suite instead of surfacing as a bench-only
+    /// `UnsupportedGate`.
     #[must_use]
     pub fn uniform(name: impl Into<String>, model: GateModel) -> Self {
         let mut cells = Self::empty(name);
@@ -265,31 +263,6 @@ impl CellModels {
             }
         }
         cells
-    }
-
-    /// The NOR-only prototype set: the four [`GateModels`] slots bound to
-    /// `GateKind::Nor` signatures exactly as the original simulator
-    /// resolved them (single-input NORs use the inverter models; nothing
-    /// else — not even `GateKind::Inv` — is bound, preserving the
-    /// prototype's strictness).
-    #[must_use]
-    pub fn nor_only(models: &GateModels) -> Self {
-        let mut cells = Self::empty("nor-only");
-        let inv = cells.push(models.inverter.clone());
-        let inv2 = cells.push(models.inverter_fo2.clone());
-        let fo1 = cells.push(models.nor_fo1.clone());
-        let fo2 = cells.push(models.nor_fo2.clone());
-        cells.bind(inv, GateKind::Nor, true, false);
-        cells.bind(inv2, GateKind::Nor, true, true);
-        cells.bind(fo1, GateKind::Nor, false, false);
-        cells.bind(fo2, GateKind::Nor, false, true);
-        cells
-    }
-}
-
-impl From<&GateModels> for CellModels {
-    fn from(models: &GateModels) -> Self {
-        Self::nor_only(models)
     }
 }
 
@@ -414,63 +387,16 @@ impl SigmoidSimResult {
     }
 }
 
-/// Simulates a NOR-only circuit with the default scheduling
-/// ([`SigmoidSimConfig::default`]: batched). See
-/// [`simulate_sigmoid_with`]; results are identical at either setting.
-///
-/// # Errors
-///
-/// Returns [`SigmoidSimError`] on missing stimuli or unsupported gates
-/// (only NOR with 1–3 inputs is accepted).
-pub fn simulate_sigmoid(
-    circuit: &Circuit,
-    stimuli: &HashMap<NetId, Arc<SigmoidTrace>>,
-    models: &GateModels,
-    options: TomOptions,
-) -> Result<SigmoidSimResult, SigmoidSimError> {
-    simulate_sigmoid_with(
-        circuit,
-        stimuli,
-        models,
-        options,
-        &SigmoidSimConfig::default(),
-    )
-}
-
-/// Simulates a NOR-only circuit with the four-slot prototype models —
-/// a thin wrapper binding `models` as a [`CellModels`] set and calling
-/// [`simulate_cells_with`]; behaviour (including the rejection of
-/// anything but 1–3-input NOR gates) is unchanged from the prototype.
-///
-/// # Errors
-///
-/// Returns [`SigmoidSimError`] on missing stimuli or unsupported gates
-/// (only NOR with 1–3 inputs is accepted).
-pub fn simulate_sigmoid_with(
-    circuit: &Circuit,
-    stimuli: &HashMap<NetId, Arc<SigmoidTrace>>,
-    models: &GateModels,
-    options: TomOptions,
-    config: &SigmoidSimConfig,
-) -> Result<SigmoidSimResult, SigmoidSimError> {
-    simulate_cells_with(
-        circuit,
-        stimuli,
-        &CellModels::nor_only(models),
-        options,
-        config,
-    )
-}
-
 /// Simulates a library-cell circuit: input sigmoid traces propagate level
 /// by level ([`Circuit::levels`]) through the TOM transfer functions.
 ///
-/// This is the **fused** compatibility form of the compile/execute split:
-/// it compiles the circuit's program tables ([`CircuitProgram`] holds the
-/// same tables resident) and executes them once with a fresh
-/// [`SimScratch`]. Traces are bit-identical to driving a compiled
-/// [`CircuitProgram::execute`] — and to every `config` setting, including
-/// the sequential scalar reference ([`SigmoidSimConfig::scalar`]).
+/// This is the **fused** form of the compile/execute split: it compiles
+/// the circuit's program tables ([`CircuitProgram`] holds the same tables
+/// resident) and executes them once with a fresh [`FleetScratch`].
+/// Traces are bit-identical to a compiled [`CircuitProgram::execute`] —
+/// and to every `config` setting, including the sequential scalar
+/// reference ([`SigmoidSimConfig::scalar`]). The crate docs show a
+/// complete call.
 ///
 /// # Errors
 ///
@@ -486,16 +412,16 @@ pub fn simulate_cells_with(
     config: &SigmoidSimConfig,
 ) -> Result<SigmoidSimResult, SigmoidSimError> {
     let tables = ProgramTables::compile(circuit, cells)?;
-    let mut scratch = SimScratch::new();
-    execute_program(
+    let mut results = execute_program(
         circuit,
         cells,
         &tables,
         options,
-        stimuli,
-        config,
-        &mut scratch,
-    )
+        std::slice::from_ref(stimuli),
+        config.batch,
+        &mut FleetScratch::new(),
+    )?;
+    Ok(results.pop().expect("one run"))
 }
 
 /// The largest input count any [`CellModels`] slot accepts (3-input NOR);
@@ -538,35 +464,6 @@ impl ProgramTables {
     }
 }
 
-/// A reusable execution arena: every scheduling buffer the level loop
-/// needs — the per-net trace slots, the per-slot pending lists, the
-/// query/prediction batch matrices the round loop ping-pongs between, and
-/// the plan-merge scratch. One instance serves any number of sequential
-/// [`CircuitProgram::execute`] calls (of any program); buffers grow to
-/// the largest run seen and stay allocated, so steady-state execution
-/// allocates only the output traces themselves (plus one small per-level
-/// plan list, whose elements borrow the arena and cannot outlive a
-/// level).
-#[derive(Debug, Default)]
-pub struct SimScratch {
-    /// Per-net resolved traces (the executor's working set).
-    nets: Vec<Option<Arc<SigmoidTrace>>>,
-    /// Gathered queries of one (slot, round) batch.
-    queries: Vec<TransferQuery>,
-    /// The matching predictions, scattered back to the plans.
-    predictions: Vec<TransferPrediction>,
-    /// Plan indices of the round being applied (swapped with the pending
-    /// list so exhausted plans drop out without reallocation).
-    round: Vec<usize>,
-    /// Per-slot pending plan indices.
-    pending: Vec<Vec<usize>>,
-    /// Multi-input transition-merge buffers for sequential planning.
-    plan: PlanScratch,
-    /// Duplicate-gate elimination table of the current level (see
-    /// [`GateMemo`]).
-    memo: GateMemo,
-}
-
 /// The duplicate-gate elimination table: maps a gate's *evaluation
 /// identity* — model slot, cell function, and the exact input traces (by
 /// `Arc` pointer, valid while the level holds them alive) — to the output
@@ -601,29 +498,16 @@ fn memo_key(
     (slot, function, ptrs)
 }
 
-impl SimScratch {
-    /// An empty arena; buffers are sized lazily by the first execution.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The per-net slot capacity currently retained — the arena's
-    /// dominant allocation, which grows to the largest circuit executed.
-    /// Pools use this to drop arenas grown by a one-off huge netlist
-    /// instead of pinning their memory forever.
-    #[must_use]
-    pub fn net_capacity(&self) -> usize {
-        self.nets.capacity()
-    }
-}
-
-/// The execution arena of [`CircuitProgram::execute_fleet`]: the fleet
-/// counterpart of [`SimScratch`], holding the run-major per-run/per-net
-/// trace matrix plus the shared batch buffers all runs' queries merge
-/// into. Like `SimScratch`, one instance serves any number of sequential
-/// fleet executions (of any program and any fleet width) and buffers grow
-/// to the largest fleet seen.
+/// The execution arena of the level loop: every scheduling buffer an
+/// execution needs — the run-major per-run/per-net trace matrix, the
+/// per-slot pending lists, the query/prediction batch matrices the round
+/// loop ping-pongs between, and the plan-merge scratch. A solo
+/// [`CircuitProgram::execute`] is a fleet of one, so one arena type
+/// serves both. One instance serves any number of sequential executions
+/// (of any program and any fleet width); buffers grow to the largest
+/// fleet seen and stay allocated, so steady-state execution allocates
+/// only the output traces themselves (plus one small per-level plan
+/// list, whose elements borrow the arena and cannot outlive a level).
 ///
 /// The arena also keeps two monotone counters the service layer reports:
 /// total stimulus sets executed ([`FleetScratch::runs`]) and total query
@@ -661,8 +545,8 @@ impl FleetScratch {
         Self::default()
     }
 
-    /// Total stimulus sets executed through this arena (across all
-    /// [`CircuitProgram::execute_fleet`] calls).
+    /// Total stimulus sets executed through this arena (a solo execution
+    /// counts as one).
     #[must_use]
     pub fn runs(&self) -> u64 {
         self.runs
@@ -676,9 +560,10 @@ impl FleetScratch {
         self.rows_merged
     }
 
-    /// The per-net slot capacity currently retained (the fleet analogue
-    /// of [`SimScratch::net_capacity`]: `runs × net_count` of the largest
-    /// fleet executed).
+    /// The per-net slot capacity currently retained — the arena's
+    /// dominant allocation, `runs × net_count` of the largest fleet
+    /// executed. Pools use this to drop arenas grown by a one-off huge
+    /// netlist instead of pinning their memory forever.
     #[must_use]
     pub fn net_capacity(&self) -> usize {
         self.nets.capacity()
@@ -695,6 +580,10 @@ impl FleetScratch {
         self.rows_merged = 0;
     }
 }
+
+/// The arena's name from before solo execution became a fleet of one;
+/// kept for callers that still use it. New code names [`FleetScratch`].
+pub type SimScratch = FleetScratch;
 
 /// Engine latency histograms (nanoseconds) plus the merged inference
 /// batch width per round. Span names mirror the operations: `program.*`
@@ -714,7 +603,7 @@ static ROUND_ROWS: sigobs::Hist = sigobs::Hist::new("engine.round_rows");
 /// [`SigmoidSimError::UnsupportedGate`] rejection of bad netlists),
 /// fan-out classification, and per-gate [`sigtom::PlanTemplate`]
 /// construction. [`CircuitProgram::execute`] then binds a stimulus to the
-/// resident tables; with a reused [`SimScratch`] the steady state does no
+/// resident tables; with a reused [`FleetScratch`] the steady state does no
 /// per-level buffer allocation. Results are bit-identical to the fused
 /// [`simulate_cells_with`] entry point at every scheduling setting
 /// (property-tested on random DAGs).
@@ -796,7 +685,7 @@ impl CircuitProgram {
     pub fn execute(
         &self,
         stimuli: &HashMap<NetId, Arc<SigmoidTrace>>,
-        scratch: &mut SimScratch,
+        scratch: &mut FleetScratch,
     ) -> Result<SigmoidSimResult, SigmoidSimError> {
         self.execute_with(stimuli, &SigmoidSimConfig::default(), scratch)
     }
@@ -805,7 +694,8 @@ impl CircuitProgram {
     /// stimulus-dependent half of the engine only — template binding,
     /// transition queries and model inference — scheduled per `config`
     /// exactly like [`simulate_cells_with`], with every buffer drawn from
-    /// `scratch`.
+    /// `scratch`. A batched execution is a fleet of one: it runs the
+    /// level loop of [`CircuitProgram::execute_fleet`] with `K = 1`.
     ///
     /// # Errors
     ///
@@ -815,22 +705,20 @@ impl CircuitProgram {
         &self,
         stimuli: &HashMap<NetId, Arc<SigmoidTrace>>,
         config: &SigmoidSimConfig,
-        scratch: &mut SimScratch,
+        scratch: &mut FleetScratch,
     ) -> Result<SigmoidSimResult, SigmoidSimError> {
         let sw = sigobs::stopwatch();
-        let result = execute_program(
+        let mut results = execute_program(
             &self.circuit,
             &self.cells,
             &self.tables,
             self.options,
-            stimuli,
-            config,
+            std::slice::from_ref(stimuli),
+            config.batch,
             scratch,
-        );
-        if result.is_ok() {
-            sw.observe_span(&EXECUTE_HIST, "program.execute");
-        }
-        result
+        )?;
+        sw.observe_span(&EXECUTE_HIST, "program.execute");
+        Ok(results.pop().expect("one run"))
     }
 
     /// Executes the program against `K` stimulus sets in lockstep with the
@@ -856,12 +744,11 @@ impl CircuitProgram {
     /// campaign or a batched service request.
     ///
     /// Every run's result is **bit-identical** to an independent
-    /// [`CircuitProgram::execute_with`] of the same stimulus set
-    /// (property-tested on random DAGs): each plan's own query/prediction
-    /// sequence is unchanged by the merge, and batched inference is
-    /// row-independent — regrouping rows never changes a row's arithmetic
-    /// (the same contract the levelized engine already relies on for
-    /// round interleaving).
+    /// [`CircuitProgram::execute_with`] of the same stimulus set, including
+    /// the scalar reference (property-tested on random DAGs): each plan's
+    /// own query/prediction sequence is unchanged by the merge, and
+    /// batched inference is row-independent — regrouping rows never
+    /// changes a row's arithmetic.
     ///
     /// The fleet always batches, so the config selects nothing here
     /// (both settings give the same bits); it keeps the solo and fleet
@@ -879,167 +766,19 @@ impl CircuitProgram {
         _config: &SigmoidSimConfig,
         scratch: &mut FleetScratch,
     ) -> Result<Vec<SigmoidSimResult>, SigmoidSimError> {
-        let k = stimuli.len();
-        if k == 0 {
+        if stimuli.is_empty() {
             return Ok(Vec::new());
         }
         let sw = sigobs::stopwatch();
-        let circuit = &*self.circuit;
-        let cells = &*self.cells;
-        let tables = &self.tables;
-        let options = self.options;
-        let nc = circuit.net_count();
-        let FleetScratch {
-            nets,
-            queries,
-            predictions,
-            round,
-            pending,
-            plan,
-            memo,
-            runs,
-            rows_merged,
-        } = scratch;
-        nets.clear();
-        nets.resize(k * nc, None);
-        for member in pending.iter_mut() {
-            member.clear();
-        }
-        pending.resize_with(cells.slots(), Vec::new);
-        for (r, stim) in stimuli.iter().enumerate() {
-            for &input in circuit.inputs() {
-                let t = stim
-                    .get(&input)
-                    .ok_or_else(|| SigmoidSimError::MissingStimulus {
-                        net: circuit.net_name(input).to_string(),
-                    })?;
-                nets[r * nc + input.0] = Some(Arc::clone(t));
-            }
-        }
-
-        for level in circuit.levels() {
-            // Bind the level's templates for every run (run-major, so a
-            // plan index identifies both the run and the gate). Plans
-            // borrow the input traces out of the fleet net matrix;
-            // outputs are published only after the level's plans are
-            // consumed, exactly like the solo executor.
-            let mut bind_span = sigobs::span("execute.bind");
-            let mut plans: Vec<(usize, usize, NetId, GatePlan)> =
-                Vec::with_capacity(k * level.len());
-            // Duplicate gates (same slot, function, and input traces —
-            // fan-out replicas in NOR-mapped netlists) evaluate once per
-            // run; the rest alias the first copy's output `Arc` after the
-            // level finalizes. See [`GateMemo`] for the soundness
-            // argument.
-            let mut aliases: Vec<(usize, NetId, NetId)> = Vec::new();
-            for r in 0..k {
-                let base = r * nc;
-                memo.clear();
-                for &gi in level {
-                    let gate = &circuit.gates()[gi];
-                    let slot = tables.slots[gi];
-                    let template = &tables.templates[gi];
-                    let key = memo_key(slot, template.function(), &gate.inputs, nets, base);
-                    match memo.entry(key) {
-                        std::collections::hash_map::Entry::Occupied(first) => {
-                            aliases.push((r, gate.output, *first.get()));
-                            continue;
-                        }
-                        std::collections::hash_map::Entry::Vacant(v) => {
-                            v.insert(gate.output);
-                        }
-                    }
-                    let first = nets[base + gate.inputs[0].0]
-                        .as_deref()
-                        .expect("level order");
-                    let mut ins: [&SigmoidTrace; MAX_CELL_ARITY] = [first; MAX_CELL_ARITY];
-                    for (j, i) in gate.inputs.iter().enumerate().skip(1) {
-                        ins[j] = nets[base + i.0].as_deref().expect("level order");
-                    }
-                    plans.push((
-                        slot,
-                        r,
-                        gate.output,
-                        template.bind_with(&ins[..gate.inputs.len()], options, plan),
-                    ));
-                }
-            }
-            bind_span.set_arg("plans", plans.len() as u64);
-            drop(bind_span);
-            // The solo round loop, over the fleet-wide plan list: pending
-            // plans group by slot *across runs*, so one predict call per
-            // (model, round) serves the whole fleet. Each plan still
-            // contributes exactly one query per round, in its own order.
-            for (pi, (slot, _, _, plan)) in plans.iter().enumerate() {
-                if plan.pending() > 0 {
-                    pending[*slot].push(pi);
-                }
-            }
-            loop {
-                let mut progressed = false;
-                for (slot, member) in pending.iter_mut().enumerate() {
-                    if member.is_empty() {
-                        continue;
-                    }
-                    progressed = true;
-                    queries.clear();
-                    for &pi in member.iter() {
-                        queries.push(plans[pi].3.next_query().expect("pending plan"));
-                    }
-                    *rows_merged += queries.len() as u64;
-                    ROUND_ROWS.record(queries.len() as u64);
-                    let mut infer_span = sigobs::span("execute.infer");
-                    infer_span.set_arg("rows", queries.len() as u64);
-                    cells.by_slot(slot).predict_batch(queries, predictions);
-                    drop(infer_span);
-                    round.clear();
-                    std::mem::swap(member, round);
-                    for (&pi, &p) in round.iter().zip(predictions.iter()) {
-                        plans[pi].3.apply(p);
-                        if plans[pi].3.pending() > 0 {
-                            member.push(pi);
-                        }
-                    }
-                }
-                if !progressed {
-                    break;
-                }
-            }
-            let finalize_span = sigobs::span("execute.finalize");
-            let finished: Vec<(usize, NetId, SigmoidTrace)> = plans
-                .into_iter()
-                .map(|(_, r, output, plan)| (r, output, plan.into_trace()))
-                .collect();
-            for (r, output, trace) in finished {
-                nets[r * nc + output.0] = Some(Arc::new(trace));
-            }
-            for (r, output, source) in aliases {
-                let shared = nets[r * nc + source.0].clone().expect("memoized gate ran");
-                nets[r * nc + output.0] = Some(shared);
-            }
-            drop(finalize_span);
-        }
-
-        *runs += k as u64;
-        let mut results = Vec::with_capacity(k);
-        let mut filler: Option<Arc<SigmoidTrace>> = None;
-        for r in 0..k {
-            let mut undriven = Vec::new();
-            let traces = nets[r * nc..(r + 1) * nc]
-                .iter_mut()
-                .enumerate()
-                .map(|(i, slot)| match slot.take() {
-                    Some(t) => t,
-                    None => {
-                        undriven.push(NetId(i));
-                        Arc::clone(filler.get_or_insert_with(|| {
-                            Arc::new(SigmoidTrace::constant(Level::Low, options.vdd))
-                        }))
-                    }
-                })
-                .collect();
-            results.push(SigmoidSimResult { traces, undriven });
-        }
+        let results = execute_program(
+            &self.circuit,
+            &self.cells,
+            &self.tables,
+            self.options,
+            stimuli,
+            true,
+            scratch,
+        )?;
         sw.observe_span(&FLEET_HIST, "program.execute_fleet");
         Ok(results)
     }
@@ -1057,7 +796,7 @@ impl CircuitProgram {
     pub fn open_session(
         &self,
         stimuli: &HashMap<NetId, Arc<SigmoidTrace>>,
-        scratch: &mut SimScratch,
+        scratch: &mut FleetScratch,
     ) -> Result<IncrementalState, SigmoidSimError> {
         let baseline = self.execute(stimuli, scratch)?;
         let circuit = &self.circuit;
@@ -1279,28 +1018,34 @@ impl IncrementalState {
     }
 }
 
-/// The executor shared by [`CircuitProgram::execute_with`] and the fused
-/// [`simulate_cells_with`]: binds one stimulus set to compiled tables.
+/// The one executor behind [`CircuitProgram::execute_with`],
+/// [`CircuitProgram::execute_fleet_with`] and the fused
+/// [`simulate_cells_with`]: binds `K` stimulus sets to compiled tables
+/// and returns the `K` results in run order.
 ///
-/// Within a level every gate is independent, so the engine binds all of
-/// their plan templates (evaluating duplicate gates once, see
-/// [`GateMemo`]), then repeatedly gathers each plan's next pending query,
-/// groups the queries by [`CellModels`] slot, and issues one
-/// [`GateModel::predict_batch`] per (model, round). Everything runs on the
-/// calling thread; traces are bit-identical at either `config` setting.
+/// `batch` selects the schedule. Batched: per level, the plan templates
+/// of every run are bound (run-major, evaluating duplicate gates once
+/// per run, see [`GateMemo`]); the engine then repeatedly gathers each
+/// plan's next pending query, groups the queries of all runs by
+/// [`CellModels`] slot, and issues one [`GateModel::predict_batch`] per
+/// (model, round). Scalar: each gate's plan runs with one-shot
+/// predictions — the reference the batched schedule must match bit for
+/// bit. Everything runs on the calling thread.
 fn execute_program(
     circuit: &Circuit,
     cells: &CellModels,
     tables: &ProgramTables,
     options: TomOptions,
-    stimuli: &HashMap<NetId, Arc<SigmoidTrace>>,
-    config: &SigmoidSimConfig,
-    scratch: &mut SimScratch,
-) -> Result<SigmoidSimResult, SigmoidSimError> {
+    stimuli: &[HashMap<NetId, Arc<SigmoidTrace>>],
+    batch: bool,
+    scratch: &mut FleetScratch,
+) -> Result<Vec<SigmoidSimResult>, SigmoidSimError> {
+    let k = stimuli.len();
+    let nc = circuit.net_count();
     // Reset the arena to this program's exact sizes (idempotent for
     // repeated executions of the same program; defensive against a
     // previous run that died mid-level).
-    let SimScratch {
+    let FleetScratch {
         nets,
         queries,
         predictions,
@@ -1308,41 +1053,68 @@ fn execute_program(
         pending,
         plan,
         memo,
+        runs,
+        rows_merged,
     } = scratch;
     nets.clear();
-    nets.resize(circuit.net_count(), None);
+    nets.resize(k * nc, None);
     for member in pending.iter_mut() {
         member.clear();
     }
     pending.resize_with(cells.slots(), Vec::new);
-    for &input in circuit.inputs() {
-        let t = stimuli
-            .get(&input)
-            .ok_or_else(|| SigmoidSimError::MissingStimulus {
-                net: circuit.net_name(input).to_string(),
-            })?;
-        nets[input.0] = Some(Arc::clone(t));
+    for (r, stim) in stimuli.iter().enumerate() {
+        for &input in circuit.inputs() {
+            let t = stim
+                .get(&input)
+                .ok_or_else(|| SigmoidSimError::MissingStimulus {
+                    net: circuit.net_name(input).to_string(),
+                })?;
+            nets[r * nc + input.0] = Some(Arc::clone(t));
+        }
     }
 
     for level in circuit.levels() {
-        if config.batch {
-            // Bind every template of the level (model-independent) with the
-            // arena's merge buffers. Duplicate gates (same slot, function,
-            // and input traces) evaluate once; the rest alias the first
-            // copy's output `Arc` after the level finalizes. See
-            // [`GateMemo`].
-            let mut bind_span = sigobs::span("execute.bind");
-            let mut aliases: Vec<(NetId, NetId)> = Vec::new();
-            let mut plans: Vec<(usize, NetId, GatePlan)> = Vec::with_capacity(level.len());
+        if !batch {
+            // Scalar mode: per-gate one-shot predictions. Gates within a
+            // level are independent, so outputs publish as they finish.
+            for r in 0..k {
+                let base = r * nc;
+                for &gi in level {
+                    let gate = &circuit.gates()[gi];
+                    let ins: Vec<&SigmoidTrace> = gate
+                        .inputs
+                        .iter()
+                        .map(|i| nets[base + i.0].as_deref().expect("level order"))
+                        .collect();
+                    let model = cells.by_slot(tables.slots[gi]);
+                    let trace = apply_plan(tables.templates[gi].bind(&ins, options), model);
+                    nets[base + gate.output.0] = Some(Arc::new(trace));
+                }
+            }
+            continue;
+        }
+        // Bind the level's templates for every run (run-major, so a plan
+        // index identifies both the run and the gate). Plans borrow the
+        // input traces out of the net matrix; outputs are published only
+        // after the level's plans are consumed.
+        let mut bind_span = sigobs::span("execute.bind");
+        let mut plans: Vec<(usize, usize, NetId, GatePlan)> = Vec::with_capacity(k * level.len());
+        // Duplicate gates (same slot, function, and input traces —
+        // fan-out replicas in NOR-mapped netlists) evaluate once per run;
+        // the rest alias the first copy's output `Arc` after the level
+        // finalizes. See [`GateMemo`] for the soundness argument.
+        let mut aliases: Vec<(usize, NetId, NetId)> = Vec::new();
+        for r in 0..k {
+            let base = r * nc;
             memo.clear();
             for &gi in level {
                 let gate = &circuit.gates()[gi];
                 let slot = tables.slots[gi];
                 let template = &tables.templates[gi];
-                let key = memo_key(slot, template.function(), &gate.inputs, nets, 0);
+                let key = memo_key(slot, template.function(), &gate.inputs, nets, base);
                 match memo.entry(key) {
                     std::collections::hash_map::Entry::Occupied(first) => {
-                        aliases.push((gate.output, *first.get()));
+                        aliases.push((r, gate.output, *first.get()));
                         continue;
                     }
                     std::collections::hash_map::Entry::Vacant(v) => {
@@ -1351,107 +1123,100 @@ fn execute_program(
                 }
                 // Compiled arities are <= MAX_CELL_ARITY (slot resolution
                 // enforces it), so the gather fits a fixed stack buffer.
-                let first = nets[gate.inputs[0].0].as_deref().expect("level order");
+                let first = nets[base + gate.inputs[0].0]
+                    .as_deref()
+                    .expect("level order");
                 let mut ins: [&SigmoidTrace; MAX_CELL_ARITY] = [first; MAX_CELL_ARITY];
-                for (k, i) in gate.inputs.iter().enumerate().skip(1) {
-                    ins[k] = nets[i.0].as_deref().expect("level order");
+                for (j, i) in gate.inputs.iter().enumerate().skip(1) {
+                    ins[j] = nets[base + i.0].as_deref().expect("level order");
                 }
                 plans.push((
                     slot,
+                    r,
                     gate.output,
                     template.bind_with(&ins[..gate.inputs.len()], options, plan),
                 ));
             }
-            bind_span.set_arg("plans", plans.len() as u64);
-            drop(bind_span);
-            // Group the still-pending plans by model slot, then evaluate
-            // in rounds: one batched inference per (model, round),
-            // scattered back to the plans; exhausted plans drop out of
-            // their slot's list so each is polled exactly once per query.
-            // Each plan's own query sequence is untouched by the
-            // interleaving, so traces match the scalar path bit for bit.
-            for (pi, (slot, _, plan)) in plans.iter().enumerate() {
-                if plan.pending() > 0 {
-                    pending[*slot].push(pi);
-                }
-            }
-            loop {
-                let mut progressed = false;
-                for (slot, member) in pending.iter_mut().enumerate() {
-                    if member.is_empty() {
-                        continue;
-                    }
-                    progressed = true;
-                    queries.clear();
-                    for &pi in member.iter() {
-                        queries.push(plans[pi].2.next_query().expect("pending plan"));
-                    }
-                    ROUND_ROWS.record(queries.len() as u64);
-                    let mut infer_span = sigobs::span("execute.infer");
-                    infer_span.set_arg("rows", queries.len() as u64);
-                    cells.by_slot(slot).predict_batch(queries, predictions);
-                    drop(infer_span);
-                    round.clear();
-                    std::mem::swap(member, round);
-                    for (&pi, &p) in round.iter().zip(predictions.iter()) {
-                        plans[pi].2.apply(p);
-                        if plans[pi].2.pending() > 0 {
-                            member.push(pi);
-                        }
-                    }
-                }
-                if !progressed {
-                    break;
-                }
-            }
-            // Finalize after the plans (which borrow the input slots) are
-            // consumed, then publish the level's outputs.
-            let finalize_span = sigobs::span("execute.finalize");
-            let finished: Vec<(NetId, SigmoidTrace)> = plans
-                .into_iter()
-                .map(|(_, output, plan)| (output, plan.into_trace()))
-                .collect();
-            for (output, trace) in finished {
-                nets[output.0] = Some(Arc::new(trace));
-            }
-            for (output, source) in aliases {
-                let shared = nets[source.0].clone().expect("memoized gate ran");
-                nets[output.0] = Some(shared);
-            }
-            drop(finalize_span);
-        } else {
-            // Scalar mode: per-gate one-shot predictions. Gates within a
-            // level are independent, so outputs publish as they finish.
-            for &gi in level {
-                let gate = &circuit.gates()[gi];
-                let ins: Vec<&SigmoidTrace> = gate
-                    .inputs
-                    .iter()
-                    .map(|i| nets[i.0].as_deref().expect("level order"))
-                    .collect();
-                let model = cells.by_slot(tables.slots[gi]);
-                let trace = apply_plan(tables.templates[gi].bind(&ins, options), model);
-                nets[gate.output.0] = Some(Arc::new(trace));
+        }
+        bind_span.set_arg("plans", plans.len() as u64);
+        drop(bind_span);
+        // Group the still-pending plans by model slot *across runs*, then
+        // evaluate in rounds: one batched inference per (model, round)
+        // serves the whole fleet, scattered back to the plans; exhausted
+        // plans drop out of their slot's list so each is polled exactly
+        // once per query. Each plan's own query sequence is untouched by
+        // the interleaving, so traces match the scalar path bit for bit.
+        for (pi, (slot, _, _, plan)) in plans.iter().enumerate() {
+            if plan.pending() > 0 {
+                pending[*slot].push(pi);
             }
         }
+        loop {
+            let mut progressed = false;
+            for (slot, member) in pending.iter_mut().enumerate() {
+                if member.is_empty() {
+                    continue;
+                }
+                progressed = true;
+                queries.clear();
+                for &pi in member.iter() {
+                    queries.push(plans[pi].3.next_query().expect("pending plan"));
+                }
+                *rows_merged += queries.len() as u64;
+                ROUND_ROWS.record(queries.len() as u64);
+                let mut infer_span = sigobs::span("execute.infer");
+                infer_span.set_arg("rows", queries.len() as u64);
+                cells.by_slot(slot).predict_batch(queries, predictions);
+                drop(infer_span);
+                round.clear();
+                std::mem::swap(member, round);
+                for (&pi, &p) in round.iter().zip(predictions.iter()) {
+                    plans[pi].3.apply(p);
+                    if plans[pi].3.pending() > 0 {
+                        member.push(pi);
+                    }
+                }
+            }
+            if !progressed {
+                break;
+            }
+        }
+        let finalize_span = sigobs::span("execute.finalize");
+        let finished: Vec<(usize, NetId, SigmoidTrace)> = plans
+            .into_iter()
+            .map(|(_, r, output, plan)| (r, output, plan.into_trace()))
+            .collect();
+        for (r, output, trace) in finished {
+            nets[r * nc + output.0] = Some(Arc::new(trace));
+        }
+        for (r, output, source) in aliases {
+            let shared = nets[r * nc + source.0].clone().expect("memoized gate ran");
+            nets[r * nc + output.0] = Some(shared);
+        }
+        drop(finalize_span);
     }
 
-    let mut undriven = Vec::new();
+    *runs += k as u64;
+    let mut results = Vec::with_capacity(k);
     let mut filler: Option<Arc<SigmoidTrace>> = None;
-    let traces = nets
-        .drain(..)
-        .enumerate()
-        .map(|(i, slot)| match slot {
-            Some(t) => t,
-            None => {
-                undriven.push(NetId(i));
-                Arc::clone(filler.get_or_insert_with(|| {
-                    Arc::new(SigmoidTrace::constant(Level::Low, options.vdd))
-                }))
-            }
-        })
-        .collect();
-    Ok(SigmoidSimResult { traces, undriven })
+    for r in 0..k {
+        let mut undriven = Vec::new();
+        let traces = nets[r * nc..(r + 1) * nc]
+            .iter_mut()
+            .enumerate()
+            .map(|(i, slot)| match slot.take() {
+                Some(t) => t,
+                None => {
+                    undriven.push(NetId(i));
+                    Arc::clone(filler.get_or_insert_with(|| {
+                        Arc::new(SigmoidTrace::constant(Level::Low, options.vdd))
+                    }))
+                }
+            })
+            .collect();
+        results.push(SigmoidSimResult { traces, undriven });
+    }
+    Ok(results)
 }
 
 #[cfg(test)]
@@ -1475,13 +1240,43 @@ mod tests {
         }
     }
 
-    fn models(inv_d: f64, fo1_d: f64, fo2_d: f64) -> GateModels {
-        GateModels {
-            inverter: GateModel::new(Arc::new(Fixed(inv_d))),
-            inverter_fo2: GateModel::new(Arc::new(Fixed(inv_d))),
-            nor_fo1: GateModel::new(Arc::new(Fixed(fo1_d))),
-            nor_fo2: GateModel::new(Arc::new(Fixed(fo2_d))),
-        }
+    /// The four-slot `nor-only` set over the given inverter, inverter
+    /// FO2, NOR FO1 and NOR FO2 models.
+    fn nor_only(models: [GateModel; 4]) -> CellModels {
+        CellModels::from_cells(
+            "nor-only",
+            crate::LibrarySpec::nor_only().tags.into_iter().zip(models),
+        )
+    }
+
+    fn models(inv_d: f64, fo1_d: f64, fo2_d: f64) -> CellModels {
+        nor_only([inv_d, inv_d, fo1_d, fo2_d].map(|d| GateModel::new(Arc::new(Fixed(d)))))
+    }
+
+    /// The distinct per-slot models the random-DAG properties use, so a
+    /// slot mix-up changes results.
+    fn history_models() -> CellModels {
+        nor_only([
+            GateModel::new(Arc::new(HistoryTransfer)),
+            GateModel::new(Arc::new(Fixed(0.09))),
+            GateModel::new(Arc::new(HistoryTransfer)),
+            GateModel::new(Arc::new(Fixed(0.13))),
+        ])
+    }
+
+    /// Batched simulation with default options.
+    fn simulate(
+        circuit: &Circuit,
+        stimuli: &HashMap<NetId, Arc<SigmoidTrace>>,
+        cells: &CellModels,
+    ) -> Result<SigmoidSimResult, SigmoidSimError> {
+        simulate_cells_with(
+            circuit,
+            stimuli,
+            cells,
+            TomOptions::default(),
+            &SigmoidSimConfig::default(),
+        )
     }
 
     fn rising_input() -> Arc<SigmoidTrace> {
@@ -1509,8 +1304,7 @@ mod tests {
         let c = b.build().unwrap();
         let mut stim = HashMap::new();
         stim.insert(a, rising_input());
-        let res =
-            simulate_sigmoid(&c, &stim, &models(0.05, 0.1, 0.2), TomOptions::default()).unwrap();
+        let res = simulate(&c, &stim, &models(0.05, 0.1, 0.2)).unwrap();
         let out = res.trace(n2);
         assert_eq!(out.len(), 1);
         assert!((out.transitions()[0].b - 1.10).abs() < 1e-9);
@@ -1534,8 +1328,7 @@ mod tests {
         let mut stim = HashMap::new();
         stim.insert(a, rising_input());
         stim.insert(z, constant(Level::Low));
-        let res =
-            simulate_sigmoid(&c, &stim, &models(0.05, 0.1, 0.2), TomOptions::default()).unwrap();
+        let res = simulate(&c, &stim, &models(0.05, 0.1, 0.2)).unwrap();
         // n1 falls at 1.0 + 0.2 (FO2 model).
         assert!((res.trace(n1).transitions()[0].b - 1.2).abs() < 1e-9);
         // loads are single-input NORs -> inverter model, +0.05.
@@ -1544,16 +1337,24 @@ mod tests {
 
     #[test]
     fn unsupported_gate_rejected() {
+        // The nor-only set has no NAND cell.
         let mut b = CircuitBuilder::new();
         let a = b.add_input("a");
-        let n1 = b.add_gate(GateKind::Inv, &[a], "n1");
+        let z = b.add_input("z");
+        let n1 = b.add_gate(GateKind::Nand, &[a, z], "n1");
         b.mark_output(n1);
         let c = b.build().unwrap();
         let mut stim = HashMap::new();
         stim.insert(a, rising_input());
-        let err =
-            simulate_sigmoid(&c, &stim, &models(0.1, 0.1, 0.1), TomOptions::default()).unwrap_err();
-        assert!(matches!(err, SigmoidSimError::UnsupportedGate { .. }));
+        stim.insert(z, constant(Level::High));
+        let err = simulate(&c, &stim, &models(0.1, 0.1, 0.1)).unwrap_err();
+        assert_eq!(
+            err,
+            SigmoidSimError::UnsupportedGate {
+                kind: GateKind::Nand,
+                arity: 2
+            }
+        );
     }
 
     #[test]
@@ -1563,13 +1364,7 @@ mod tests {
         let n1 = b.add_gate(GateKind::Nor, &[a], "n1");
         b.mark_output(n1);
         let c = b.build().unwrap();
-        let err = simulate_sigmoid(
-            &c,
-            &HashMap::new(),
-            &models(0.1, 0.1, 0.1),
-            TomOptions::default(),
-        )
-        .unwrap_err();
+        let err = simulate(&c, &HashMap::new(), &models(0.1, 0.1, 0.1)).unwrap_err();
         assert!(matches!(err, SigmoidSimError::MissingStimulus { .. }));
     }
 
@@ -1586,8 +1381,7 @@ mod tests {
             };
             stim.insert(input, t);
         }
-        let res =
-            simulate_sigmoid(c, &stim, &models(0.05, 0.08, 0.12), TomOptions::default()).unwrap();
+        let res = simulate(c, &stim, &models(0.05, 0.08, 0.12)).unwrap();
         // Final levels must match the boolean evaluation.
         let mut bits = vec![false; 5];
         bits[2] = true;
@@ -1612,8 +1406,7 @@ mod tests {
         let stimulus = rising_input();
         let mut stim = HashMap::new();
         stim.insert(a, Arc::clone(&stimulus));
-        let res =
-            simulate_sigmoid(&c, &stim, &models(0.05, 0.1, 0.2), TomOptions::default()).unwrap();
+        let res = simulate(&c, &stim, &models(0.05, 0.1, 0.2)).unwrap();
         // The result's input slot is the same allocation as the stimulus.
         assert!(Arc::ptr_eq(&res.traces()[a.0], &stimulus));
     }
@@ -1645,9 +1438,9 @@ mod tests {
         let m = models(0.05, 0.08, 0.12);
         let opts = TomOptions::default();
         let reference =
-            simulate_sigmoid_with(c, &stim, &m, opts, &SigmoidSimConfig::scalar()).unwrap();
+            simulate_cells_with(c, &stim, &m, opts, &SigmoidSimConfig::scalar()).unwrap();
         for config in [SigmoidSimConfig::scalar(), SigmoidSimConfig::default()] {
-            let got = simulate_sigmoid_with(c, &stim, &m, opts, &config).unwrap();
+            let got = simulate_cells_with(c, &stim, &m, opts, &config).unwrap();
             for net in 0..c.net_count() {
                 assert_eq!(
                     got.trace(NetId(net)),
@@ -1727,17 +1520,12 @@ mod tests {
             }
 
             // Distinct per-slot models so a slot mix-up changes results.
-            let m = GateModels {
-                inverter: GateModel::new(Arc::new(HistoryTransfer)),
-                inverter_fo2: GateModel::new(Arc::new(Fixed(0.09))),
-                nor_fo1: GateModel::new(Arc::new(HistoryTransfer)),
-                nor_fo2: GateModel::new(Arc::new(Fixed(0.13))),
-            };
+            let m = history_models();
             let opts = TomOptions::default();
             let reference =
-                simulate_sigmoid_with(&c, &stim, &m, opts, &SigmoidSimConfig::scalar()).unwrap();
+                simulate_cells_with(&c, &stim, &m, opts, &SigmoidSimConfig::scalar()).unwrap();
             for config in [SigmoidSimConfig::scalar(), SigmoidSimConfig::default()] {
-                let got = simulate_sigmoid_with(&c, &stim, &m, opts, &config).unwrap();
+                let got = simulate_cells_with(&c, &stim, &m, opts, &config).unwrap();
                 for net in 0..c.net_count() {
                     proptest::prop_assert_eq!(
                         got.trace(NetId(net)),
@@ -1842,9 +1630,8 @@ mod tests {
             let mut stim = HashMap::new();
             stim.insert(a, rising_input());
             stim.insert(z, constant(Level::Low));
-            let legacy = simulate_sigmoid(&c, &stim, &models(0.1, 0.1, 0.1), TomOptions::default())
-                .unwrap_err();
-            assert_eq!(legacy, SigmoidSimError::UnsupportedGate { kind, arity: 2 });
+            let nor = simulate(&c, &stim, &models(0.1, 0.1, 0.1)).unwrap_err();
+            assert_eq!(nor, SigmoidSimError::UnsupportedGate { kind, arity: 2 });
             let native = simulate_cells_with(
                 &c,
                 &stim,
@@ -1901,13 +1688,7 @@ mod tests {
             };
             nor_stim.insert(input, t);
         }
-        let nor_res = simulate_sigmoid(
-            &bench.nor_mapped,
-            &nor_stim,
-            &models(0.05, 0.08, 0.12),
-            TomOptions::default(),
-        )
-        .unwrap();
+        let nor_res = simulate(&bench.nor_mapped, &nor_stim, &models(0.05, 0.08, 0.12)).unwrap();
         for (no, o) in bench
             .nor_mapped
             .outputs()
@@ -2012,8 +1793,9 @@ mod tests {
     proptest::proptest! {
         /// The acceptance-criterion parity property: on random DAGs under
         /// BOTH mapping policies, a compiled program executed at every
-        /// scheduling setting — through one reused scratch arena — is
-        /// bit-identical to the legacy fused entry point.
+        /// scheduling setting — through one reused scratch arena — and
+        /// the fused entry point are bit-identical to the fused scalar
+        /// reference.
         #[test]
         fn program_execute_matches_fused_path_on_random_dags(seed in 0u64..u64::MAX) {
             let native = random_native_dag(seed);
@@ -2022,14 +1804,9 @@ mod tests {
                 sigcircuit::MappingPolicy::NorOnly,
                 sigcircuit::NorMappingOptions::default(),
             );
-            let nor_cells = CellModels::nor_only(&GateModels {
-                inverter: GateModel::new(Arc::new(HistoryTransfer)),
-                inverter_fo2: GateModel::new(Arc::new(Fixed(0.09))),
-                nor_fo1: GateModel::new(Arc::new(HistoryTransfer)),
-                nor_fo2: GateModel::new(Arc::new(Fixed(0.13))),
-            });
+            let nor_cells = history_models();
             let opts = TomOptions::default();
-            let mut scratch = SimScratch::new();
+            let mut scratch = FleetScratch::new();
             for (circuit, cells) in [(&native, native_cells()), (&nor, nor_cells)] {
                 let stim = random_native_stimuli(circuit, seed ^ 0x5eed);
                 let program = CircuitProgram::compile(
@@ -2038,20 +1815,25 @@ mod tests {
                     opts,
                 )
                 .expect("simulable DAG compiles");
+                let reference =
+                    simulate_cells_with(circuit, &stim, &cells, opts, &SigmoidSimConfig::scalar())
+                        .unwrap();
                 for config in [SigmoidSimConfig::scalar(), SigmoidSimConfig::default()] {
                     let fused =
                         simulate_cells_with(circuit, &stim, &cells, opts, &config).unwrap();
                     let executed = program.execute_with(&stim, &config, &mut scratch).unwrap();
                     for net in 0..circuit.net_count() {
-                        proptest::prop_assert_eq!(
-                            executed.trace(NetId(net)),
-                            fused.trace(NetId(net)),
-                            "net {} differs under {:?} (seed {}, cells {})",
-                            net,
-                            config,
-                            seed,
-                            cells.name()
-                        );
+                        for got in [&executed, &fused] {
+                            proptest::prop_assert_eq!(
+                                got.trace(NetId(net)),
+                                reference.trace(NetId(net)),
+                                "net {} differs under {:?} (seed {}, cells {})",
+                                net,
+                                config,
+                                seed,
+                                cells.name()
+                            );
+                        }
                     }
                 }
             }
@@ -2062,8 +1844,10 @@ mod tests {
         /// The fleet parity property: on random DAGs under BOTH mapping
         /// policies, one `execute_fleet` of K independently-seeded
         /// stimulus sets is bit-identical, run for run and net for net,
-        /// to K independent `execute_with` calls — the merged per-slot
-        /// batches never change a row's arithmetic.
+        /// to K independent scalar-reference executions — the merged
+        /// per-slot batches never change a row's arithmetic. (A batched
+        /// `execute_with` runs this same loop with K = 1, so the scalar
+        /// path is the independent oracle.)
         #[test]
         fn fleet_matches_independent_runs_on_random_dags(seed in 0u64..u64::MAX) {
             let native = random_native_dag(seed);
@@ -2072,14 +1856,9 @@ mod tests {
                 sigcircuit::MappingPolicy::NorOnly,
                 sigcircuit::NorMappingOptions::default(),
             );
-            let nor_cells = CellModels::nor_only(&GateModels {
-                inverter: GateModel::new(Arc::new(HistoryTransfer)),
-                inverter_fo2: GateModel::new(Arc::new(Fixed(0.09))),
-                nor_fo1: GateModel::new(Arc::new(HistoryTransfer)),
-                nor_fo2: GateModel::new(Arc::new(Fixed(0.13))),
-            });
+            let nor_cells = history_models();
             let opts = TomOptions::default();
-            let mut solo = SimScratch::new();
+            let mut solo = FleetScratch::new();
             let mut fleet = FleetScratch::new();
             for (circuit, cells) in [(&native, native_cells()), (&nor, nor_cells)] {
                 let program = CircuitProgram::compile(
@@ -2091,14 +1870,14 @@ mod tests {
                 let sets: Vec<HashMap<NetId, Arc<SigmoidTrace>>> = (0..4)
                     .map(|r| random_native_stimuli(circuit, seed ^ (r as u64) << 17))
                     .collect();
-                let config = SigmoidSimConfig::default();
                 let results = program
-                    .execute_fleet_with(&sets, &config, &mut fleet)
+                    .execute_fleet_with(&sets, &SigmoidSimConfig::default(), &mut fleet)
                     .unwrap();
                 proptest::prop_assert_eq!(results.len(), sets.len());
                 for (r, (stim, got)) in sets.iter().zip(&results).enumerate() {
-                    let independent =
-                        program.execute_with(stim, &config, &mut solo).unwrap();
+                    let independent = program
+                        .execute_with(stim, &SigmoidSimConfig::scalar(), &mut solo)
+                        .unwrap();
                     proptest::prop_assert_eq!(
                         &got.undriven, &independent.undriven,
                         "run {} undriven set differs (seed {})", r, seed
@@ -2196,13 +1975,17 @@ mod tests {
         }));
         let program = CircuitProgram::compile(
             Arc::new(bench.nor_mapped.clone()),
-            Arc::new(CellModels::nor_only(&GateModels::uniform(counting))),
+            Arc::new(nor_only([(); 4].map(|()| counting.clone()))),
             TomOptions::default(),
         )
         .unwrap();
         let stim = random_native_stimuli(&bench.nor_mapped, 20251017);
         program
-            .execute_with(&stim, &SigmoidSimConfig::default(), &mut SimScratch::new())
+            .execute_with(
+                &stim,
+                &SigmoidSimConfig::default(),
+                &mut FleetScratch::new(),
+            )
             .unwrap();
         let solo = rows.swap(0, Ordering::Relaxed);
         let mut fleet = FleetScratch::new();
@@ -2221,7 +2004,7 @@ mod tests {
         let n1 = b.add_gate(GateKind::Nor, &[a], "n1");
         b.mark_output(n1);
         let c = b.build().unwrap();
-        let cells = CellModels::nor_only(&models(0.05, 0.1, 0.2));
+        let cells = models(0.05, 0.1, 0.2);
         let program =
             CircuitProgram::compile(Arc::new(c), Arc::new(cells), TomOptions::default()).unwrap();
         let mut good = HashMap::new();
@@ -2245,13 +2028,13 @@ mod tests {
         let n2 = b.add_gate(GateKind::Nor, &[n1], "n2");
         b.mark_output(n2);
         let c = b.build().unwrap();
-        let cells = CellModels::nor_only(&models(0.05, 0.1, 0.2));
+        let cells = models(0.05, 0.1, 0.2);
         let program =
             CircuitProgram::compile(Arc::new(c), Arc::new(cells), TomOptions::default()).unwrap();
         let mut stim = HashMap::new();
         stim.insert(a, constant(Level::Low));
         stim.insert(z, constant(Level::High));
-        let mut scratch = SimScratch::new();
+        let mut scratch = FleetScratch::new();
         let mut state = program.open_session(&stim, &mut scratch).unwrap();
         assert_eq!(state.deltas(), 0);
         assert_eq!(state.gates_reeval(), 0);
@@ -2309,12 +2092,12 @@ mod tests {
         let n1 = b.add_gate(GateKind::Nor, &[a], "n1");
         b.mark_output(n1);
         let c = b.build().unwrap();
-        let cells = CellModels::nor_only(&models(0.05, 0.1, 0.2));
+        let cells = models(0.05, 0.1, 0.2);
         let program =
             CircuitProgram::compile(Arc::new(c), Arc::new(cells), TomOptions::default()).unwrap();
         let mut stim = HashMap::new();
         stim.insert(a, constant(Level::Low));
-        let mut scratch = SimScratch::new();
+        let mut scratch = FleetScratch::new();
         let mut state = program.open_session(&stim, &mut scratch).unwrap();
         let err = program
             .execute_delta(
@@ -2351,7 +2134,7 @@ mod tests {
         )
         .unwrap();
         let mut stim = random_native_stimuli(c, 20250807);
-        let mut scratch = SimScratch::new();
+        let mut scratch = FleetScratch::new();
         let mut state = program.open_session(&stim, &mut scratch).unwrap();
         let input = c.inputs()[0];
         let edit = StimulusEdit {
@@ -2393,14 +2176,9 @@ mod tests {
                 sigcircuit::MappingPolicy::NorOnly,
                 sigcircuit::NorMappingOptions::default(),
             );
-            let nor_cells = CellModels::nor_only(&GateModels {
-                inverter: GateModel::new(Arc::new(HistoryTransfer)),
-                inverter_fo2: GateModel::new(Arc::new(Fixed(0.09))),
-                nor_fo1: GateModel::new(Arc::new(HistoryTransfer)),
-                nor_fo2: GateModel::new(Arc::new(Fixed(0.13))),
-            });
+            let nor_cells = history_models();
             let opts = TomOptions::default();
-            let mut scratch = SimScratch::new();
+            let mut scratch = FleetScratch::new();
             for (circuit, cells) in [(&native, native_cells()), (&nor, nor_cells)] {
                 let mut stim = random_native_stimuli(circuit, seed ^ 0x5eed);
                 let program = CircuitProgram::compile(
@@ -2458,7 +2236,7 @@ mod tests {
         .unwrap();
         assert_eq!(program.options(), opts);
         assert_eq!(program.cells().name(), "native");
-        let mut scratch = SimScratch::new();
+        let mut scratch = FleetScratch::new();
         for seed in [1u64, 20250728] {
             let stim = random_native_stimuli(&bench.native, seed);
             let executed = program.execute(&stim, &mut scratch).unwrap();
@@ -2520,13 +2298,30 @@ mod tests {
         assert_eq!(cells.slot_for(GateKind::Nor, 4, 1), None);
         assert_eq!(cells.slot_for(GateKind::Xor, 2, 1), None);
         assert!(cells.slot_for(GateKind::Nor, 3, 1).is_some());
-        // The legacy conversion binds NOR signatures only.
-        let legacy = CellModels::nor_only(&models(0.05, 0.1, 0.2));
-        assert_eq!(legacy.name(), "nor-only");
-        assert_eq!(legacy.slots(), 4);
-        assert_eq!(legacy.slot_for(GateKind::Inv, 1, 1), None);
-        assert_eq!(legacy.slot_for(GateKind::Nor, 2, 1), Some(2));
-        assert_eq!(legacy.slot_for(GateKind::Nor, 2, 3), Some(3));
+        // The nor-only library: four slots in training order, NOR2 at
+        // fan-out 1 and 3 in slots 2 and 3, and the inverter cells answer
+        // `GateKind::Inv` as well as single-input NORs.
+        let nor = models(0.05, 0.1, 0.2);
+        assert_eq!(nor.name(), "nor-only");
+        assert_eq!(nor.slots(), 4);
+        assert_eq!(
+            crate::LibrarySpec::nor_only().tags,
+            vec![
+                GateTag::Inverter,
+                GateTag::InverterFo2,
+                GateTag::NorFo1,
+                GateTag::NorFo2
+            ]
+        );
+        assert_eq!(nor.slot_for(GateKind::Nor, 1, 1), Some(0));
+        assert_eq!(nor.slot_for(GateKind::Inv, 1, 1), Some(0));
+        assert_eq!(nor.slot_for(GateKind::Nor, 1, 2), Some(1));
+        assert_eq!(nor.slot_for(GateKind::Inv, 1, 3), Some(1));
+        assert_eq!(nor.slot_for(GateKind::Nor, 2, 1), Some(2));
+        assert_eq!(nor.slot_for(GateKind::Nor, 2, 3), Some(3));
+        assert_eq!(nor.slot_for(GateKind::Nor, 3, 0), Some(2));
+        assert_eq!(nor.slot_for(GateKind::Nand, 2, 1), None);
+        assert_eq!(nor.slot_for(GateKind::Buf, 1, 1), None);
     }
 
     #[test]
@@ -2546,8 +2341,7 @@ mod tests {
         let ghost = c.find_net("ghost").unwrap();
         let mut stim = HashMap::new();
         stim.insert(c.find_net("a").unwrap(), rising_input());
-        let res =
-            simulate_sigmoid(&c, &stim, &models(0.05, 0.1, 0.2), TomOptions::default()).unwrap();
+        let res = simulate(&c, &stim, &models(0.05, 0.1, 0.2)).unwrap();
         assert_eq!(res.undriven(), &[ghost]);
         assert!(res.is_undriven(ghost));
         assert!(!res.is_undriven(c.find_net("y").unwrap()));

@@ -19,9 +19,9 @@ use std::path::PathBuf;
 
 use digilog::{apply_channel, PureDelay};
 use nanospice::{Engine, EngineConfig, Pwl, Stimulus};
-use sigchar::{build_analog, AnalogOptions, ChainGate, CharChain, DelayTable};
+use sigchar::{build_analog, AnalogOptions, ChainGate, CharChain, DelayTable, GateTag};
 use sigfit::{fit_waveform, FitOptions};
-use sigsim::{train_models_cached, PipelineConfig};
+use sigsim::{train_cell_library_cached, LibrarySpec, PipelineConfig};
 use sigtom::{predict_single_input, TomOptions};
 use sigwave::{write_vcd, DigitalTrace, Level, VcdSignal};
 
@@ -31,9 +31,10 @@ const STAGES: usize = 6;
 const VCD_WIDTH_PS: f64 = 8.0;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let cache = PathBuf::from("target/sigmodels/quickstart.json");
-    let trained = train_models_cached(&cache, &PipelineConfig::fast())?;
-    let models = trained.gate_models();
+    let cache = PathBuf::from("target/sigmodels/quickstart.nor-only.json");
+    let library =
+        train_cell_library_cached(&cache, &LibrarySpec::nor_only(), &PipelineConfig::fast())?;
+    let nor = library.model(GateTag::NorFo1).ok_or("no NOR/FO1 model")?;
     let delays = DelayTable::measure([1], &AnalogOptions::default(), &EngineConfig::default())?;
     let inertial = delays.lookup(1).to_inertial();
     let pure = PureDelay {
@@ -99,7 +100,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let mut sigmoid_survived = 0;
         for stage in 1..=STAGES {
             let initial = trace.initial().inverted();
-            trace = predict_single_input(&models.nor_fo1, &trace, initial, TomOptions::default());
+            trace = predict_single_input(&nor, &trace, initial, TomOptions::default());
             if dump_vcd {
                 vcd_signals.push(VcdSignal::sigmoid(
                     format!("sigmoid.stage{stage}"),

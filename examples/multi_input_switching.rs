@@ -11,14 +11,16 @@
 use std::path::PathBuf;
 
 use nanospice::{Engine, GateParams, NetworkBuilder, Pwl};
-use sigsim::{digital_to_sigmoid, train_models_cached, PipelineConfig};
+use sigchar::GateTag;
+use sigsim::{digital_to_sigmoid, train_cell_library_cached, LibrarySpec, PipelineConfig};
 use sigtom::{predict_nor, TomOptions};
 use sigwave::{DigitalTrace, Level};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let cache = PathBuf::from("target/sigmodels/quickstart.json");
-    let trained = train_models_cached(&cache, &PipelineConfig::fast())?;
-    let models = trained.gate_models();
+    let cache = PathBuf::from("target/sigmodels/quickstart.nor-only.json");
+    let library =
+        train_cell_library_cached(&cache, &LibrarySpec::nor_only(), &PipelineConfig::fast())?;
+    let nor = library.model(GateTag::NorFo1).ok_or("no NOR/FO1 model")?;
 
     println!("NOR2 with falling input A at 100 ps, falling input B skewed:");
     println!(
@@ -47,7 +49,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // --- sigmoid TOM -------------------------------------------------------
         let sa = digital_to_sigmoid(&ta, 0.8);
         let sb = digital_to_sigmoid(&tb, 0.8);
-        let prediction = predict_nor(&models.nor_fo1, &[&sa, &sb], TomOptions::default());
+        let prediction = predict_nor(&nor, &[&sa, &sb], TomOptions::default());
         let sigmoid_rise = prediction
             .transitions()
             .first()
@@ -66,7 +68,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let ta = DigitalTrace::new(Level::Low, vec![100e-12, 140e-12])?;
     let sa = digital_to_sigmoid(&ta, 0.8);
     let sb = sigwave::SigmoidTrace::constant(Level::High, 0.8);
-    let masked = predict_nor(&models.nor_fo1, &[&sa, &sb], TomOptions::default());
+    let masked = predict_nor(&nor, &[&sa, &sb], TomOptions::default());
     println!(
         "\nwith input B held high, the decision procedure ignores A: {} output transitions",
         masked.len()

@@ -17,21 +17,22 @@ use nanospice::EngineConfig;
 use sigchar::{AnalogOptions, DelayTable};
 use sigcircuit::Benchmark;
 use sigsim::{
-    compare_circuit, random_stimuli, train_models_cached, HarnessConfig, PipelineConfig,
-    StimulusSpec,
+    compare_circuit_cells, random_stimuli, train_cell_library_cached, HarnessConfig, LibrarySpec,
+    PipelineConfig, StimulusSpec,
 };
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- 1. Train (or load) the gate models --------------------------------
-    let cache = PathBuf::from("target/sigmodels/quickstart.json");
+    let cache = PathBuf::from("target/sigmodels/quickstart.nor-only.json");
     println!(
         "training/loading TOM gate models (cache: {})",
         cache.display()
     );
-    let trained = train_models_cached(&cache, &PipelineConfig::fast())?;
-    let models = trained.gate_models();
+    let library =
+        train_cell_library_cached(&cache, &LibrarySpec::nor_only(), &PipelineConfig::fast())?;
+    let cells = library.cell_models();
     for tag in ["INV", "NOR/FO1", "NOR/FO2"] {
-        if let Some(d) = trained.datasets.get(tag) {
+        if let Some(d) = library.datasets.get(tag) {
             println!("  {tag}: {} training samples", d.len());
         }
     }
@@ -51,10 +52,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     let mut rng = StdRng::seed_from_u64(2025);
     let stimuli = random_stimuli(&bench.nor_mapped, &StimulusSpec::fast(), &mut rng);
-    let outcome = compare_circuit(
+    let outcome = compare_circuit_cells(
         &bench.nor_mapped,
         &stimuli,
-        &models,
+        &cells,
         &delays,
         &HarnessConfig::default(),
     )?;

@@ -7,23 +7,29 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use nanospice::EngineConfig;
+use sigchar::GateTag;
 use sigchar::{AnalogOptions, DelayTable};
 use sigcircuit::Benchmark;
 use sigsim::{
-    compare_circuit, final_levels_agree, random_stimuli, train_models_cached, HarnessConfig,
-    PipelineConfig, SigmoidInputMode, StimulusSpec,
+    compare_circuit_cells, final_levels_agree, random_stimuli, train_cell_library_cached,
+    CellLibrary, HarnessConfig, LibrarySpec, PipelineConfig, SigmoidInputMode, StimulusSpec,
 };
 
-fn shared_models() -> sigsim::TrainedModels {
-    // All integration tests share one cached artifact to keep the suite fast.
-    let path = PathBuf::from("target/sigmodels/integration.json");
-    train_models_cached(&path, &PipelineConfig::fast()).expect("pipeline")
+/// All integration tests share one cached artifact to keep the suite fast.
+const SHARED_CACHE: &str = "target/sigmodels/integration.nor-only.json";
+
+fn shared_models() -> CellLibrary {
+    train_cell_library_cached(
+        &PathBuf::from(SHARED_CACHE),
+        &LibrarySpec::nor_only(),
+        &PipelineConfig::fast(),
+    )
+    .expect("pipeline")
 }
 
 #[test]
 fn pipeline_to_comparison_on_c17() {
-    let trained = shared_models();
-    let models = trained.gate_models();
+    let cells = shared_models().cell_models();
     let delays = DelayTable::measure(1..=4, &AnalogOptions::default(), &EngineConfig::default())
         .expect("delay extraction");
     let bench = Benchmark::by_name("c17").expect("benchmark");
@@ -33,10 +39,10 @@ fn pipeline_to_comparison_on_c17() {
         &StimulusSpec::new(60e-12, 25e-12, 8),
         &mut rng,
     );
-    let outcome = compare_circuit(
+    let outcome = compare_circuit_cells(
         &bench.nor_mapped,
         &stimuli,
-        &models,
+        &cells,
         &delays,
         &HarnessConfig::default(),
     )
@@ -65,8 +71,7 @@ fn pipeline_to_comparison_on_c17() {
 
 #[test]
 fn same_stimulus_mode_runs() {
-    let trained = shared_models();
-    let models = trained.gate_models();
+    let cells = shared_models().cell_models();
     let delays = DelayTable::measure(1..=4, &AnalogOptions::default(), &EngineConfig::default())
         .expect("delay extraction");
     let bench = Benchmark::by_name("c17").expect("benchmark");
@@ -80,7 +85,7 @@ fn same_stimulus_mode_runs() {
         sigmoid_inputs: SigmoidInputMode::SameAsDigital,
         ..HarnessConfig::default()
     };
-    let outcome = compare_circuit(&bench.nor_mapped, &stimuli, &models, &delays, &config)
+    let outcome = compare_circuit_cells(&bench.nor_mapped, &stimuli, &cells, &delays, &config)
         .expect("comparison");
     assert!(final_levels_agree(&outcome, 0.8));
 }
@@ -88,16 +93,18 @@ fn same_stimulus_mode_runs() {
 #[test]
 fn models_serialize_and_reload_identically() {
     let trained = shared_models();
-    let path = PathBuf::from("target/sigmodels/integration.json");
+    let path = PathBuf::from(SHARED_CACHE);
     assert!(path.exists(), "cache artifact must exist after training");
-    let reloaded = train_models_cached(&path, &PipelineConfig::fast()).expect("reload");
+    let reloaded =
+        train_cell_library_cached(&path, &LibrarySpec::nor_only(), &PipelineConfig::fast())
+            .expect("reload");
     let q = sigtom::TransferQuery {
         t: 1.2,
         a_in: -14.0,
         a_prev_out: 16.0,
     };
     assert_eq!(
-        trained.gate_models().nor_fo2.transfer.predict(q),
-        reloaded.gate_models().nor_fo2.transfer.predict(q),
+        trained.model(GateTag::NorFo2).unwrap().transfer.predict(q),
+        reloaded.model(GateTag::NorFo2).unwrap().transfer.predict(q),
     );
 }

@@ -15,13 +15,13 @@ use nanospice::EngineConfig;
 use sigchar::{AnalogOptions, DelayTable};
 use sigcircuit::Benchmark;
 use sigsim::{
-    compare_circuit, random_stimuli, train_models_cached, HarnessConfig, PipelineConfig,
-    StimulusSpec,
+    compare_circuit_cells, random_stimuli, train_cell_library_cached, CellModels, HarnessConfig,
+    LibrarySpec, PipelineConfig, StimulusSpec,
 };
 
 /// Shared fixture: decent (not CI-tiny) models, cached across tests.
-fn models_and_delays() -> (sigsim::GateModels, DelayTable) {
-    let path = PathBuf::from("target/sigmodels/claims.json");
+fn models_and_delays() -> (CellModels, DelayTable) {
+    let path = PathBuf::from("target/sigmodels/claims.nor-only.json");
     let config = PipelineConfig {
         characterization: sigchar::CharacterizationConfig {
             sweep: sigchar::PulseSweep {
@@ -35,15 +35,16 @@ fn models_and_delays() -> (sigsim::GateModels, DelayTable) {
         },
         ..PipelineConfig::default()
     };
-    let trained = train_models_cached(&path, &config).expect("pipeline");
+    let library =
+        train_cell_library_cached(&path, &LibrarySpec::nor_only(), &config).expect("pipeline");
     let delays = DelayTable::measure(1..=4, &AnalogOptions::default(), &EngineConfig::default())
         .expect("delays");
-    (trained.gate_models(), delays)
+    (library.cell_models(), delays)
 }
 
 fn mean_errors(
     spec: &StimulusSpec,
-    models: &sigsim::GateModels,
+    cells: &CellModels,
     delays: &DelayTable,
     runs: usize,
 ) -> (f64, f64, f64) {
@@ -54,10 +55,10 @@ fn mean_errors(
     for r in 0..runs {
         let mut rng = sigrepro::digital::rng(1000 + r as u64);
         let stimuli = random_stimuli(&bench.nor_mapped, spec, &mut rng);
-        let outcome = compare_circuit(
+        let outcome = compare_circuit_cells(
             &bench.nor_mapped,
             &stimuli,
-            models,
+            cells,
             delays,
             &HarnessConfig::default(),
         )
