@@ -32,47 +32,12 @@ impl GateDelays {
     }
 }
 
-/// Measures the rise/fall delay of a NOR gate driving `fanout` loads by
-/// simulating a two-target chain and timing the second target (the first
-/// shapes the edge realistically).
-///
-/// # Errors
-///
-/// Returns [`CharError`] if the analog run fails or the expected crossings
-/// are missing.
-pub fn measure_nor_delays(
-    fanout: usize,
-    analog_options: &AnalogOptions,
-    engine_config: &EngineConfig,
-) -> Result<GateDelays, CharError> {
-    measure_nor_delays_loaded(fanout, 1.0, analog_options, engine_config)
-}
-
-/// Like [`measure_nor_delays`] with the wire capacitance scaled by
-/// `load_multiplier` — the per-instance extraction a signoff flow performs
-/// for every gate's actual interconnect.
-///
-/// # Errors
-///
-/// Returns [`CharError`] if the analog run fails or the expected crossings
-/// are missing.
-pub fn measure_nor_delays_loaded(
-    fanout: usize,
-    load_multiplier: f64,
-    analog_options: &AnalogOptions,
-    engine_config: &EngineConfig,
-) -> Result<GateDelays, CharError> {
-    measure_gate_delays(
-        ChainGate::Nor,
-        fanout,
-        load_multiplier,
-        analog_options,
-        engine_config,
-    )
-}
-
-/// Measures the delays of any characterizable cell kind (inverter, NOR,
-/// NAND, AND, OR chains) at a given fan-out and interconnect load.
+/// Measures the rise/fall delays of any characterizable cell kind
+/// (inverter, NOR, NAND, AND, OR chains) driving `fanout` loads with the
+/// wire capacitance scaled by `load_multiplier` — the per-instance
+/// extraction a signoff flow performs for every gate's actual
+/// interconnect. Simulates a two-target chain and times the second
+/// target (the first shapes the edge realistically).
 ///
 /// # Errors
 ///
@@ -132,8 +97,8 @@ pub fn measure_gate_delays(
     Ok(GateDelays { rise, fall })
 }
 
-/// The two cell classes every table measures ([`DelayTable::measure`] /
-/// [`DelayTable::measure_grid`]): the paper's NOR-only prototype world.
+/// The two cell classes [`DelayTable::measure`] measures: the paper's
+/// NOR-only prototype world.
 pub const LEGACY_DELAY_CELLS: [ChainGate; 2] = [ChainGate::Nor, ChainGate::Inverter];
 
 /// All characterizable cell classes — what a native-library table
@@ -167,7 +132,8 @@ pub struct DelayTable {
 
 impl DelayTable {
     /// Builds the legacy-class table ([`LEGACY_DELAY_CELLS`]) for every
-    /// fan-out in `fanouts` at nominal load.
+    /// fan-out in `fanouts` at nominal load — the table the `nor-only`
+    /// cell set's digital baseline uses.
     ///
     /// # Errors
     ///
@@ -177,29 +143,10 @@ impl DelayTable {
         analog_options: &AnalogOptions,
         engine_config: &EngineConfig,
     ) -> Result<Self, CharError> {
-        Self::measure_grid(fanouts, &[1.0], analog_options, engine_config)
-    }
-
-    /// Builds the full (legacy cell class × fan-out × load multiplier)
-    /// grid.
-    ///
-    /// # Errors
-    ///
-    /// Propagates measurement errors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `multipliers` is empty.
-    pub fn measure_grid(
-        fanouts: impl IntoIterator<Item = usize>,
-        multipliers: &[f64],
-        analog_options: &AnalogOptions,
-        engine_config: &EngineConfig,
-    ) -> Result<Self, CharError> {
         Self::measure_cells(
             &LEGACY_DELAY_CELLS,
             fanouts,
-            multipliers,
+            &[1.0],
             analog_options,
             engine_config,
         )
@@ -246,58 +193,10 @@ impl DelayTable {
         Ok(Self { by_cell })
     }
 
-    /// Delays for a NOR gate driving `fanout` loads at nominal
-    /// interconnect.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the table is empty.
-    #[must_use]
-    pub fn lookup(&self, fanout: usize) -> GateDelays {
-        self.lookup_loaded(fanout, 1.0)
-    }
-
-    /// Nominal-load delays of an inverter (1-input NOR) at `fanout`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the table is empty.
-    #[must_use]
-    pub fn lookup_inverter(&self, fanout: usize) -> GateDelays {
-        self.lookup_cell(ChainGate::Inverter, fanout, 1.0)
-    }
-
-    /// Delays for a NOR gate driving `fanout` loads with its wire
-    /// capacitance scaled by `multiplier`; linearly interpolated (clamped)
-    /// between the measured multipliers. Unmeasured fan-outs fall back to
-    /// the largest measured one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the table is empty.
-    #[must_use]
-    pub fn lookup_loaded(&self, fanout: usize, multiplier: f64) -> GateDelays {
-        self.lookup_cell(ChainGate::Nor, fanout, multiplier)
-    }
-
-    /// The historical two-class lookup (`inverter` = 1-input NOR) — a
-    /// compatibility wrapper over [`DelayTable::lookup_cell`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the table is empty.
-    #[must_use]
-    pub fn lookup_gate(&self, inverter: bool, fanout: usize, multiplier: f64) -> GateDelays {
-        let cell = if inverter {
-            ChainGate::Inverter
-        } else {
-            ChainGate::Nor
-        };
-        self.lookup_cell(cell, fanout, multiplier)
-    }
-
     /// Full lookup: cell class, fan-out and load multiplier, with
-    /// interpolation and graceful fallback. Fallback order for a missing
+    /// interpolation and graceful fallback. The load multiplier is
+    /// linearly interpolated (clamped) between the measured
+    /// multipliers. Fallback order for a missing
     /// `(cell, fanout)` entry: the same class at its largest measured
     /// fan-out, then the NOR class (the legacy approximation for cells a
     /// table never measured), then the inverter class, then any entry.
@@ -368,7 +267,14 @@ mod tests {
 
     #[test]
     fn nor_delays_in_calibrated_range() {
-        let d = measure_nor_delays(1, &AnalogOptions::default(), &EngineConfig::default()).unwrap();
+        let d = measure_gate_delays(
+            ChainGate::Nor,
+            1,
+            1.0,
+            &AnalogOptions::default(),
+            &EngineConfig::default(),
+        )
+        .unwrap();
         assert!(d.rise > 0.5e-12 && d.rise < 40e-12, "rise {:.2e}", d.rise);
         assert!(d.fall > 0.5e-12 && d.fall < 40e-12, "fall {:.2e}", d.fall);
         // With the widened (pre-charged) pull-up stack the edges are
@@ -384,8 +290,8 @@ mod tests {
     fn higher_fanout_is_slower() {
         let cfg = EngineConfig::default();
         let opts = AnalogOptions::default();
-        let fo1 = measure_nor_delays(1, &opts, &cfg).unwrap();
-        let fo3 = measure_nor_delays(3, &opts, &cfg).unwrap();
+        let fo1 = measure_gate_delays(ChainGate::Nor, 1, 1.0, &opts, &cfg).unwrap();
+        let fo3 = measure_gate_delays(ChainGate::Nor, 3, 1.0, &opts, &cfg).unwrap();
         assert!(fo3.rise > fo1.rise, "{} vs {}", fo3.rise, fo1.rise);
         assert!(fo3.fall > fo1.fall);
     }
@@ -398,11 +304,11 @@ mod tests {
         // Two fan-outs x two gate kinds (NOR + inverter).
         assert_eq!(table.len(), 4);
         // Inverters are characterized separately from NOR gates.
-        let inv = table.lookup_inverter(1);
+        let inv = table.lookup_cell(ChainGate::Inverter, 1, 1.0);
         assert!(inv.rise > 0.5e-12 && inv.rise < 40e-12);
-        let d1 = table.lookup(1);
-        let d9 = table.lookup(9); // falls back to fan-out 2
-        let d2 = table.lookup(2);
+        let d1 = table.lookup_cell(ChainGate::Nor, 1, 1.0);
+        let d9 = table.lookup_cell(ChainGate::Nor, 9, 1.0); // falls back to fan-out 2
+        let d2 = table.lookup_cell(ChainGate::Nor, 2, 1.0);
         assert_eq!(d9, d2);
         assert!(d2.rise > d1.rise);
     }
@@ -430,27 +336,24 @@ mod tests {
             legacy.lookup_cell(ChainGate::Nor, 1, 1.0),
             "unmeasured classes fall back to the NOR class"
         );
-        assert_eq!(
-            legacy.lookup_gate(false, 1, 1.0),
-            legacy.lookup_cell(ChainGate::Nor, 1, 1.0),
-            "the historical two-class lookup is a wrapper"
-        );
     }
 
     #[test]
     fn loaded_grid_interpolates() {
         let cfg = EngineConfig::default();
         let opts = AnalogOptions::default();
-        let table = DelayTable::measure_grid([1], &[0.5, 1.0, 1.5], &opts, &cfg).unwrap();
-        let light = table.lookup_loaded(1, 0.5);
-        let nominal = table.lookup_loaded(1, 1.0);
-        let heavy = table.lookup_loaded(1, 1.5);
+        let table =
+            DelayTable::measure_cells(&LEGACY_DELAY_CELLS, [1], &[0.5, 1.0, 1.5], &opts, &cfg)
+                .unwrap();
+        let light = table.lookup_cell(ChainGate::Nor, 1, 0.5);
+        let nominal = table.lookup_cell(ChainGate::Nor, 1, 1.0);
+        let heavy = table.lookup_cell(ChainGate::Nor, 1, 1.5);
         assert!(light.fall < nominal.fall && nominal.fall < heavy.fall);
         // Interpolated point sits between the grid values.
-        let mid = table.lookup_loaded(1, 1.25);
+        let mid = table.lookup_cell(ChainGate::Nor, 1, 1.25);
         assert!(mid.fall > nominal.fall && mid.fall < heavy.fall);
         // Clamped outside the range.
-        assert_eq!(table.lookup_loaded(1, 0.1), light);
-        assert_eq!(table.lookup_loaded(1, 9.0), heavy);
+        assert_eq!(table.lookup_cell(ChainGate::Nor, 1, 0.1), light);
+        assert_eq!(table.lookup_cell(ChainGate::Nor, 1, 9.0), heavy);
     }
 }

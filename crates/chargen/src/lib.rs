@@ -16,10 +16,10 @@
 //!    delay)` into a [`Dataset`].
 //! 5. [`characterize`] drives the whole campaign for one [`GateTag`].
 //!
-//! [`DelayTable`]/[`measure_nor_delays`] additionally extract classic
-//! rise/fall delays per fan-out from the same substrate — the delays the
-//! digital ("ModelSim") baseline consumes, standing in for the paper's
-//! Genus/Innovus extraction.
+//! [`DelayTable`]/[`measure_gate_delays`] additionally extract classic
+//! rise/fall delays per cell class, fan-out and load from the same
+//! substrate — the delays the digital ("ModelSim") baseline consumes,
+//! standing in for the paper's Genus/Innovus extraction.
 //!
 //! [`build_analog`] is the shared gate-level → transistor-level translator,
 //! also used by the comparison harness for the benchmark circuits.
@@ -41,8 +41,7 @@ pub use analog::{
 pub use chain::{ChainGate, CharChain};
 pub use dataset::{Dataset, GateTag, TransferSample, DUMMY_SLOPE, T_FAR};
 pub use delays::{
-    measure_gate_delays, measure_nor_delays, measure_nor_delays_loaded, DelayTable, GateDelays,
-    LEGACY_DELAY_CELLS, NATIVE_DELAY_CELLS,
+    measure_gate_delays, DelayTable, GateDelays, LEGACY_DELAY_CELLS, NATIVE_DELAY_CELLS,
 };
 pub use extract::{
     extract_from_pair, extract_from_pair_cell, extract_from_traces, extract_from_traces_cell,

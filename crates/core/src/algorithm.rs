@@ -273,8 +273,8 @@ impl CellFunction {
 
 /// A planned cell prediction: the model-independent half of Algorithm 1,
 /// separated from the transfer-function evaluation so queries from many
-/// gates can be batched together. (Historically named `NorPlan`; the same
-/// plan now drives every library cell via [`plan_cell`].)
+/// gates can be batched together. The same plan drives every library
+/// cell via [`plan_cell`].
 ///
 /// Planning resolves everything that does **not** depend on predictions:
 /// the initial output level and the *relevant* input transitions (for a
@@ -295,8 +295,8 @@ impl CellFunction {
 /// 4. [`GatePlan::into_trace`] finalizes the output trace.
 ///
 /// [`apply_plan`] packages the single-gate loop; the one-shot
-/// [`predict_nor`]/[`predict_single_input`] wrappers are plan + apply and
-/// remain bit-identical to driving the plan any other way.
+/// [`predict_single_input`] wrapper is plan + apply and remains
+/// bit-identical to driving the plan any other way.
 #[derive(Debug)]
 pub struct GatePlan<'a> {
     /// The relevant input transitions, in arrival order: borrowed straight
@@ -307,10 +307,6 @@ pub struct GatePlan<'a> {
     cursor: usize,
     state: OutputState,
 }
-
-/// The historical name of [`GatePlan`], kept so pre-library call sites
-/// (and the paper-facing `plan_nor` vocabulary) keep compiling.
-pub type NorPlan<'a> = GatePlan<'a>;
 
 impl GatePlan<'_> {
     /// Number of relevant input transitions still awaiting a prediction.
@@ -388,19 +384,6 @@ pub fn plan_single_input(
         cursor: 0,
         state: OutputState::new(initial_output, options),
     }
-}
-
-/// Plans a multi-input NOR prediction (Sec. III: "Algorithm 1 can be
-/// performed with input I1 as the relevant one as long as input
-/// I2 = GND"). Thin wrapper over [`plan_cell`] with
-/// [`CellFunction::Nor`].
-///
-/// # Panics
-///
-/// Panics if `inputs` is empty.
-#[must_use]
-pub fn plan_nor<'a>(inputs: &[&'a SigmoidTrace], options: TomOptions) -> GatePlan<'a> {
-    plan_cell(CellFunction::Nor, inputs, options)
 }
 
 /// The circuit-dependent half of planning one cell: everything
@@ -575,12 +558,6 @@ pub fn apply_plan(mut plan: GatePlan<'_>, model: &GateModel) -> SigmoidTrace {
     plan.into_trace()
 }
 
-/// The historical name of [`apply_plan`].
-#[must_use]
-pub fn apply_nor(plan: GatePlan<'_>, model: &GateModel) -> SigmoidTrace {
-    apply_plan(plan, model)
-}
-
 /// Exact bit-level equality of two sigmoid traces: same initial level,
 /// same `vdd` bit pattern, and the same transition list compared by the
 /// `a`/`b` bit patterns. Stricter than `PartialEq`, which follows IEEE
@@ -601,7 +578,7 @@ pub fn traces_bit_identical(a: &SigmoidTrace, b: &SigmoidTrace) -> bool {
 
 /// Algorithm 1: predicts the output sigmoid trace of a single-input
 /// inverting gate (inverter, or NOR with all other inputs low). Thin
-/// wrapper over [`plan_single_input`] + [`apply_nor`].
+/// wrapper over [`plan_single_input`] + [`apply_plan`].
 ///
 /// `initial_output` is the gate's settled output level before the first
 /// input transition; for an inverter it is the inverse of the input's
@@ -613,27 +590,7 @@ pub fn predict_single_input(
     initial_output: Level,
     options: TomOptions,
 ) -> SigmoidTrace {
-    apply_nor(plan_single_input(input, initial_output, options), model)
-}
-
-/// Multi-input NOR prediction: one Algorithm-1 instance per input plus the
-/// decision procedure selecting the currently relevant input. Thin wrapper
-/// over [`plan_nor`] + [`apply_nor`].
-///
-/// A transition on input `i` is relevant iff every *other* input is low at
-/// that moment (otherwise the NOR output is held low by the other input
-/// and nothing happens at the output).
-///
-/// # Panics
-///
-/// Panics if `inputs` is empty.
-#[must_use]
-pub fn predict_nor(
-    model: &GateModel,
-    inputs: &[&SigmoidTrace],
-    options: TomOptions,
-) -> SigmoidTrace {
-    apply_nor(plan_nor(inputs, options), model)
+    apply_plan(plan_single_input(input, initial_output, options), model)
 }
 
 #[cfg(test)]
@@ -777,7 +734,10 @@ mod tests {
             Level::Low,
         );
         let i2 = SigmoidTrace::constant(Level::Low, VDD_DEFAULT);
-        let out = predict_nor(&model(0.05), &[&i1, &i2], TomOptions::default());
+        let out = apply_plan(
+            plan_cell(CellFunction::Nor, &[&i1, &i2], TomOptions::default()),
+            &model(0.05),
+        );
         assert_eq!(out.initial(), Level::High);
         assert_eq!(out.len(), 2);
     }
@@ -791,7 +751,10 @@ mod tests {
             Level::Low,
         );
         let i2 = SigmoidTrace::constant(Level::High, VDD_DEFAULT);
-        let out = predict_nor(&model(0.05), &[&i1, &i2], TomOptions::default());
+        let out = apply_plan(
+            plan_cell(CellFunction::Nor, &[&i1, &i2], TomOptions::default()),
+            &model(0.05),
+        );
         assert_eq!(out.initial(), Level::Low);
         assert!(out.is_empty());
     }
@@ -809,7 +772,10 @@ mod tests {
             vec![Sigmoid::rising(15.0, 2.0), Sigmoid::falling(15.0, 4.0)],
             Level::Low,
         );
-        let out = predict_nor(&model(0.05), &[&i1, &i2], TomOptions::default());
+        let out = apply_plan(
+            plan_cell(CellFunction::Nor, &[&i1, &i2], TomOptions::default()),
+            &model(0.05),
+        );
         assert_eq!(out.initial(), Level::High);
         assert_eq!(out.len(), 2, "{:?}", out.transitions());
         assert!(!out.transitions()[0].is_rising());
@@ -830,7 +796,10 @@ mod tests {
             Level::Low,
         );
         let i3 = SigmoidTrace::constant(Level::Low, VDD_DEFAULT);
-        let out = predict_nor(&model(0.05), &[&i1, &i2, &i3], TomOptions::default());
+        let out = apply_plan(
+            plan_cell(CellFunction::Nor, &[&i1, &i2, &i3], TomOptions::default()),
+            &model(0.05),
+        );
         // I1 rise at 1.0 -> out falls; I2 pulse 2..3 is masked by I1 high;
         // I1 fall at 5.0 -> out rises.
         assert_eq!(out.len(), 2, "{:?}", out.transitions());
@@ -843,9 +812,15 @@ mod tests {
         // Any input initially high -> output initially low.
         let hi = SigmoidTrace::constant(Level::High, VDD_DEFAULT);
         let lo = SigmoidTrace::constant(Level::Low, VDD_DEFAULT);
-        let out = predict_nor(&model(0.05), &[&hi, &lo], TomOptions::default());
+        let out = apply_plan(
+            plan_cell(CellFunction::Nor, &[&hi, &lo], TomOptions::default()),
+            &model(0.05),
+        );
         assert_eq!(out.initial(), Level::Low);
-        let out = predict_nor(&model(0.05), &[&lo, &lo], TomOptions::default());
+        let out = apply_plan(
+            plan_cell(CellFunction::Nor, &[&lo, &lo], TomOptions::default()),
+            &model(0.05),
+        );
         assert_eq!(out.initial(), Level::High);
     }
 
@@ -958,22 +933,6 @@ mod tests {
     }
 
     #[test]
-    fn plan_nor_is_plan_cell_nor() {
-        let i1 = trace(
-            vec![Sigmoid::rising(15.0, 1.0), Sigmoid::falling(15.0, 2.2)],
-            Level::Low,
-        );
-        let i2 = trace(vec![Sigmoid::rising(15.0, 1.8)], Level::Low);
-        let opts = TomOptions::default();
-        let a = apply_plan(plan_nor(&[&i1, &i2], opts), &model(0.05));
-        let b = apply_plan(
-            plan_cell(CellFunction::Nor, &[&i1, &i2], opts),
-            &model(0.05),
-        );
-        assert_eq!(a, b);
-    }
-
-    #[test]
     #[should_panic(expected = "exactly one input")]
     fn multi_input_inverter_rejected() {
         let i1 = trace(vec![Sigmoid::rising(15.0, 1.0)], Level::Low);
@@ -983,8 +942,8 @@ mod tests {
 
     #[test]
     fn plan_apply_matches_one_shot_prediction() {
-        // Drive a plan manually (as the levelized simulator does) and
-        // through apply_nor: both must equal the one-shot wrapper exactly.
+        // Drive a plan manually through the batch entry point (as the
+        // levelized simulator does): it must equal apply_plan exactly.
         let m = model(0.07);
         let i1 = trace(
             vec![
@@ -1000,9 +959,9 @@ mod tests {
             Level::Low,
         );
         let opts = TomOptions::default();
-        let one_shot = predict_nor(&m, &[&i1, &i2], opts);
+        let one_shot = apply_plan(plan_cell(CellFunction::Nor, &[&i1, &i2], opts), &m);
 
-        let mut plan = plan_nor(&[&i1, &i2], opts);
+        let mut plan = plan_cell(CellFunction::Nor, &[&i1, &i2], opts);
         let mut queries_seen = 0;
         let mut batch = Vec::new();
         while let Some(q) = plan.next_query() {
@@ -1015,9 +974,6 @@ mod tests {
         assert!(queries_seen >= 2, "multi-transition plan expected");
         assert_eq!(plan.pending(), 0);
         assert_eq!(plan.into_trace(), one_shot);
-
-        let via_apply = apply_nor(plan_nor(&[&i1, &i2], opts), &m);
-        assert_eq!(via_apply, one_shot);
     }
 
     #[test]
@@ -1029,7 +985,7 @@ mod tests {
             Level::Low,
         );
         let i2 = SigmoidTrace::constant(Level::High, VDD_DEFAULT);
-        let plan = plan_nor(&[&i1, &i2], TomOptions::default());
+        let plan = plan_cell(CellFunction::Nor, &[&i1, &i2], TomOptions::default());
         assert_eq!(plan.pending(), 0);
         assert!(plan.next_query().is_none());
         let out = plan.into_trace();

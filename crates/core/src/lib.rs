@@ -19,8 +19,6 @@
 //!   trained domain with projection (Sec. IV-B).
 //! * [`predict_single_input`] — Algorithm 1, including sub-threshold pulse
 //!   removal and transition cancellation (Sec. III).
-//! * [`predict_nor`] — the multi-input decision procedure reducing a NOR
-//!   gate to per-input single-input predictions.
 //! * [`plan_cell`]/[`GatePlan`]/[`apply_plan`] — the plan → apply split of
 //!   Algorithm 1, generalized to every library cell ([`CellFunction`]:
 //!   INV/BUF/NOR/OR/NAND/AND): planning resolves the relevant input
@@ -29,8 +27,9 @@
 //!   level-scheduled simulator batch the pending queries of many gates
 //!   through one [`TransferFunction::predict_batch`] call per model
 //!   (bit-identical to the scalar loop; see `docs/architecture.md`).
-//!   [`plan_nor`]/[`NorPlan`]/[`apply_nor`] remain as the NOR-only
-//!   vocabulary of the original prototype.
+//!   `plan_cell(CellFunction::Nor, ..)` is the paper's multi-input
+//!   decision procedure, reducing a NOR gate to per-input single-input
+//!   predictions.
 //! * [`PlanTemplate`] — the compile/execute split of planning: the
 //!   circuit-only half (cell function, arity, masking/pass level) is
 //!   resolved once per gate, and [`PlanTemplate::bind`] instantiates the
@@ -75,9 +74,8 @@ mod region;
 mod transfer;
 
 pub use algorithm::{
-    apply_nor, apply_plan, plan_cell, plan_nor, plan_single_input, predict_nor,
-    predict_single_input, traces_bit_identical, CellFunction, GateModel, GatePlan, NorPlan,
-    PlanScratch, PlanTemplate, TomOptions,
+    apply_plan, plan_cell, plan_single_input, predict_single_input, traces_bit_identical,
+    CellFunction, GateModel, GatePlan, PlanScratch, PlanTemplate, TomOptions,
 };
 pub use ann::{AnnTrainConfig, AnnTransfer, TrainTransferError};
 pub use baselines::{LutTransfer, PolyTransfer};

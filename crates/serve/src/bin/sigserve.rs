@@ -4,20 +4,15 @@
 //! ```text
 //! sigserve [--addr 127.0.0.1:4715 | --stdio]
 //!          [--workers N] [--queue N] [--cache N] [--sessions N]
-//!          [--models-dir PATH] [--max-frame BYTES]
-//!          [--transport epoll|blocking] [--io-threads N]
+//!          [--models-dir PATH] [--max-frame BYTES] [--io-threads N]
 //!          [--max-inflight N] [--admission N]
 //!          [--preload NAME[/LIBRARY][,NAME...]] [--trace PATH]
 //! ```
 //!
-//! The default TCP transport is the epoll readiness loop (pipelined
-//! requests, in-order responses, admission control; `--io-threads`
-//! reactors). `--transport blocking` selects the original
-//! thread-per-connection transport — the baseline the saturation rows
-//! in `BENCH_service.json` are measured against. `--max-inflight`
-//! bounds the per-connection pipelining window and `--admission` the
-//! daemon-wide heavy requests in flight; both only affect the epoll
-//! transport.
+//! TCP is served by the epoll readiness loop (pipelined requests,
+//! in-order responses, admission control; `--io-threads` reactors).
+//! `--max-inflight` bounds the per-connection pipelining window and
+//! `--admission` the daemon-wide heavy requests in flight.
 //!
 //! `--trace PATH` forces `SIG_OBS=trace` (span journaling on) and writes
 //! whatever the journal still holds at exit as a Chrome trace-event JSON
@@ -36,14 +31,14 @@
 
 use std::net::TcpListener;
 
-use sigserve::{serve_stdio, serve_tcp, serve_tcp_blocking, Service, ServiceConfig};
+use sigserve::{serve_stdio, serve_tcp, Service, ServiceConfig};
 
 fn usage() -> ! {
     eprintln!(
         "usage: sigserve [--addr HOST:PORT | --stdio] [--workers N] [--queue N] \
          [--cache N] [--sessions N] [--models-dir PATH] [--max-frame BYTES] \
-         [--transport epoll|blocking] [--io-threads N] [--max-inflight N] \
-         [--admission N] [--preload NAME,...] [--trace PATH]"
+         [--io-threads N] [--max-inflight N] [--admission N] \
+         [--preload NAME,...] [--trace PATH]"
     );
     std::process::exit(2);
 }
@@ -52,7 +47,6 @@ fn main() {
     let mut config = ServiceConfig::default();
     let mut addr = "127.0.0.1:4715".to_string();
     let mut stdio = false;
-    let mut blocking = false;
     let mut preload: Vec<String> = Vec::new();
     let mut trace: Option<std::path::PathBuf> = None;
 
@@ -70,11 +64,6 @@ fn main() {
             "--io-threads" => config.io_threads = parse(args.parse()),
             "--max-inflight" => config.max_inflight = parse(args.parse()),
             "--admission" => config.admission_budget = parse(args.parse()),
-            "--transport" => match require(args.value()).as_str() {
-                "epoll" => blocking = false,
-                "blocking" => blocking = true,
-                _ => usage(),
-            },
             "--models-dir" => config.models_dir = require(args.value()).into(),
             "--trace" => trace = Some(require(args.value()).into()),
             "--preload" => {
@@ -116,12 +105,7 @@ fn main() {
             }
         };
         eprintln!("sigserve: listening on {addr}");
-        let served = if blocking {
-            serve_tcp_blocking(&service, listener)
-        } else {
-            serve_tcp(&service, listener)
-        };
-        if let Err(e) = served {
+        if let Err(e) = serve_tcp(&service, listener) {
             eprintln!("sigserve: accept loop failed: {e}");
             std::process::exit(1);
         }

@@ -18,8 +18,9 @@
 //!   newline-delimited JSON ([`protocol`]), run concurrently, and stream
 //!   back per-request results with ids, explicit `overloaded`
 //!   backpressure, and drain-on-shutdown,
-//! * [`server`] — TCP (`std::net`) and stdio transports; the `sigserve`
-//!   daemon and `sigctl` client binaries wrap them.
+//! * [`server`] — the TCP transport (the epoll multiplexer of [`mux`],
+//!   which also carries the shard router of [`router`]) and stdio; the
+//!   `sigserve` daemon and `sigctl` client binaries wrap them.
 //!
 //! The service is a **scheduling layer, never a numerics layer**:
 //! responses are bit-identical to direct [`sigsim::compare_circuit_cells`]
@@ -52,7 +53,7 @@ pub use protocol::{
     StatsReply, MAX_FRAME_BYTES,
 };
 pub use registry::{DelaySource, ModelRegistry, ModelSet, RegistryError};
-pub use server::{run_connection, serve_stdio, serve_tcp, serve_tcp_blocking};
+pub use server::{run_connection, serve_stdio, serve_tcp};
 pub use service::{run_sim, run_sim_edited, Handled, Service, ServiceConfig};
 pub use session::SessionTable;
 

@@ -4,23 +4,27 @@
 //! strict in-order response write-back, and two layers of explicit
 //! backpressure.
 //!
+//! It serves any [`Backend`]: the daemon's [`crate::Service`] and the
+//! shard router of [`crate::router`].
+//!
 //! # Shape
 //!
 //! Each reactor owns a [`crate::reactor::Poller`], a wake channel, and
 //! the connections assigned to it. Reactor 0 additionally owns the
 //! listener; accepted sockets are handed out round-robin. A connection
-//! is a non-blocking socket, a [`FrameReader`] over its read side, an
-//! output byte buffer, and two sequence cursors:
+//! is a non-blocking socket, a [`FrameReader`] over its read side, the
+//! backend's per-connection state, an output byte buffer, and two
+//! sequence cursors:
 //!
 //! * `next_seq` — assigned to each frame as it is dispatched,
 //! * `next_write` — the next sequence whose response may be written.
 //!
-//! Workers (and inline handlers) never touch the socket: a request's
-//! responder encodes the response and deposits the line under its
-//! sequence number in the connection's completion map, then wakes the
-//! owning reactor. The reactor drains completions **in sequence order**
-//! into the output buffer, so pipelined responses always come back in
-//! request order no matter how the pool interleaves execution.
+//! Workers (and inline handlers) never touch the socket: a frame's
+//! [`Responder`] deposits the encoded line under its sequence number in
+//! the connection's completion map, then wakes the owning reactor. The
+//! reactor drains completions **in sequence order** into the output
+//! buffer, so pipelined responses always come back in request order no
+//! matter how the backend interleaves execution.
 //!
 //! # Backpressure and admission control
 //!
@@ -45,19 +49,18 @@ use std::collections::HashMap;
 use std::io::{BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
 use crate::protocol::{
     decode_request, encode_response, salvage_id, ErrorKind, FrameReader, Request, Response,
 };
 use crate::reactor::{wake_channel, Event, Interest, Poller, WakeReceiver, Waker};
-use crate::service::{Handled, Service};
-use crate::session::SessionTable;
+use crate::service::{Handled, ServiceConfig};
 
-/// Wire-edge phases on the reactor/worker threads; same span names as
-/// the blocking transport so traces and the `stats` quantiles read the
+/// Wire-edge phases on the reactor/worker threads; the same span names
+/// as the stdio transport, so traces and the `stats` quantiles read the
 /// same regardless of transport.
 static DECODE: sigobs::Hist = sigobs::Hist::new("serve.decode");
 static ENCODE: sigobs::Hist = sigobs::Hist::new("serve.encode");
@@ -69,6 +72,49 @@ const TOKEN_CONN_BASE: u64 = 2;
 /// Pending-output high-water mark per connection: past it the reactor
 /// stops reading the socket until responses flush.
 const OUT_HIGH_WATER: usize = 1 << 20;
+
+/// What the mux serves: it answers each decoded frame through the
+/// frame's [`Responder`], inline or later from any thread.
+pub trait Backend: Send + Sync + 'static {
+    /// Per-connection state, opened on accept and dropped on close.
+    type Conn: Send + 'static;
+
+    /// The transport limits: the mux reads `max_frame`, `io_threads`,
+    /// `max_inflight` and `admission_budget`.
+    fn config(&self) -> &ServiceConfig;
+
+    /// The transport counters the mux maintains for this backend.
+    fn counters(&self) -> &TransportCounters;
+
+    /// Opens the state of a newly accepted connection.
+    fn connect(self: &Arc<Self>) -> Self::Conn;
+
+    /// Handles one decoded frame; `line` is the frame as read.
+    /// [`Handled::Shutdown`] stops the mux.
+    fn dispatch(
+        self: &Arc<Self>,
+        conn: &mut Self::Conn,
+        line: &str,
+        request: Request,
+        responder: Responder,
+    ) -> Handled;
+
+    /// Blocks until every dispatched frame has been answered.
+    fn drain(&self);
+}
+
+/// Transport counters, maintained by the mux.
+#[derive(Debug, Default)]
+pub struct TransportCounters {
+    /// Gauge: connections currently open.
+    pub connections_open: AtomicU64,
+    /// Frames read while their connection had a request in flight.
+    pub frames_pipelined: AtomicU64,
+    /// Heavy frames refused by the admission budget.
+    pub admission_rejects: AtomicU64,
+    /// Times `epoll_wait` returned: an idle mux must not tick.
+    pub reactor_wakeups: AtomicU64,
+}
 
 /// State a connection shares with its in-flight responders.
 struct ConnShared {
@@ -95,10 +141,9 @@ struct ReactorHandle {
 
 /// State shared by all reactors and responders.
 struct MuxShared {
-    service: Arc<Service>,
-    /// Daemon-wide shutdown flag (a `shutdown` frame on any connection).
+    /// Mux-wide shutdown flag (a `shutdown` frame on any connection).
     stop: AtomicBool,
-    /// Heavy requests admitted and not yet answered, daemon-wide.
+    /// Heavy requests admitted and not yet answered, mux-wide.
     admission: AtomicUsize,
     /// Round-robin cursor for assigning accepted sockets to reactors.
     next_reactor: AtomicUsize,
@@ -113,57 +158,84 @@ impl MuxShared {
     }
 }
 
-/// Deposits one encoded response line and nudges the owning reactor.
-fn deposit(shared: &MuxShared, conn: &ConnShared, seq: u64, line: String) {
-    if conn.dead.load(Ordering::Acquire) {
-        return;
-    }
-    conn.completions
-        .lock()
-        .expect("completions poisoned")
-        .insert(seq, line);
-    let handle = &shared.reactors[conn.reactor];
-    if !conn.queued.swap(true, Ordering::AcqRel) {
-        handle
-            .dirty
-            .lock()
-            .expect("dirty list poisoned")
-            .push(conn.token);
-    }
-    handle.waker.wake();
-}
-
-/// Builds the responder for one dispatched frame: encodes, releases the
-/// admission slot, and deposits at the frame's sequence.
-fn responder(
+/// The one answer owed to a dispatched frame: it deposits the line at
+/// the frame's sequence number and releases its admission slot, once.
+/// Dropped unanswered (say, by a job that panicked), it answers
+/// `internal`, so later responses never stall and no slot leaks.
+pub struct Responder {
     shared: Arc<MuxShared>,
     conn: Arc<ConnShared>,
     seq: u64,
+    id: Option<u64>,
     admitted: bool,
-) -> impl Fn(Response) + Send + Sync + 'static {
-    let armed = AtomicBool::new(true);
-    move |response| {
-        // The service responds exactly once per request; the guard makes
-        // the admission release idempotent regardless.
-        if !armed.swap(false, Ordering::AcqRel) {
+    answered: AtomicBool,
+}
+
+impl Responder {
+    /// The id of the request this responder answers.
+    #[must_use]
+    pub fn id(&self) -> Option<u64> {
+        self.id
+    }
+
+    /// Answers with `response`.
+    pub fn respond(&self, response: &Response) {
+        let sw = sigobs::stopwatch();
+        let line = encode_response(response);
+        sw.observe_span(&ENCODE, "serve.encode");
+        self.respond_line(line);
+    }
+
+    /// Answers with an encoded response line (no trailing newline),
+    /// passed through byte for byte.
+    pub fn respond_line(&self, line: String) {
+        if self.answered.swap(true, Ordering::AcqRel) {
             return;
         }
-        if admitted {
-            shared.admission.fetch_sub(1, Ordering::AcqRel);
+        if self.admitted {
+            self.shared.admission.fetch_sub(1, Ordering::AcqRel);
         }
-        let sw = sigobs::stopwatch();
-        let line = encode_response(&response);
-        sw.observe_span(&ENCODE, "serve.encode");
-        deposit(&shared, &conn, seq, line);
+        let conn = &self.conn;
+        if conn.dead.load(Ordering::Acquire) {
+            return;
+        }
+        // Runs from `Drop` too, so it must not panic: one insert or push
+        // under each lock leaves the data valid even after a panic.
+        conn.completions
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .insert(self.seq, line);
+        let handle = &self.shared.reactors[conn.reactor];
+        if !conn.queued.swap(true, Ordering::AcqRel) {
+            handle
+                .dirty
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .push(conn.token);
+        }
+        handle.waker.wake();
+    }
+}
+
+impl Drop for Responder {
+    fn drop(&mut self) {
+        if !*self.answered.get_mut() {
+            self.respond(&Response::Error {
+                id: self.id,
+                kind: ErrorKind::Internal,
+                message: "the request failed without an answer".to_string(),
+            });
+        }
     }
 }
 
 /// One multiplexed connection, owned by its reactor thread.
-struct Conn {
+struct Conn<S> {
     stream: TcpStream,
     frames: FrameReader<BufReader<TcpStream>>,
     shared: Arc<ConnShared>,
-    sessions: Arc<SessionTable>,
+    /// The backend's per-connection state.
+    state: S,
     /// Pending output bytes; `out[out_pos..]` is unwritten.
     out: Vec<u8>,
     out_pos: usize,
@@ -171,7 +243,7 @@ struct Conn {
     next_seq: u64,
     /// Sequence whose response is written next.
     next_write: u64,
-    /// Stop reading: EOF, read failure, or daemon shutdown.
+    /// Stop reading: EOF, read failure, or mux shutdown.
     eof: bool,
     /// Write side failed; the connection is torn down at next settle.
     broken: bool,
@@ -179,7 +251,7 @@ struct Conn {
     interest: Interest,
 }
 
-impl Conn {
+impl<S> Conn<S> {
     fn inflight(&self) -> u64 {
         self.next_seq - self.next_write
     }
@@ -190,6 +262,20 @@ impl Conn {
 
     fn paused(&self, max_inflight: usize) -> bool {
         self.inflight() >= max_inflight as u64 || self.pending_out() >= OUT_HIGH_WATER
+    }
+
+    /// The responder of the next frame, at the next sequence number.
+    fn responder(&mut self, shared: &Arc<MuxShared>, id: Option<u64>, admitted: bool) -> Responder {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        Responder {
+            shared: Arc::clone(shared),
+            conn: Arc::clone(&self.shared),
+            seq,
+            id,
+            admitted,
+            answered: AtomicBool::new(false),
+        }
     }
 
     /// Moves every response whose turn has come from the completion map
@@ -214,17 +300,18 @@ impl Conn {
     }
 }
 
-struct Reactor {
+struct Reactor<B: Backend> {
+    backend: Arc<B>,
     shared: Arc<MuxShared>,
     idx: usize,
     poller: Poller,
     wake_rx: WakeReceiver,
     listener: Option<TcpListener>,
-    conns: HashMap<u64, Conn>,
+    conns: HashMap<u64, Conn<B::Conn>>,
     next_token: u64,
 }
 
-impl Reactor {
+impl<B: Backend> Reactor<B> {
     fn run(mut self) {
         let mut events: Vec<Event> = Vec::new();
         loop {
@@ -232,9 +319,9 @@ impl Reactor {
             if self.poller.wait(&mut events, None).is_err() {
                 break;
             }
-            self.shared
-                .service
-                .reactor_wakeups()
+            self.backend
+                .counters()
+                .reactor_wakeups
                 .fetch_add(1, Ordering::Relaxed);
             for &ev in &events {
                 match ev.token {
@@ -322,7 +409,7 @@ impl Reactor {
             return;
         }
         self.next_token += 1;
-        let max_frame = self.shared.service.config().max_frame;
+        let max_frame = self.backend.config().max_frame;
         let conn = Conn {
             frames: FrameReader::new(BufReader::new(read_half), max_frame),
             stream,
@@ -333,7 +420,7 @@ impl Reactor {
                 queued: AtomicBool::new(false),
                 completions: Mutex::new(HashMap::new()),
             }),
-            sessions: SessionTable::new(Arc::clone(&self.shared.service)),
+            state: self.backend.connect(),
             out: Vec::new(),
             out_pos: 0,
             next_seq: 0,
@@ -343,9 +430,9 @@ impl Reactor {
             interest: Interest::READ,
         };
         self.conns.insert(token, conn);
-        self.shared
-            .service
-            .connections_gauge()
+        self.backend
+            .counters()
+            .connections_open
             .fetch_add(1, Ordering::SeqCst);
     }
 
@@ -374,9 +461,9 @@ impl Reactor {
     /// connection pauses (backpressure), ends, or the daemon stops.
     fn read_dispatch(&mut self, token: u64) {
         let shared = Arc::clone(&self.shared);
-        let service = Arc::clone(&shared.service);
-        let max_inflight = service.config().max_inflight.max(1);
-        let admission_budget = service.config().admission_budget.max(1);
+        let backend = Arc::clone(&self.backend);
+        let max_inflight = backend.config().max_inflight.max(1);
+        let admission_budget = backend.config().admission_budget.max(1);
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
@@ -416,14 +503,8 @@ impl Reactor {
                 Err(e) => {
                     // Per-frame protocol violation: answers in order like
                     // any other request.
-                    let seq = conn.next_seq;
-                    conn.next_seq += 1;
-                    deposit(
-                        &shared,
-                        &conn.shared,
-                        seq,
-                        encode_response(&e.to_response(None)),
-                    );
+                    conn.responder(&shared, None, false)
+                        .respond(&e.to_response(None));
                     continue;
                 }
             };
@@ -435,52 +516,42 @@ impl Reactor {
                 Ok(r) => r,
                 Err(e) => {
                     sw.observe_span(&DECODE, "serve.decode");
-                    let seq = conn.next_seq;
-                    conn.next_seq += 1;
-                    deposit(
-                        &shared,
-                        &conn.shared,
-                        seq,
-                        encode_response(&e.to_response(salvage_id(&line))),
-                    );
+                    conn.responder(&shared, None, false)
+                        .respond(&e.to_response(salvage_id(&line)));
                     continue;
                 }
             };
             sw.observe_span(&DECODE, "serve.decode");
             if conn.inflight() >= 1 {
-                service.note_pipelined();
+                backend
+                    .counters()
+                    .frames_pipelined
+                    .fetch_add(1, Ordering::Relaxed);
             }
-            let seq = conn.next_seq;
-            conn.next_seq += 1;
-            let heavy_id = match &request {
-                Request::Sim { id, .. }
-                | Request::SimBatch { id, .. }
-                | Request::SessionOpen { id, .. }
-                | Request::SessionDelta { id, .. } => Some(*id),
-                _ => None,
-            };
-            let admitted = if let Some(id) = heavy_id {
-                if shared.admission.fetch_add(1, Ordering::AcqRel) >= admission_budget {
-                    shared.admission.fetch_sub(1, Ordering::AcqRel);
-                    service.note_admission_reject();
-                    deposit(
-                        &shared,
-                        &conn.shared,
-                        seq,
-                        encode_response(&Response::Error {
-                            id: Some(id),
-                            kind: ErrorKind::Overloaded,
-                            message: "admission budget exhausted".to_string(),
-                        }),
-                    );
-                    continue;
-                }
-                true
-            } else {
-                false
-            };
-            let respond = responder(Arc::clone(&shared), Arc::clone(&conn.shared), seq, admitted);
-            let handled = service.handle_connection_request(request, Some(&conn.sessions), respond);
+            let id = request.id();
+            let heavy = matches!(
+                request,
+                Request::Sim { .. }
+                    | Request::SimBatch { .. }
+                    | Request::SessionOpen { .. }
+                    | Request::SessionDelta { .. }
+            );
+            if heavy && shared.admission.fetch_add(1, Ordering::AcqRel) >= admission_budget {
+                shared.admission.fetch_sub(1, Ordering::AcqRel);
+                backend
+                    .counters()
+                    .admission_rejects
+                    .fetch_add(1, Ordering::Relaxed);
+                conn.responder(&shared, None, false)
+                    .respond(&Response::Error {
+                        id: Some(id),
+                        kind: ErrorKind::Overloaded,
+                        message: "admission budget exhausted".to_string(),
+                    });
+                continue;
+            }
+            let responder = conn.responder(&shared, Some(id), heavy);
+            let handled = backend.dispatch(&mut conn.state, &line, request, responder);
             if handled == Handled::Shutdown {
                 shared.stop.store(true, Ordering::SeqCst);
                 shared.wake_all();
@@ -523,7 +594,7 @@ impl Reactor {
     /// Per-connection epilogue after any activity: closes finished
     /// connections, otherwise reconciles epoll interest with state.
     fn settle(&mut self, token: u64) {
-        let max_inflight = self.shared.service.config().max_inflight.max(1);
+        let max_inflight = self.backend.config().max_inflight.max(1);
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
@@ -552,13 +623,14 @@ impl Reactor {
     fn close_conn(&mut self, token: u64) {
         if let Some(conn) = self.conns.remove(&token) {
             conn.shared.dead.store(true, Ordering::Release);
-            self.shared
-                .service
-                .connections_gauge()
+            self.backend
+                .counters()
+                .connections_open
                 .fetch_sub(1, Ordering::SeqCst);
             // Dropping the streams closes the socket and (as the last
             // fds on the description) drops the epoll registration;
-            // dropping `sessions` releases the connection's sessions.
+            // dropping `state` releases the connection's sessions or
+            // upstreams.
         }
     }
 
@@ -566,7 +638,7 @@ impl Reactor {
     /// output buffers, an opportunistic flush, and a read resume when
     /// the flush lifted a backpressure pause.
     fn drain_dirty(&mut self) {
-        let max_inflight = self.shared.service.config().max_inflight.max(1);
+        let max_inflight = self.backend.config().max_inflight.max(1);
         let tokens = std::mem::take(
             &mut *self.shared.reactors[self.idx]
                 .dirty
@@ -603,14 +675,14 @@ impl Reactor {
         if let Some(listener) = self.listener.take() {
             let _ = self.poller.deregister(listener.as_raw_fd());
         }
-        // Jobs dispatched by this reactor (or still queued) deposit
-        // their completions before drain returns.
-        self.shared.service.drain();
+        // Frames dispatched by this reactor deposit their completions
+        // before drain returns.
+        self.backend.drain();
         for (_token, mut conn) in self.conns.drain() {
             conn.shared.dead.store(true, Ordering::Release);
-            self.shared
-                .service
-                .connections_gauge()
+            self.backend
+                .counters()
+                .connections_open
                 .fetch_sub(1, Ordering::SeqCst);
             conn.collect_completions();
             if conn.broken || conn.pending_out() == 0 {
@@ -626,7 +698,7 @@ impl Reactor {
     }
 }
 
-/// Serves the protocol on a bound TCP listener with the epoll transport
+/// Serves `backend` on a bound TCP listener with the epoll transport
 /// until a client requests shutdown. `config().io_threads` reactors
 /// multiplex all connections; see the module docs for the pipelining,
 /// ordering, and admission-control semantics.
@@ -636,9 +708,9 @@ impl Reactor {
 /// Returns the I/O error that prevented the transport from starting
 /// (epoll instance, wake channels, registrations). Runtime per-
 /// connection failures never kill the daemon.
-pub fn serve_mux(service: &Arc<Service>, listener: TcpListener) -> std::io::Result<()> {
+pub fn serve_mux<B: Backend>(backend: &Arc<B>, listener: TcpListener) -> std::io::Result<()> {
     listener.set_nonblocking(true)?;
-    let io_threads = service.config().io_threads.max(1);
+    let io_threads = backend.config().io_threads.max(1);
     let mut receivers = Vec::with_capacity(io_threads);
     let mut handles = Vec::with_capacity(io_threads);
     for _ in 0..io_threads {
@@ -651,7 +723,6 @@ pub fn serve_mux(service: &Arc<Service>, listener: TcpListener) -> std::io::Resu
         });
     }
     let shared = Arc::new(MuxShared {
-        service: Arc::clone(service),
         stop: AtomicBool::new(false),
         admission: AtomicUsize::new(0),
         next_reactor: AtomicUsize::new(0),
@@ -667,6 +738,7 @@ pub fn serve_mux(service: &Arc<Service>, listener: TcpListener) -> std::io::Resu
             poller.register(l.as_raw_fd(), TOKEN_LISTENER, Interest::READ)?;
         }
         let reactor = Reactor {
+            backend: Arc::clone(backend),
             shared: Arc::clone(&shared),
             idx,
             poller,
@@ -680,7 +752,7 @@ pub fn serve_mux(service: &Arc<Service>, listener: TcpListener) -> std::io::Resu
     for t in threads {
         let _ = t.join();
     }
-    service.drain();
+    backend.drain();
     Ok(())
 }
 
@@ -690,8 +762,9 @@ mod tests {
     use crate::protocol::{
         decode_response, encode_request, CircuitSource, ErrorKind, Request, SimRequest,
     };
-    use crate::registry::synthetic_set;
-    use crate::service::ServiceConfig;
+    use crate::registry::{nor_only_cells, synthetic_set, ModelSet};
+    use crate::router::Router;
+    use crate::service::{Service, ServiceConfig};
     use std::io::{BufRead, BufReader as StdBufReader};
     use std::sync::Condvar;
 
@@ -701,11 +774,13 @@ mod tests {
         service
     }
 
-    fn spawn_daemon(service: &Arc<Service>) -> (std::net::SocketAddr, std::thread::JoinHandle<()>) {
+    fn spawn_daemon<B: Backend>(
+        backend: &Arc<B>,
+    ) -> (std::net::SocketAddr, std::thread::JoinHandle<()>) {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr");
-        let service = Arc::clone(service);
-        let handle = std::thread::spawn(move || serve_mux(&service, listener).expect("serve"));
+        let backend = Arc::clone(backend);
+        let handle = std::thread::spawn(move || serve_mux(&backend, listener).expect("serve"));
         (addr, handle)
     }
 
@@ -912,18 +987,33 @@ mod tests {
     fn idle_daemon_does_zero_periodic_work() {
         // Other tests in this binary run reactors and journal spans
         // concurrently, so count only this daemon's work: the wake-ups
-        // of its own reactors and the spans of its one worker thread.
+        // of its own reactors (and its router's) and the spans of its
+        // one worker thread.
         let service = mux_service(ServiceConfig {
             workers: 1,
             ..ServiceConfig::default()
         });
         let (addr, server) = spawn_daemon(&service);
-        // An idle open connection (the old transport's 200 ms read
-        // timeout made exactly this case spin).
+        let router = Router::new(vec![addr.to_string()]);
+        let (router_addr, router_server) = spawn_daemon(&router);
+        // An idle open connection to each (a 200 ms read timeout, or an
+        // accept loop that sleeps and polls, would make this case spin).
         let idle = TcpStream::connect(addr).expect("connect idle");
+        let mut routed = TcpStream::connect(router_addr).expect("connect routed");
         while service.stats().connections_open == 0 {
             std::thread::yield_now();
         }
+        // One routed sim opens the router's upstream and its reader; both
+        // then idle too.
+        writeln!(routed, "{}", sim_line(1)).expect("send routed");
+        let mut line = String::new();
+        StdBufReader::new(routed.try_clone().expect("clone"))
+            .read_line(&mut line)
+            .expect("routed reply");
+        assert!(matches!(
+            decode_response(line.trim()).expect("response"),
+            Response::Sim { id: 1, .. }
+        ));
         std::thread::sleep(Duration::from_millis(50)); // settle accept wakeups
         let was = sigobs::mode();
         sigobs::set_mode(sigobs::ObsMode::Trace);
@@ -938,12 +1028,19 @@ mod tests {
             .find(|e| e.name == "test.idle_probe")
             .expect("probe span journaled")
             .tid;
-        let before = service.reactor_wakeups().load(Ordering::Relaxed);
+        let wakeups = || {
+            (
+                service.counters().reactor_wakeups.load(Ordering::Relaxed),
+                router.counters().reactor_wakeups.load(Ordering::Relaxed),
+            )
+        };
+        let before = wakeups();
         std::thread::sleep(Duration::from_millis(400));
-        let after = service.reactor_wakeups().load(Ordering::Relaxed);
+        let after = wakeups();
         let (events, _dropped) = sigobs::drain_chrome_trace();
         sigobs::set_mode(was);
-        assert_eq!(after - before, 0, "idle reactors must not tick");
+        assert_eq!(after.0 - before.0, 0, "idle daemon reactors must not tick");
+        assert_eq!(after.1 - before.1, 0, "idle router reactors must not tick");
         // A reactor that never woke ran no code, so the worker is the
         // only thread of this daemon that could have journaled.
         let spans: Vec<_> = events.iter().filter(|e| e.tid == worker).collect();
@@ -952,6 +1049,81 @@ mod tests {
             "no spans may accumulate on an idle traced daemon: {spans:?}"
         );
         drop(idle);
+        // Shutdown through the router stops the daemon too.
+        shutdown_daemon(router_addr, router_server);
+        server.join().expect("daemon exits");
+    }
+
+    #[test]
+    fn panicking_job_answers_internal_and_releases_its_slot() {
+        use sigtom::{GateModel, TransferFunction, TransferPrediction, TransferQuery};
+        struct Panics;
+        impl TransferFunction for Panics {
+            fn predict(&self, _: TransferQuery) -> TransferPrediction {
+                panic!("injected transfer-function fault")
+            }
+            fn backend_name(&self) -> &'static str {
+                "panics"
+            }
+        }
+        // A window of two frames makes the reactor read the good sim
+        // only after the first two responses were written, i.e. after the
+        // panicking job dropped its responder.
+        let service = mux_service(ServiceConfig {
+            workers: 1,
+            admission_budget: 1,
+            max_inflight: 2,
+            ..ServiceConfig::default()
+        });
+        service.registry().insert(ModelSet {
+            name: "faulty".into(),
+            cells: Arc::new(nor_only_cells(&GateModel::new(Arc::new(Panics)))),
+            ..synthetic_set("faulty")
+        });
+        let (addr, server) = spawn_daemon(&service);
+        let mut client = TcpStream::connect(addr).expect("connect");
+        client
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("read timeout");
+        let faulty = encode_request(&Request::Sim {
+            id: 1,
+            sim: SimRequest {
+                circuit: CircuitSource::Name("c17".into()),
+                models: "faulty".into(),
+                seed: 1,
+                timing: false,
+                ..SimRequest::default()
+            },
+        });
+        write!(
+            client,
+            "{faulty}\n{}\n{}\n",
+            encode_request(&Request::Ping { id: 2 }),
+            sim_line(3),
+        )
+        .expect("send");
+        let responses: Vec<Response> = StdBufReader::new(client.try_clone().expect("clone"))
+            .lines()
+            .take(3)
+            .map(|l| decode_response(&l.expect("response before the timeout")).expect("response"))
+            .collect();
+        assert!(
+            matches!(
+                responses[0],
+                Response::Error {
+                    id: Some(1),
+                    kind: ErrorKind::Internal,
+                    ..
+                }
+            ),
+            "{responses:?}"
+        );
+        assert_eq!(responses[1], Response::Pong { id: 2 });
+        assert!(
+            matches!(responses[2], Response::Sim { id: 3, .. }),
+            "the admission slot was released: {responses:?}"
+        );
+        assert_eq!(service.pool_for_tests().panicked_jobs(), 1);
         shutdown_daemon(addr, server);
     }
 }

@@ -374,6 +374,9 @@ pub enum ErrorKind {
     UnknownSession,
     /// The daemon is draining and no longer accepts simulations.
     ShuttingDown,
+    /// The request failed inside the daemon without producing an answer
+    /// (for example, a job that panicked).
+    Internal,
 }
 
 impl ErrorKind {
@@ -386,6 +389,7 @@ impl ErrorKind {
             Self::Simulation => "simulation",
             Self::UnknownSession => "unknown-session",
             Self::ShuttingDown => "shutting-down",
+            Self::Internal => "internal",
         }
     }
 
@@ -398,6 +402,7 @@ impl ErrorKind {
             "simulation" => Self::Simulation,
             "unknown-session" => Self::UnknownSession,
             "shutting-down" => Self::ShuttingDown,
+            "internal" => Self::Internal,
             _ => return None,
         })
     }

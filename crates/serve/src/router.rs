@@ -6,37 +6,42 @@
 //! and adding a shard only moves `1/(n+1)` of the key space (Lamport's
 //! jump consistent hash over an FNV-1a key).
 //!
+//! The router is a [`Backend`] of the daemon's own transport
+//! ([`crate::mux`], limits from [`ServiceConfig::default`]), so clients
+//! get the daemon's contract, responses in request order included.
+//!
 //! Data-plane frames (`sim`, `sim.batch`, session ops) are forwarded
 //! **byte-for-byte**: the router decodes only enough to route, then
 //! writes the original line upstream, so shard responses — already
 //! byte-identical to `sigctl golden` — pass through unchanged. Each
-//! client connection gets its own lazily-opened upstream connection per
-//! shard (sessions stay scoped to the client exactly as on a direct
-//! connection); `session.open` pins its session id to the shard that
-//! holds the circuit, and later deltas/closes follow the pin.
+//! client connection gets its own upstream connection per shard, opened
+//! on first use (sessions stay scoped to the client exactly as on a
+//! direct connection), whose reader thread pairs the shard's in-order
+//! response lines with the waiting frames. `session.open` pins its
+//! session id to the shard that holds the circuit, and later
+//! deltas/closes follow the pin. Once an upstream closes, its waiting
+//! and later frames answer `shard N unreachable`.
 //!
 //! Control-plane frames are handled by the router itself: `ping`
 //! answers locally, `stats` fans out and aggregates (counters sum,
-//! quantiles take the worst shard, model sets union), `trace`
-//! concatenates every shard's spans, and `shutdown` shuts every shard
+//! quantiles take the worst shard, model sets union) and `trace`
+//! concatenates every shard's spans — both on a helper thread, so a
+//! slow shard stalls no other client — and `shutdown` shuts every shard
 //! down before acknowledging and exiting.
-//!
-//! Response ordering: each upstream connection preserves the shard's
-//! in-order pipelining guarantee, but responses from *different* shards
-//! interleave at the client — correlate by id, exactly like against the
-//! blocking transport.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::net::{Shutdown, TcpListener, TcpStream};
+use std::sync::{Arc, Condvar, Mutex};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
+use crate::mux::{Backend, Responder, TransportCounters};
 use crate::protocol::{
-    decode_request, decode_response, encode_request, encode_response, salvage_id, CircuitSource,
-    ErrorKind, FrameReader, Request, Response, StatsReply, TraceSpan, MAX_FRAME_BYTES,
+    decode_response, encode_request, CircuitSource, ErrorKind, Request, Response, StatsReply,
+    TraceSpan,
 };
+use crate::service::{unknown_session, Handled, ServiceConfig};
 
 /// FNV-1a 64-bit over the circuit source: the routing key. Named and
 /// inline sources hash their distinguishing bytes, so the same inline
@@ -144,340 +149,369 @@ pub fn aggregate_stats(shards: &[StatsReply]) -> StatsReply {
     total
 }
 
-/// Router-local unique ids for control-plane fan-out frames (the id
-/// space on an upstream control connection is private to that
-/// connection, but distinct ids keep logs readable).
-static CONTROL_ID: AtomicU64 = AtomicU64::new(1);
-
-/// One control-plane round trip on a fresh connection to `addr`.
+/// One control-plane round trip on a fresh connection to `addr`. The
+/// connection carries only `request`, so its first line is the answer.
 fn control_roundtrip(addr: &str, request: &Request) -> std::io::Result<Response> {
     let mut stream = TcpStream::connect(addr)?;
+    stream.set_nodelay(true)?;
     stream.set_read_timeout(Some(Duration::from_secs(30)))?;
-    writeln!(stream, "{}", encode_request(request))?;
-    let mut reader = BufReader::new(stream);
-    loop {
-        let mut line = String::new();
-        if reader.read_line(&mut line)? == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "shard closed before responding",
-            ));
+    stream.write_all(format!("{}\n", encode_request(request)).as_bytes())?;
+    let mut line = String::new();
+    if BufReader::new(stream).read_line(&mut line)? == 0 {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::UnexpectedEof,
+            "shard closed before responding",
+        ));
+    }
+    decode_response(line.trim_end()).map_err(|e| {
+        std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            format!("undecodable shard response: {e}"),
+        )
+    })
+}
+
+fn unreachable(id: Option<u64>, shard: usize, reason: &dyn std::fmt::Display) -> Response {
+    Response::Error {
+        id,
+        kind: ErrorKind::Simulation,
+        message: format!("shard {shard} unreachable: {reason}"),
+    }
+}
+
+/// The router backend.
+pub(crate) struct Router {
+    shards: Vec<String>,
+    config: ServiceConfig,
+    counters: TransportCounters,
+    /// Frames written upstream and not answered yet, router-wide.
+    forwarded: Mutex<usize>,
+    /// Signalled when `forwarded` drops to zero.
+    settled: Condvar,
+    /// Helper threads running `stats`/`trace` fan-outs.
+    helpers: Mutex<Vec<JoinHandle<()>>>,
+}
+
+impl Router {
+    pub(crate) fn new(shards: Vec<String>) -> Arc<Self> {
+        assert!(!shards.is_empty(), "router needs at least one shard");
+        Arc::new(Router {
+            shards,
+            config: ServiceConfig::default(),
+            counters: TransportCounters::default(),
+            forwarded: Mutex::new(0),
+            settled: Condvar::new(),
+            helpers: Mutex::new(Vec::new()),
+        })
+    }
+
+    /// Counts `n` forwarded frames as answered.
+    fn answered(&self, n: usize) {
+        let mut forwarded = self.forwarded.lock().expect("forwarded count poisoned");
+        *forwarded -= n;
+        if *forwarded == 0 {
+            self.settled.notify_all();
         }
-        match decode_response(line.trim_end()) {
-            Ok(r) if r.id() == Some(request.id()) => return Ok(r),
-            Ok(_) => {}
-            Err(e) => {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("undecodable shard response: {e}"),
-                ))
+    }
+
+    /// Answers from a helper thread, off the reactor.
+    fn off_reactor(
+        self: &Arc<Self>,
+        responder: Responder,
+        answer: impl FnOnce(&Router) -> Response + Send + 'static,
+    ) {
+        let router = Arc::clone(self);
+        let helper = std::thread::spawn(move || responder.respond(&answer(&router)));
+        let mut helpers = self.helpers.lock().expect("helper list poisoned");
+        helpers.retain(|h| !h.is_finished());
+        helpers.push(helper);
+    }
+
+    /// Every shard's stats, aggregated, or the first shard failure.
+    fn fleet_stats(&self, id: u64) -> Response {
+        let mut replies = Vec::with_capacity(self.shards.len());
+        for (shard, addr) in self.shards.iter().enumerate() {
+            let message = match control_roundtrip(addr, &Request::Stats { id }) {
+                Ok(Response::Stats { stats, .. }) => {
+                    replies.push(stats);
+                    continue;
+                }
+                Ok(other) => format!("shard {shard} answered {other:?}"),
+                Err(e) => format!("shard {shard} unreachable: {e}"),
+            };
+            return Response::Error {
+                id: Some(id),
+                kind: ErrorKind::Simulation,
+                message,
+            };
+        }
+        Response::Stats {
+            id,
+            stats: aggregate_stats(&replies),
+        }
+    }
+
+    /// Every reachable shard's spans, concatenated.
+    fn fleet_trace(&self, id: u64) -> Response {
+        let mut spans: Vec<TraceSpan> = Vec::new();
+        let mut dropped = 0;
+        for addr in &self.shards {
+            if let Ok(Response::Trace {
+                spans: s,
+                dropped: d,
+                ..
+            }) = control_roundtrip(addr, &Request::Trace { id })
+            {
+                spans.extend(s);
+                dropped += d;
             }
+        }
+        Response::Trace { id, spans, dropped }
+    }
+
+    /// Forwards `line` to `shard`; `false` if it was answered with an
+    /// error instead.
+    fn forward(
+        self: &Arc<Self>,
+        routes: &mut Routes,
+        shard: usize,
+        line: &str,
+        responder: Responder,
+    ) -> bool {
+        if routes.upstreams[shard].is_none() {
+            match Upstream::open(self, shard) {
+                Ok(upstream) => routes.upstreams[shard] = Some(upstream),
+                Err(e) => {
+                    responder.respond(&unreachable(responder.id(), shard, &e));
+                    return false;
+                }
+            }
+        }
+        let upstream = routes.upstreams[shard].as_mut().expect("opened above");
+        upstream.send(self, shard, line, responder)
+    }
+}
+
+/// One client connection's upstreams, opened on first use, and its
+/// session→shard pins.
+pub(crate) struct Routes {
+    upstreams: Vec<Option<Upstream>>,
+    session_shard: HashMap<u64, usize>,
+}
+
+/// The responders waiting on one upstream and why it closed, under one
+/// lock so no frame is queued after the reader's last drain.
+#[derive(Default)]
+struct Waiting {
+    responders: VecDeque<Responder>,
+    closed: Option<String>,
+}
+
+/// A client connection's link to one shard.
+struct Upstream {
+    stream: TcpStream,
+    waiting: Arc<Mutex<Waiting>>,
+    reader: Option<JoinHandle<()>>,
+}
+
+impl Upstream {
+    fn open(router: &Arc<Router>, shard: usize) -> std::io::Result<Self> {
+        let stream = TcpStream::connect(&router.shards[shard])?;
+        stream.set_nodelay(true)?;
+        let read_half = stream.try_clone()?;
+        let waiting = Arc::new(Mutex::new(Waiting::default()));
+        let reader = {
+            let (router, waiting) = (Arc::clone(router), Arc::clone(&waiting));
+            std::thread::Builder::new()
+                .name(format!("sigrouter-shard{shard}"))
+                .spawn(move || read_upstream(&router, shard, read_half, &waiting))?
+        };
+        Ok(Upstream {
+            stream,
+            waiting,
+            reader: Some(reader),
+        })
+    }
+
+    /// Queues `responder`, then writes the frame in one call; `false`
+    /// if the upstream had closed (the frame then answers the error).
+    fn send(&mut self, router: &Router, shard: usize, line: &str, responder: Responder) -> bool {
+        {
+            let mut waiting = self.waiting.lock().expect("upstream queue poisoned");
+            if let Some(reason) = &waiting.closed {
+                responder.respond(&unreachable(responder.id(), shard, reason));
+                return false;
+            }
+            waiting.responders.push_back(responder);
+            *router.forwarded.lock().expect("forwarded count poisoned") += 1;
+        }
+        if self
+            .stream
+            .write_all(format!("{line}\n").as_bytes())
+            .is_err()
+        {
+            // The reader sees the socket close and answers every
+            // waiting frame, this one included.
+            let _ = self.stream.shutdown(Shutdown::Both);
+        }
+        true
+    }
+}
+
+impl Drop for Upstream {
+    fn drop(&mut self) {
+        // Unblocks the reader, which then answers what waits and exits.
+        let _ = self.stream.shutdown(Shutdown::Both);
+        if let Some(reader) = self.reader.take() {
+            let _ = reader.join();
         }
     }
 }
 
-/// Writes one locally-generated response frame to the client.
-fn respond_local(writer: &Mutex<TcpStream>, response: &Response) {
-    let line = encode_response(response);
-    let mut w = writer.lock().expect("client writer poisoned");
-    let _ = writeln!(w, "{line}");
-    let _ = w.flush();
+/// Answers the oldest waiting frame with each shard line, unchanged;
+/// after EOF or an error, closes the upstream and answers every waiting
+/// frame with the unreachable error.
+fn read_upstream(router: &Router, shard: usize, stream: TcpStream, waiting: &Mutex<Waiting>) {
+    let mut reader = BufReader::new(stream);
+    let mut line = String::new();
+    let reason = loop {
+        line.clear();
+        match reader.read_line(&mut line) {
+            Ok(_) if line.ends_with('\n') => {
+                line.pop();
+                let next = waiting
+                    .lock()
+                    .expect("upstream queue poisoned")
+                    .responders
+                    .pop_front();
+                if let Some(responder) = next {
+                    responder.respond_line(std::mem::take(&mut line));
+                    router.answered(1);
+                }
+            }
+            // EOF, possibly inside a frame.
+            Ok(_) => break "connection closed".to_string(),
+            Err(e) => break e.to_string(),
+        }
+    };
+    let orphans = {
+        let mut waiting = waiting.lock().expect("upstream queue poisoned");
+        waiting.closed = Some(reason.clone());
+        std::mem::take(&mut waiting.responders)
+    };
+    let n = orphans.len();
+    for responder in orphans {
+        responder.respond(&unreachable(responder.id(), shard, &reason));
+    }
+    if n > 0 {
+        router.answered(n);
+    }
 }
 
-/// Per-client routing state: one lazily-opened upstream connection per
-/// shard plus the session→shard pins.
-struct ClientRoutes {
-    shards: Arc<Vec<String>>,
-    upstreams: Vec<Option<TcpStream>>,
-    forwarders: Vec<std::thread::JoinHandle<()>>,
-    session_shard: HashMap<u64, usize>,
-}
+impl Backend for Router {
+    type Conn = Routes;
 
-impl ClientRoutes {
-    fn new(shards: Arc<Vec<String>>) -> Self {
-        let n = shards.len();
-        ClientRoutes {
-            shards,
-            upstreams: (0..n).map(|_| None).collect(),
-            forwarders: Vec::new(),
+    fn config(&self) -> &ServiceConfig {
+        &self.config
+    }
+
+    fn counters(&self) -> &TransportCounters {
+        &self.counters
+    }
+
+    fn connect(self: &Arc<Self>) -> Routes {
+        Routes {
+            upstreams: self.shards.iter().map(|_| None).collect(),
             session_shard: HashMap::new(),
         }
     }
 
-    /// The upstream connection for `shard`, opening it (and its
-    /// response forwarder) on first use.
-    fn upstream(
-        &mut self,
-        shard: usize,
-        client: &Arc<Mutex<TcpStream>>,
-    ) -> std::io::Result<&mut TcpStream> {
-        if self.upstreams[shard].is_none() {
-            let stream = TcpStream::connect(&self.shards[shard])?;
-            let reader = BufReader::new(stream.try_clone()?);
-            let client = Arc::clone(client);
-            // Forward every shard response line to the client verbatim.
-            self.forwarders.push(std::thread::spawn(move || {
-                for line in reader.lines() {
-                    let Ok(line) = line else { break };
-                    let mut w = client.lock().expect("client writer poisoned");
-                    if writeln!(w, "{line}").and_then(|()| w.flush()).is_err() {
-                        break;
-                    }
-                }
-            }));
-            self.upstreams[shard] = Some(stream);
-        }
-        Ok(self.upstreams[shard].as_mut().expect("just opened"))
-    }
-
-    /// Forwards the client's original frame bytes to `shard`.
-    fn forward(
-        &mut self,
-        shard: usize,
+    fn dispatch(
+        self: &Arc<Self>,
+        routes: &mut Routes,
         line: &str,
-        client: &Arc<Mutex<TcpStream>>,
-    ) -> std::io::Result<()> {
-        let upstream = self.upstream(shard, client)?;
-        writeln!(upstream, "{line}")?;
-        upstream.flush()
-    }
-
-    /// Disconnects every upstream (unblocking the forwarders) and joins
-    /// them so no forwarder outlives its client.
-    fn teardown(mut self) {
-        for upstream in self.upstreams.iter().flatten() {
-            let _ = upstream.shutdown(std::net::Shutdown::Both);
-        }
-        self.upstreams.clear();
-        for f in self.forwarders.drain(..) {
-            let _ = f.join();
-        }
-    }
-}
-
-fn forward_error(id: Option<u64>, shard: usize, e: &std::io::Error) -> Response {
-    Response::Error {
-        id,
-        kind: ErrorKind::Simulation,
-        message: format!("shard {shard} unreachable: {e}"),
-    }
-}
-
-/// Drives one client connection: routes data-plane frames, answers
-/// control-plane frames. Returns `true` when the client requested a
-/// fleet-wide shutdown.
-fn run_client(stream: TcpStream, shards: &Arc<Vec<String>>, stop: &AtomicBool) -> bool {
-    if stream
-        .set_read_timeout(Some(Duration::from_millis(200)))
-        .is_err()
-    {
-        return false;
-    }
-    let Ok(read_half) = stream.try_clone() else {
-        return false;
-    };
-    let writer = Arc::new(Mutex::new(stream));
-    let mut frames = FrameReader::new(BufReader::new(read_half), MAX_FRAME_BYTES);
-    let mut routes = ClientRoutes::new(Arc::clone(shards));
-    let mut shutdown = false;
-    loop {
-        if stop.load(Ordering::SeqCst) {
-            break;
-        }
-        let frame = match frames.next_frame() {
-            Ok(Some(frame)) => frame,
-            Ok(None) => break,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                continue;
+        request: Request,
+        responder: Responder,
+    ) -> Handled {
+        let shard = match request {
+            Request::Ping { id } => {
+                responder.respond(&Response::Pong { id });
+                return Handled::Continue;
             }
-            Err(_) => break,
-        };
-        let line = match frame {
-            Ok(line) => line,
-            Err(e) => {
-                respond_local(&writer, &e.to_response(None));
-                continue;
-            }
-        };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let request = match decode_request(&line) {
-            Ok(r) => r,
-            Err(e) => {
-                respond_local(&writer, &e.to_response(salvage_id(&line)));
-                continue;
-            }
-        };
-        match request {
-            Request::Ping { id } => respond_local(&writer, &Response::Pong { id }),
             Request::Stats { id } => {
-                let mut replies = Vec::new();
-                let mut failed = None;
-                for (shard, addr) in shards.iter().enumerate() {
-                    let probe = Request::Stats {
-                        id: CONTROL_ID.fetch_add(1, Ordering::Relaxed),
-                    };
-                    match control_roundtrip(addr, &probe) {
-                        Ok(Response::Stats { stats, .. }) => replies.push(stats),
-                        Ok(other) => {
-                            failed = Some(format!("shard {shard} answered {other:?}"));
-                            break;
-                        }
-                        Err(e) => {
-                            failed = Some(format!("shard {shard} unreachable: {e}"));
-                            break;
-                        }
-                    }
-                }
-                match failed {
-                    None => respond_local(
-                        &writer,
-                        &Response::Stats {
-                            id,
-                            stats: aggregate_stats(&replies),
-                        },
-                    ),
-                    Some(message) => respond_local(
-                        &writer,
-                        &Response::Error {
-                            id: Some(id),
-                            kind: ErrorKind::Simulation,
-                            message,
-                        },
-                    ),
-                }
+                self.off_reactor(responder, move |router| router.fleet_stats(id));
+                return Handled::Continue;
             }
             Request::Trace { id } => {
-                let mut spans: Vec<TraceSpan> = Vec::new();
-                let mut dropped = 0;
-                for addr in shards.iter() {
-                    let probe = Request::Trace {
-                        id: CONTROL_ID.fetch_add(1, Ordering::Relaxed),
-                    };
-                    if let Ok(Response::Trace {
-                        spans: s,
-                        dropped: d,
-                        ..
-                    }) = control_roundtrip(addr, &probe)
-                    {
-                        spans.extend(s);
-                        dropped += d;
-                    }
-                }
-                respond_local(&writer, &Response::Trace { id, spans, dropped });
+                self.off_reactor(responder, move |router| router.fleet_trace(id));
+                return Handled::Continue;
             }
             Request::Shutdown { id } => {
-                // Shut every shard down (each drains first), then ack
-                // and bring the router itself down.
-                for addr in shards.iter() {
-                    let probe = Request::Shutdown {
-                        id: CONTROL_ID.fetch_add(1, Ordering::Relaxed),
-                    };
-                    let _ = control_roundtrip(addr, &probe);
+                // Every shard drains and stops before the ack; the mux
+                // then drains every frame forwarded to them.
+                for addr in &self.shards {
+                    let _ = control_roundtrip(addr, &Request::Shutdown { id });
                 }
-                respond_local(&writer, &Response::ShuttingDown { id });
-                shutdown = true;
-                break;
+                responder.respond(&Response::ShuttingDown { id });
+                return Handled::Shutdown;
             }
-            Request::Sim { id, ref sim } | Request::SimBatch { id, ref sim, .. } => {
-                let shard = route(&sim.circuit, shards.len());
-                if let Err(e) = routes.forward(shard, &line, &writer) {
-                    respond_local(&writer, &forward_error(Some(id), shard, &e));
-                }
+            Request::Sim { ref sim, .. } | Request::SimBatch { ref sim, .. } => {
+                route(&sim.circuit, self.shards.len())
             }
             Request::SessionOpen {
-                id,
-                ref sim,
-                session,
+                ref sim, session, ..
             } => {
-                let shard = route(&sim.circuit, shards.len());
+                let shard = route(&sim.circuit, self.shards.len());
                 routes.session_shard.insert(session, shard);
-                if let Err(e) = routes.forward(shard, &line, &writer) {
+                if !self.forward(routes, shard, line, responder) {
                     routes.session_shard.remove(&session);
-                    respond_local(&writer, &forward_error(Some(id), shard, &e));
                 }
+                return Handled::Continue;
             }
             Request::SessionDelta { id, session, .. } => {
-                match routes.session_shard.get(&session).copied() {
-                    Some(shard) => {
-                        if let Err(e) = routes.forward(shard, &line, &writer) {
-                            respond_local(&writer, &forward_error(Some(id), shard, &e));
-                        }
-                    }
-                    None => respond_local(
-                        &writer,
-                        &Response::Error {
-                            id: Some(id),
-                            kind: ErrorKind::UnknownSession,
-                            message: format!("session {session} is not open on this connection"),
-                        },
-                    ),
+                if let Some(&shard) = routes.session_shard.get(&session) {
+                    shard
+                } else {
+                    responder.respond(&unknown_session(id, session));
+                    return Handled::Continue;
                 }
             }
-            Request::SessionClose { id, session } => match routes.session_shard.remove(&session) {
-                Some(shard) => {
-                    if let Err(e) = routes.forward(shard, &line, &writer) {
-                        respond_local(&writer, &forward_error(Some(id), shard, &e));
-                    }
+            Request::SessionClose { id, session } => {
+                if let Some(shard) = routes.session_shard.remove(&session) {
+                    shard
+                } else {
+                    responder.respond(&unknown_session(id, session));
+                    return Handled::Continue;
                 }
-                None => respond_local(
-                    &writer,
-                    &Response::Error {
-                        id: Some(id),
-                        kind: ErrorKind::UnknownSession,
-                        message: format!("session {session} is not open on this connection"),
-                    },
-                ),
-            },
+            }
+        };
+        self.forward(routes, shard, line, responder);
+        Handled::Continue
+    }
+
+    fn drain(&self) {
+        let helpers = std::mem::take(&mut *self.helpers.lock().expect("helper list poisoned"));
+        for helper in helpers {
+            let _ = helper.join();
+        }
+        let mut forwarded = self.forwarded.lock().expect("forwarded count poisoned");
+        while *forwarded > 0 {
+            forwarded = self
+                .settled
+                .wait(forwarded)
+                .expect("forwarded count poisoned");
         }
     }
-    routes.teardown();
-    shutdown
 }
 
 /// Serves the router on a bound listener until a client requests
-/// shutdown (which is forwarded to every shard first). One thread per
-/// client connection — the router does no simulation work and holds no
-/// caches, so thread-per-connection is plenty; the daemons behind it
-/// run the epoll transport.
+/// shutdown (which is forwarded to every shard first).
 ///
 /// # Errors
 ///
-/// Returns the I/O error that broke the accept loop, if any.
+/// Returns the I/O error that prevented the transport from starting.
 pub fn serve_router(listener: TcpListener, shards: Vec<String>) -> std::io::Result<()> {
-    assert!(!shards.is_empty(), "router needs at least one shard");
-    listener.set_nonblocking(true)?;
-    let shards = Arc::new(shards);
-    let stop = Arc::new(AtomicBool::new(false));
-    let mut handlers: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let shards = Arc::clone(&shards);
-                let stop = Arc::clone(&stop);
-                handlers.push(std::thread::spawn(move || {
-                    if run_client(stream, &shards, &stop) {
-                        stop.store(true, Ordering::SeqCst);
-                    }
-                }));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            Err(e) => return Err(e),
-        }
-        handlers.retain(|h| !h.is_finished());
-    }
-    for h in handlers {
-        let _ = h.join();
-    }
-    Ok(())
+    crate::mux::serve_mux(&Router::new(shards), listener)
 }
 
 #[cfg(test)]

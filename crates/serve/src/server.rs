@@ -1,24 +1,24 @@
-//! Wire transports for the [`Service`]: TCP (`std::net`) and a stdio
-//! mode for CI pipelines and tests.
+//! Wire transports for the [`Service`]: TCP through the epoll
+//! multiplexer of [`crate::mux`], and a stdio mode for CI pipelines and
+//! tests.
 //!
 //! Both speak the newline-delimited JSON protocol of
-//! [`crate::protocol`]. Responses stream back as each request finishes —
-//! possibly out of request order; clients correlate by id. A connection
+//! [`crate::protocol`]. TCP answers each connection's frames in request
+//! order. Stdio streams each response back as its request finishes —
+//! possibly out of request order; clients correlate by id. The stdio
 //! writer is mutex-guarded so each frame is written atomically.
 //!
-//! Graceful shutdown: a `shutdown` request stops the accept loop (TCP)
-//! or the read loop (stdio), lets every queued and running simulation
+//! Graceful shutdown: a `shutdown` request stops the reactors (TCP) or
+//! the read loop (stdio), lets every queued and running simulation
 //! drain, then acknowledges. On stdio, end-of-input likewise drains
 //! before exit, so piping a request file through the daemon always
 //! yields every response. (Catching SIGTERM needs platform hooks outside
 //! std; process supervisors should send the `shutdown` frame — see
 //! `docs/architecture.md` § Service layer.)
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::io::{BufRead, Write};
+use std::net::TcpListener;
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 use crate::protocol::{decode_request, encode_response, salvage_id, FrameReader, Response};
 use crate::service::{Handled, Service};
@@ -42,21 +42,10 @@ fn respond_line<W: Write>(writer: &Mutex<W>, response: &Response) {
 }
 
 /// Drives one connection (any `BufRead`/`Write` pair) to completion:
-/// reads frames until EOF or an acknowledged shutdown, then drains the
-/// service so every accepted request has answered. Returns what ended
-/// the connection.
-///
-/// `stop` is the daemon-wide shutdown flag: a transport whose reads can
-/// time out (TCP handlers use a read timeout) passes it so idle
-/// connections notice a shutdown initiated elsewhere and exit instead of
-/// pinning the process on a blocking read forever. `None` (stdio, tests)
-/// reads until EOF or a shutdown frame on this very connection.
-pub fn run_connection<R, W>(
-    service: &Arc<Service>,
-    reader: R,
-    writer: W,
-    stop: Option<&AtomicBool>,
-) -> Handled
+/// reads frames until EOF, a read failure or an acknowledged shutdown,
+/// then drains the service so every accepted request has answered.
+/// Returns what ended the connection.
+pub fn run_connection<R, W>(service: &Arc<Service>, reader: R, writer: W) -> Handled
 where
     R: BufRead,
     W: Write + Send + 'static,
@@ -68,29 +57,10 @@ where
     let sessions = SessionTable::new(Arc::clone(service));
     let mut frames = FrameReader::new(reader, service.config().max_frame);
     let outcome = loop {
-        // Checked every iteration, not only on read timeouts: a client
-        // that keeps sending frames must not keep the daemon alive after
-        // another connection's shutdown was acknowledged.
-        if stop.is_some_and(|s| s.load(Ordering::SeqCst)) {
-            break Handled::Continue;
-        }
         let frame = match frames.next_frame() {
             Ok(Some(frame)) => frame,
-            Ok(None) => break Handled::Continue, // EOF
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                // Read timeout: the frame reader kept any partial frame;
-                // leave if the daemon is shutting down, else keep reading.
-                if stop.is_some_and(|s| s.load(Ordering::SeqCst)) {
-                    break Handled::Continue;
-                }
-                continue;
-            }
-            Err(_) => break Handled::Continue, // transport failure
+            // EOF or transport failure.
+            Ok(None) | Err(_) => break Handled::Continue,
         };
         let line = match frame {
             Ok(line) => line,
@@ -131,93 +101,20 @@ where
 pub fn serve_stdio(service: &Arc<Service>) {
     let stdin = std::io::stdin();
     let stdout = std::io::stdout();
-    run_connection(service, stdin.lock(), stdout, None);
+    run_connection(service, stdin.lock(), stdout);
 }
 
 /// Serves the protocol on a bound TCP listener until a client requests
-/// shutdown — the daemon's default transport: the epoll readiness loop
-/// of [`crate::mux`], which multiplexes every connection on
-/// `config().io_threads` reactor threads with request pipelining,
-/// in-order responses, and admission control. Responses are
-/// byte-identical to the blocking transport's; only scheduling and
-/// ordering differ (see `docs/protocol.md` § Pipelining).
+/// shutdown: the epoll readiness loop of [`crate::mux`], which
+/// multiplexes every connection on `config().io_threads` reactor
+/// threads with request pipelining, in-order responses, and admission
+/// control (see `docs/protocol.md` § Pipelining).
 ///
 /// # Errors
 ///
 /// Returns the I/O error that prevented the transport from starting.
 pub fn serve_tcp(service: &Arc<Service>, listener: TcpListener) -> std::io::Result<()> {
     crate::mux::serve_mux(service, listener)
-}
-
-/// The PR-3 thread-per-connection blocking transport, kept as an escape
-/// hatch (`sigserve --transport blocking`) and as the baseline the
-/// `BENCH_service.json` saturation rows are measured against. Each
-/// connection gets a handler thread with a 200 ms read timeout; a
-/// `shutdown` frame on any connection stops the accept loop, drains,
-/// and returns.
-///
-/// # Errors
-///
-/// Returns the I/O error that broke the accept loop, if any.
-pub fn serve_tcp_blocking(service: &Arc<Service>, listener: TcpListener) -> std::io::Result<()> {
-    listener.set_nonblocking(true)?;
-    let stop = Arc::new(AtomicBool::new(false));
-    let mut handlers: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let service = Arc::clone(service);
-                let stop = Arc::clone(&stop);
-                handlers.push(std::thread::spawn(move || {
-                    handle_tcp_connection(&service, stream, &stop);
-                }));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            Err(e) => return Err(e),
-        }
-        handlers.retain(|h| !h.is_finished());
-    }
-    for h in handlers {
-        let _ = h.join();
-    }
-    service.drain();
-    Ok(())
-}
-
-fn handle_tcp_connection(service: &Arc<Service>, stream: TcpStream, stop: &AtomicBool) {
-    // The listener is non-blocking; accepted streams must block again —
-    // but with a read timeout, so idle connections poll the shutdown
-    // flag instead of pinning the daemon on a blocking read forever.
-    if stream.set_nonblocking(false).is_err() {
-        return;
-    }
-    if stream
-        .set_read_timeout(Some(Duration::from_millis(200)))
-        .is_err()
-    {
-        return;
-    }
-    // Writes time out too: a client that stops reading its responses
-    // would otherwise block a pool worker forever inside `respond_line`
-    // (holding this connection's writer mutex) once the kernel send
-    // buffer fills — one dead reader must never wedge the pool. After a
-    // timeout the write errors out; `respond_line` drops the frame and
-    // only that client's stream is affected.
-    if stream
-        .set_write_timeout(Some(Duration::from_secs(5)))
-        .is_err()
-    {
-        return;
-    }
-    let reader = match stream.try_clone() {
-        Ok(s) => BufReader::new(s),
-        Err(_) => return,
-    };
-    if run_connection(service, reader, stream, Some(stop)) == Handled::Shutdown {
-        stop.store(true, Ordering::SeqCst);
-    }
 }
 
 #[cfg(test)]
@@ -228,7 +125,9 @@ mod tests {
     };
     use crate::registry::synthetic_set;
     use crate::service::ServiceConfig;
-    use std::io::Cursor;
+    use std::io::{BufReader, Cursor};
+    use std::net::TcpStream;
+    use std::time::Duration;
 
     fn test_service() -> Arc<Service> {
         let service = Service::new(ServiceConfig {
@@ -257,7 +156,6 @@ mod tests {
             service,
             Cursor::new(input.as_bytes().to_vec()),
             SharedWriter(Arc::clone(&out)),
-            None,
         );
         let bytes = out.lock().expect("buffer").clone();
         String::from_utf8(bytes)
@@ -451,8 +349,8 @@ mod tests {
 
     #[test]
     fn tcp_shutdown_exits_despite_chatty_connections() {
-        // Regression: a client that keeps sending frames (so its reads
-        // never time out) must not keep the daemon alive either.
+        // Regression: a client that keeps sending frames must not keep
+        // the daemon alive either.
         let service = test_service();
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr");
@@ -463,7 +361,7 @@ mod tests {
         let chatty = std::thread::spawn(move || {
             let mut stream = TcpStream::connect(addr).expect("connect chatty");
             let mut id = 100u64;
-            // Pings faster than the read timeout until the daemon hangs up.
+            // Pings until the daemon hangs up.
             loop {
                 id += 1;
                 if writeln!(stream, "{}", encode_request(&Request::Ping { id })).is_err() {
@@ -483,39 +381,9 @@ mod tests {
             decode_response(ack.trim()).expect("response"),
             Response::ShuttingDown { id: 1 }
         );
-        // Would hang forever before the per-iteration stop check.
+        // A reactor that kept reading this client would never exit.
         server.join().expect("server exits");
         chatty.join().expect("chatty client unblocks");
-    }
-
-    #[test]
-    fn tcp_round_trip_blocking_transport() {
-        // The escape-hatch transport stays functional: same protocol,
-        // same responses, thread-per-connection scheduling.
-        let service = test_service();
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr");
-        let server = {
-            let service = Arc::clone(&service);
-            std::thread::spawn(move || serve_tcp_blocking(&service, listener).expect("serve"))
-        };
-        let mut stream = TcpStream::connect(addr).expect("connect");
-        writeln!(stream, "{}", sim_line(7, false)).expect("send");
-        writeln!(stream, "{}", encode_request(&Request::Shutdown { id: 8 })).expect("send");
-        let mut responses = Vec::new();
-        for line in BufReader::new(stream.try_clone().expect("clone")).lines() {
-            let line = line.expect("read");
-            responses.push(decode_response(&line).expect("response"));
-            if responses.len() == 2 {
-                break;
-            }
-        }
-        server.join().expect("server thread");
-        assert!(matches!(
-            responses.iter().find(|r| r.id() == Some(7)),
-            Some(Response::Sim { .. })
-        ));
-        assert!(responses.contains(&Response::ShuttingDown { id: 8 }));
     }
 
     #[test]

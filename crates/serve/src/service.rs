@@ -24,6 +24,7 @@ use sigwave::parallel::WorkerPool;
 use sigwave::{DigitalTrace, Level, SigmoidTrace};
 
 use crate::cache::{CacheKey, CircuitCache, ProgramCache};
+use crate::mux::{Backend, Responder, TransportCounters};
 use crate::protocol::{
     CacheOutcome, CompareStats, ErrorKind, OutputTrace, PhaseTimings, Request, Response,
     SessionEdit, SimRequest, SimResult, StatsReply, TimingStats, TraceSpan,
@@ -174,18 +175,9 @@ pub struct Service {
     fleet_runs: AtomicU64,
     /// Cumulative inference rows merged across fleet runs.
     fleet_rows: AtomicU64,
-    /// Gauge: connections currently open on the epoll transport (the
-    /// mux increments on accept, decrements on close).
-    connections_open: AtomicU64,
-    /// Times `epoll_wait` returned across this service's reactors — a
-    /// busy-poll tripwire: an idle daemon must not tick.
-    reactor_wakeups: AtomicU64,
-    /// Frames read while the same connection already had a request in
-    /// flight — i.e. actual pipelining observed on the wire.
-    frames_pipelined: AtomicU64,
-    /// Heavy frames rejected by the daemon-wide admission budget before
-    /// reaching the pool (each also counts under `rejected`).
-    admission_rejects: AtomicU64,
+    /// The TCP transport's counters; its admission rejects also count
+    /// as `rejected` (the same overload, refused at the door).
+    transport: TransportCounters,
 }
 
 impl std::fmt::Debug for Service {
@@ -216,36 +208,9 @@ impl Service {
             gates_reeval: AtomicU64::new(0),
             fleet_runs: AtomicU64::new(0),
             fleet_rows: AtomicU64::new(0),
-            connections_open: AtomicU64::new(0),
-            reactor_wakeups: AtomicU64::new(0),
-            frames_pipelined: AtomicU64::new(0),
-            admission_rejects: AtomicU64::new(0),
+            transport: TransportCounters::default(),
             config,
         })
-    }
-
-    /// The open-connection gauge, owned by the epoll transport.
-    pub(crate) fn connections_gauge(&self) -> &AtomicU64 {
-        &self.connections_open
-    }
-
-    /// The reactor wake-up counter, owned by the epoll transport.
-    pub(crate) fn reactor_wakeups(&self) -> &AtomicU64 {
-        &self.reactor_wakeups
-    }
-
-    /// Counts one frame read while its connection already had a request
-    /// in flight.
-    pub(crate) fn note_pipelined(&self) {
-        self.frames_pipelined.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one admission-budget rejection (also a `rejected`: the
-    /// overloaded semantics are the same whether the pool queue or the
-    /// admission budget said no).
-    pub(crate) fn note_admission_reject(&self) {
-        self.rejected.fetch_add(1, Ordering::Relaxed);
-        self.admission_rejects.fetch_add(1, Ordering::Relaxed);
     }
 
     /// The open-session counter, shared with the per-connection
@@ -311,7 +276,8 @@ impl Service {
             workers: self.pool.worker_count() as u64,
             queue_capacity: self.config.queue_capacity as u64,
             completed: self.completed.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
+            rejected: self.rejected.load(Ordering::Relaxed)
+                + self.transport.admission_rejects.load(Ordering::Relaxed),
             sessions_open: self.sessions_open.load(Ordering::SeqCst),
             delta_hits: self.delta_hits.load(Ordering::Relaxed),
             gates_reeval: self.gates_reeval.load(Ordering::Relaxed),
@@ -319,9 +285,9 @@ impl Service {
             fleet_runs: self.fleet_runs.load(Ordering::Relaxed),
             fleet_rows: self.fleet_rows.load(Ordering::Relaxed),
             obs_mode: sigobs::mode().as_str().to_string(),
-            connections_open: self.connections_open.load(Ordering::SeqCst),
-            frames_pipelined: self.frames_pipelined.load(Ordering::Relaxed),
-            admission_rejects: self.admission_rejects.load(Ordering::Relaxed),
+            connections_open: self.transport.connections_open.load(Ordering::SeqCst),
+            frames_pipelined: self.transport.frames_pipelined.load(Ordering::Relaxed),
+            admission_rejects: self.transport.admission_rejects.load(Ordering::Relaxed),
             sim_p50_s: sim.0,
             sim_p99_s: sim.1,
             batch_p50_s: batch.0,
@@ -996,6 +962,39 @@ fn patch_timings(
     }
 }
 
+/// The daemon on the TCP transport: one session table per connection.
+impl Backend for Service {
+    type Conn = Arc<SessionTable>;
+
+    fn config(&self) -> &ServiceConfig {
+        &self.config
+    }
+
+    fn counters(&self) -> &TransportCounters {
+        &self.transport
+    }
+
+    fn connect(self: &Arc<Self>) -> Arc<SessionTable> {
+        SessionTable::new(Arc::clone(self))
+    }
+
+    fn dispatch(
+        self: &Arc<Self>,
+        sessions: &mut Arc<SessionTable>,
+        _line: &str,
+        request: Request,
+        responder: Responder,
+    ) -> Handled {
+        self.handle_connection_request(request, Some(sessions), move |response| {
+            responder.respond(&response);
+        })
+    }
+
+    fn drain(&self) {
+        self.pool.drain();
+    }
+}
+
 /// The error answered to any simulation-carrying request while draining.
 fn draining_error(id: u64) -> Response {
     Response::Error {
@@ -1017,7 +1016,7 @@ fn no_session_transport(id: u64) -> Response {
 }
 
 /// The error answered when a session id is not open on this connection.
-fn unknown_session(id: u64, session: u64) -> Response {
+pub(crate) fn unknown_session(id: u64, session: u64) -> Response {
     Response::Error {
         id: Some(id),
         kind: ErrorKind::UnknownSession,

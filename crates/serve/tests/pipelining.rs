@@ -1,6 +1,7 @@
 //! Pipelining parity: 64 mixed frames fired down ONE connection without
-//! awaiting a single response, against the epoll transport. Every reply
-//! must be byte-identical to the sequential golden path (a fresh,
+//! awaiting a single response, against the epoll transport — once to a
+//! daemon and once through a two-shard `sigrouter`. Every reply must be
+//! byte-identical to the sequential golden path (a fresh,
 //! identically-configured daemon driven one request at a time) AND
 //! arrive in request order — the transport's in-order writeback
 //! contract, exercised end to end through sim, sim.batch, session
@@ -14,6 +15,7 @@ use std::sync::Arc;
 use sigserve::protocol::{
     decode_response, encode_request, CircuitSource, Request, Response, SessionEdit, SimRequest,
 };
+use sigserve::router::{route, serve_router};
 use sigserve::{serve_tcp, Service, ServiceConfig};
 
 // The workspace target dir (tests run with cwd = crates/serve): shares
@@ -39,7 +41,8 @@ fn sim(circuit: CircuitSource, seed: u64) -> SimRequest {
 }
 
 /// The 64-frame mixed plan, ids `1..=64` in send order: plain sims with
-/// repeated sources (cache hits), fleet batches, three session opens,
+/// repeated sources (cache hits) on c17 and c499 (which route to
+/// different shards of two), fleet batches, three session opens,
 /// interleaved deltas, a close, and a delta against the closed session
 /// (an error frame — ordering and parity apply to errors too).
 fn request_plan() -> Vec<Request> {
@@ -71,6 +74,10 @@ fn request_plan() -> Vec<Request> {
                     initial_high: false,
                     toggles: vec![2.0e-10],
                 }],
+            },
+            _ if id % 8 == 4 => Request::Sim {
+                id,
+                sim: sim(CircuitSource::Name("c499".into()), 700 + id % 3),
             },
             _ if id % 8 == 0 => Request::SimBatch {
                 id,
@@ -159,25 +166,10 @@ fn run_sequential(addr: std::net::SocketAddr, plan: &[Request]) -> Vec<String> {
     lines
 }
 
-#[test]
-fn pipelined_burst_is_byte_identical_to_sequential_golden_path() {
-    // Shared on-disk ci models so both daemons serve from the same
-    // artifact (train once, load twice).
-    sigserve::ModelRegistry::new(MODELS_DIR)
-        .get_or_load("ci", "nor-only")
-        .expect("ci models");
-    let plan = request_plan();
-
-    let (golden_service, golden_addr, golden_server) = spawn_daemon();
-    let golden = run_sequential(golden_addr, &plan);
-
-    let (service, addr, server) = spawn_daemon();
-    let pipelined = run_pipelined(addr, &plan);
-
+/// Asserts that `pipelined` answers the plan in request order (response
+/// i carries id i + 1) and byte for byte like the golden path.
+fn assert_ordered_and_golden(pipelined: &[String], golden: &[String]) {
     assert_eq!(pipelined.len(), 64, "every frame answered");
-
-    // In request order: response i answers request i (ids 1..=64 in
-    // send order), even though 64 frames were in flight at once.
     for (i, line) in pipelined.iter().enumerate() {
         let response = decode_response(line).expect("decodable");
         assert_eq!(
@@ -186,19 +178,38 @@ fn pipelined_burst_is_byte_identical_to_sequential_golden_path() {
             "response {i} out of order: {line}"
         );
     }
-
     // Byte-identical to the sequential golden path, frame by frame —
     // including the session baselines, the fleet batches, and the
     // unknown-session error after the close.
     for (i, (p, g)) in pipelined.iter().zip(golden.iter()).enumerate() {
         assert_eq!(p, g, "frame {} diverged from golden path", i + 1);
     }
-
     // The error frame really was an error (the plan exercised one).
     match decode_response(&pipelined[54]).expect("decodable") {
         Response::Error { id, .. } => assert_eq!(id, Some(55)),
         other => panic!("frame 55 should be unknown-session, got {other:?}"),
     }
+}
+
+fn load_ci_models() {
+    // Shared on-disk ci models so every daemon serves from the same
+    // artifact (train once, load many times).
+    sigserve::ModelRegistry::new(MODELS_DIR)
+        .get_or_load("ci", "nor-only")
+        .expect("ci models");
+}
+
+#[test]
+fn pipelined_burst_is_byte_identical_to_sequential_golden_path() {
+    load_ci_models();
+    let plan = request_plan();
+
+    let (golden_service, golden_addr, golden_server) = spawn_daemon();
+    let golden = run_sequential(golden_addr, &plan);
+
+    let (service, addr, server) = spawn_daemon();
+    let pipelined = run_pipelined(addr, &plan);
+    assert_ordered_and_golden(&pipelined, &golden);
 
     // The transport observed actual pipelining; the golden daemon (one
     // request in flight at a time) observed none.
@@ -213,5 +224,48 @@ fn pipelined_burst_is_byte_identical_to_sequential_golden_path() {
     shutdown(addr);
     shutdown(golden_addr);
     server.join().expect("server exits");
+    golden_server.join().expect("golden server exits");
+}
+
+#[test]
+fn pipelined_burst_through_two_shard_router_is_ordered_and_golden() {
+    load_ci_models();
+    let plan = request_plan();
+    // Both shards get frames: c17 and c499 route apart.
+    assert_ne!(
+        route(&CircuitSource::Name("c17".into()), 2),
+        route(&CircuitSource::Name("c499".into()), 2)
+    );
+
+    let (golden_service, golden_addr, golden_server) = spawn_daemon();
+    let golden = run_sequential(golden_addr, &plan);
+
+    let (shard_a, addr_a, server_a) = spawn_daemon();
+    let (shard_b, addr_b, server_b) = spawn_daemon();
+    let router_listener = TcpListener::bind("127.0.0.1:0").expect("bind router");
+    let router_addr = router_listener.local_addr().expect("addr");
+    let router = std::thread::spawn(move || {
+        serve_router(
+            router_listener,
+            vec![addr_a.to_string(), addr_b.to_string()],
+        )
+        .expect("router serves")
+    });
+
+    // Responses from the two shards finish in any order; the router
+    // still writes them back in request order.
+    let pipelined = run_pipelined(router_addr, &plan);
+    assert_ordered_and_golden(&pipelined, &golden);
+
+    let (a, b) = (shard_a.stats().completed, shard_b.stats().completed);
+    assert!(a > 0 && b > 0, "both shards must serve: a={a}, b={b}");
+    assert_eq!(a + b, golden_service.stats().completed);
+
+    // Shutdown through the router stops both shards.
+    shutdown(router_addr);
+    router.join().expect("router exits");
+    server_a.join().expect("shard a exits");
+    server_b.join().expect("shard b exits");
+    shutdown(golden_addr);
     golden_server.join().expect("golden server exits");
 }

@@ -376,8 +376,9 @@ fn random_response(rng: &mut rand::rngs::StdRng) -> Response {
                 ErrorKind::Simulation,
                 ErrorKind::UnknownSession,
                 ErrorKind::ShuttingDown,
+                ErrorKind::Internal,
             ]
-            .get(rng.gen_range(0..7usize))
+            .get(rng.gen_range(0..8usize))
             .expect("in range"),
             message: random_string(rng),
         },

@@ -100,7 +100,7 @@ fn signature(sim: &SimRequest) -> (String, u64, bool) {
 
 /// One client: its own connection, requests pipelined, responses
 /// collected by id.
-fn run_client(
+fn drive_client(
     addr: std::net::SocketAddr,
     requests: Vec<(u64, SimRequest)>,
 ) -> Vec<(u64, SimResult)> {
@@ -308,7 +308,7 @@ fn daemon_matches_direct_harness_bit_for_bit() {
     let responses: Vec<(u64, SimResult)> = std::thread::scope(|scope| {
         let handles: Vec<_> = chunks
             .into_iter()
-            .map(|chunk| scope.spawn(move || run_client(addr, chunk)))
+            .map(|chunk| scope.spawn(move || drive_client(addr, chunk)))
             .collect();
         handles
             .into_iter()

@@ -36,7 +36,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         train_cell_library_cached(&cache, &LibrarySpec::nor_only(), &PipelineConfig::fast())?;
     let nor = library.model(GateTag::NorFo1).ok_or("no NOR/FO1 model")?;
     let delays = DelayTable::measure([1], &AnalogOptions::default(), &EngineConfig::default())?;
-    let inertial = delays.lookup(1).to_inertial();
+    let inertial = delays.lookup_cell(ChainGate::Nor, 1, 1.0).to_inertial();
     let pure = PureDelay {
         rise: inertial.rise,
         fall: inertial.fall,

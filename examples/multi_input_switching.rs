@@ -13,7 +13,7 @@ use std::path::PathBuf;
 use nanospice::{Engine, GateParams, NetworkBuilder, Pwl};
 use sigchar::GateTag;
 use sigsim::{digital_to_sigmoid, train_cell_library_cached, LibrarySpec, PipelineConfig};
-use sigtom::{predict_nor, TomOptions};
+use sigtom::{apply_plan, plan_cell, CellFunction, TomOptions};
 use sigwave::{DigitalTrace, Level};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -49,7 +49,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // --- sigmoid TOM -------------------------------------------------------
         let sa = digital_to_sigmoid(&ta, 0.8);
         let sb = digital_to_sigmoid(&tb, 0.8);
-        let prediction = predict_nor(&nor, &[&sa, &sb], TomOptions::default());
+        let prediction = apply_plan(
+            plan_cell(CellFunction::Nor, &[&sa, &sb], TomOptions::default()),
+            &nor,
+        );
         let sigmoid_rise = prediction
             .transitions()
             .first()
@@ -68,7 +71,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let ta = DigitalTrace::new(Level::Low, vec![100e-12, 140e-12])?;
     let sa = digital_to_sigmoid(&ta, 0.8);
     let sb = sigwave::SigmoidTrace::constant(Level::High, 0.8);
-    let masked = predict_nor(&nor, &[&sa, &sb], TomOptions::default());
+    let masked = apply_plan(
+        plan_cell(CellFunction::Nor, &[&sa, &sb], TomOptions::default()),
+        &nor,
+    );
     println!(
         "\nwith input B held high, the decision procedure ignores A: {} output transitions",
         masked.len()
