@@ -336,6 +336,10 @@ mod tests {
             legacy.lookup_cell(ChainGate::Nor, 1, 1.0),
             "unmeasured classes fall back to the NOR class"
         );
+        assert!(
+            legacy.has_cell(ChainGate::Nor, 1) && legacy.has_cell(ChainGate::Inverter, 1),
+            "the legacy table measures the two classes of the old two-class lookup"
+        );
     }
 
     #[test]

@@ -5,16 +5,15 @@
 //! sigrouter --shards HOST:PORT,HOST:PORT[,...] [--addr 127.0.0.1:4714]
 //! ```
 //!
-//! Clients speak the normal sigserve wire protocol to the router, over
-//! the daemon's own epoll transport: pipelined frames answer in request
-//! order on each connection. `sim`/`sim.batch`/`session.open` frames
-//! are forwarded byte-for-byte to the shard that owns the request's
-//! circuit (jump consistent hash over the circuit fingerprint), so
-//! every shard's circuit and program caches stay hot and disjoint.
-//! `stats` aggregates across the fleet, `trace` concatenates every
-//! shard's spans, and `shutdown` brings the shards down before the
-//! router acknowledges and exits. See `docs/architecture.md` § Async
-//! transport & sharding.
+//! Clients speak the normal sigserve wire protocol to the router, on
+//! the daemon's own transport (answers in request order per connection);
+//! `sim`/`sim.batch`/`session.open` frames are forwarded byte-for-byte
+//! to the shard that owns the request's circuit (jump consistent hash
+//! over the circuit fingerprint), so every shard's circuit and program
+//! caches stay hot and disjoint. `stats` aggregates across the fleet,
+//! `trace` concatenates every shard's spans, and `shutdown` brings the
+//! shards down before the router acknowledges and exits. See
+//! `docs/architecture.md` § Async transport & sharding.
 
 use std::net::TcpListener;
 

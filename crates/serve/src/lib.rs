@@ -18,9 +18,8 @@
 //!   newline-delimited JSON ([`protocol`]), run concurrently, and stream
 //!   back per-request results with ids, explicit `overloaded`
 //!   backpressure, and drain-on-shutdown,
-//! * [`server`] — the TCP transport (the epoll multiplexer of [`mux`],
-//!   which also carries the shard router of [`router`]) and stdio; the
-//!   `sigserve` daemon and `sigctl` client binaries wrap them.
+//! * [`server`] — TCP (the [`mux`] reactor, shared with [`router`]) and
+//!   stdio transports; the `sigserve` daemon and `sigctl` wrap them.
 //!
 //! The service is a **scheduling layer, never a numerics layer**:
 //! responses are bit-identical to direct [`sigsim::compare_circuit_cells`]

@@ -1,9 +1,8 @@
 //! Per-connection session tables: resident incremental simulation state
 //! keyed by client-chosen session ids.
 //!
-//! A [`SessionTable`] lives exactly as long as its connection (the TCP
-//! transport opens one per accepted socket,
-//! [`crate::server::run_connection`] one per stdio stream), so
+//! A [`SessionTable`] lives exactly as long as its connection (TCP or
+//! [`crate::server::run_connection`] each open one per connection), so
 //! sessions are invisible to other connections and released wholesale
 //! when the connection ends. The table is bounded daemon-wide: every
 //! connection draws from the shared
