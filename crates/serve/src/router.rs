@@ -231,19 +231,17 @@ impl Router {
     fn fleet_stats(&self, id: u64) -> Response {
         let mut replies = Vec::with_capacity(self.shards.len());
         for (shard, addr) in self.shards.iter().enumerate() {
-            let message = match control_roundtrip(addr, &Request::Stats { id }) {
-                Ok(Response::Stats { stats, .. }) => {
-                    replies.push(stats);
-                    continue;
+            match control_roundtrip(addr, &Request::Stats { id }) {
+                Ok(Response::Stats { stats, .. }) => replies.push(stats),
+                Ok(other) => {
+                    return Response::Error {
+                        id: Some(id),
+                        kind: ErrorKind::Simulation,
+                        message: format!("shard {shard} answered {other:?}"),
+                    }
                 }
-                Ok(other) => format!("shard {shard} answered {other:?}"),
-                Err(e) => format!("shard {shard} unreachable: {e}"),
-            };
-            return Response::Error {
-                id: Some(id),
-                kind: ErrorKind::Simulation,
-                message,
-            };
+                Err(e) => return unreachable(Some(id), shard, &e),
+            }
         }
         Response::Stats {
             id,
