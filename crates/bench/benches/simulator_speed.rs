@@ -9,6 +9,13 @@
 //! isolating scheduling overhead, then with untrained paper-architecture
 //! MLPs where batched inference is the win. Both modes produce
 //! bit-identical traces; only wall-clock differs.
+//!
+//! Only `program_c1355/ci_nor_only_execute` runs the served workload's
+//! engine: the trained `ci` NOR-only library, valid regions included,
+//! on the stimuli the daemon draws. Every other row, the `ann_*` and
+//! `fleet_*` rows included, uses an analytic transfer or random-weight
+//! MLPs without a valid region, so it measures scheduling and inference
+//! overhead only and never exercises projection or the snap table.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -22,8 +29,9 @@ use sigcircuit::Benchmark;
 use signn::simd::{set_policy, SimdPolicy};
 use signn::{Mlp, ScaledModel, Standardizer};
 use sigsim::{
-    digital_to_sigmoid, simulate_cells_with, CellModels, CircuitProgram, FleetScratch, LibrarySpec,
-    SigmoidSimConfig, StimulusEdit, StimulusSpec,
+    digital_to_sigmoid, random_stimuli, simulate_cells_with, train_cell_library_cached, CellModels,
+    CircuitProgram, FleetScratch, LibrarySpec, PipelineConfig, SigmoidSimConfig, StimulusEdit,
+    StimulusSpec,
 };
 use sigtom::{
     AnnTransfer, GateModel, TomOptions, TransferFunction, TransferPrediction, TransferQuery,
@@ -329,6 +337,58 @@ fn bench_program(c: &mut Criterion) {
     }
 }
 
+/// The served workload's engine: warm executes of NOR-mapped c1355 on
+/// the trained `ci` library (trained once and cached under
+/// `target/sigmodels`, as the daemon caches it), each iteration on the
+/// next of 16 stimulus sets drawn like the daemon's (µ 60 ps, σ 25 ps,
+/// 4 transitions). Most rows snap onto the valid region, so this row
+/// covers projection and the snap table.
+fn bench_trained_program(c: &mut Criterion) {
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../target/sigmodels/ci.nor-only.json"
+    );
+    let library = train_cell_library_cached(
+        std::path::Path::new(path),
+        &LibrarySpec::nor_only(),
+        &PipelineConfig::ci(),
+    )
+    .expect("ci library trains");
+    let bench = Benchmark::by_name("c1355").expect("benchmark");
+    let circuit = Arc::new(bench.nor_mapped.clone());
+    let options = TomOptions::default();
+    let program = CircuitProgram::compile(
+        Arc::clone(&circuit),
+        Arc::new(library.cell_models()),
+        options,
+    )
+    .expect("compiles");
+    let spec = StimulusSpec::new(60e-12, 25e-12, 4);
+    let sets: Vec<NetTraces> = (0..16)
+        .map(|seed| {
+            let mut rng = StdRng::seed_from_u64(1000 + seed);
+            random_stimuli(&circuit, &spec, &mut rng)
+                .iter()
+                .map(|(&net, t)| (net, Arc::new(digital_to_sigmoid(t, options.vdd))))
+                .collect()
+        })
+        .collect();
+    let config = SigmoidSimConfig::default();
+    let mut scratch = FleetScratch::new();
+    let mut next = 0;
+    let mut group = c.benchmark_group("program_c1355");
+    group.sample_size(60);
+    group.bench_function("ci_nor_only_execute", |b| {
+        b.iter(|| {
+            next = (next + 1) % sets.len();
+            program
+                .execute_with(black_box(&sets[next]), &config, &mut scratch)
+                .expect("sim")
+        })
+    });
+    group.finish();
+}
+
 /// Incremental-engine rows (the event-driven tentpole): a resident
 /// session absorbs stimulus edits against its committed state. `1edit`
 /// re-evaluates a single input cone, `10pct_edits` a tenth of the
@@ -471,6 +531,7 @@ criterion_group!(
     bench_simulators,
     bench_mapping_policies,
     bench_program,
+    bench_trained_program,
     bench_delta,
     bench_fleet
 );

@@ -43,15 +43,15 @@ fn backend_models(library: &CellLibrary, backend: &str) -> CellModels {
             other => panic!("unknown backend {other}"),
         };
         let mut m = GateModel::new(transfer);
-        if let Some(r) = &template.region {
-            m = m.with_region(r.clone());
+        if let Some(r) = template.region() {
+            m = m.with_region(Arc::clone(r));
         }
         m
     })
 }
 
 fn strip_region(library: &CellLibrary) -> CellModels {
-    variant(library, |_, m| GateModel::new(m.transfer))
+    variant(library, |_, m| GateModel::new(Arc::clone(m.transfer())))
 }
 
 fn tighten_region(library: &CellLibrary, margin: f64) -> CellModels {
@@ -63,7 +63,8 @@ fn tighten_region(library: &CellLibrary, margin: f64) -> CellModels {
             .chain(&data.falling)
             .map(|s| s.features())
             .collect();
-        GateModel::new(m.transfer).with_region(Arc::new(ValidRegion::build(&pts, margin)))
+        GateModel::new(Arc::clone(m.transfer()))
+            .with_region(Arc::new(ValidRegion::build(&pts, margin)))
     })
 }
 

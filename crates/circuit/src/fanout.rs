@@ -5,7 +5,7 @@
 //! fan-outs low by buffering, which this pass performs with NOR-only
 //! buffers (two single-input NORs), preserving the NOR-only property.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use crate::netlist::{Circuit, CircuitBuilder, GateKind, NetId};
 
@@ -47,6 +47,19 @@ pub fn limit_fanout(circuit: &Circuit, max_fanout: usize) -> Circuit {
     // rank r read copy `r / max_fanout`.
     let mut copies: HashMap<NetId, Vec<NetId>> = HashMap::new();
     let mut fresh = 0usize;
+    // Buffer names count up `__buf1_n`, `__buf2`, `__buf3_n`, ... and skip
+    // every name the circuit already has, so re-buffering a buffered
+    // netlist cannot collide while other circuits keep this sequence.
+    let taken: HashSet<&str> = (0..circuit.net_count())
+        .map(|i| circuit.net_name(NetId(i)))
+        .collect();
+    let fresh_name = |fresh: &mut usize, suffix: &str| loop {
+        *fresh += 1;
+        let name = format!("__buf{fresh}{suffix}");
+        if !taken.contains(name.as_str()) {
+            break name;
+        }
+    };
 
     // Copies are chained (copy i+1 is buffered from copy i), so every copy
     // including the original drives at most `max_fanout - 1` consumers plus
@@ -59,10 +72,8 @@ pub fn limit_fanout(circuit: &Circuit, max_fanout: usize) -> Circuit {
             let groups = n_consumers.div_ceil(per_copy);
             let mut prev = mapped;
             for _ in 1..groups {
-                *fresh += 1;
-                let inv = b.add_gate(buf_kind, &[prev], &format!("__buf{fresh}_n"));
-                *fresh += 1;
-                let buf = b.add_gate(buf_kind, &[inv], &format!("__buf{fresh}"));
+                let inv = b.add_gate(buf_kind, &[prev], &fresh_name(fresh, "_n"));
+                let buf = b.add_gate(buf_kind, &[inv], &fresh_name(fresh, ""));
                 list.push(buf);
                 prev = buf;
             }
@@ -162,6 +173,62 @@ mod tests {
                 let bits: Vec<bool> = (0..n).map(|_| rng.gen()).collect();
                 assert_eq!(bench.nor_mapped.eval(&bits), limited.eval(&bits), "{name}");
             }
+        }
+    }
+
+    #[test]
+    fn rebuffered_c499_keeps_function_at_fanout_two() {
+        // NOR-mapped c499 is already buffered to fan-out 4, so it has
+        // `__bufN` nets; buffering it again must pick names around them.
+        let bench = crate::Benchmark::by_name("c499").unwrap();
+        let limited = limit_fanout(&bench.nor_mapped, 2);
+        assert!(max_gate_fanout(&limited) <= 2);
+        assert!(limited.is_nor_only());
+        let mut rng = StdRng::seed_from_u64(11);
+        let n = bench.nor_mapped.inputs().len();
+        for _ in 0..32 {
+            let bits: Vec<bool> = (0..n).map(|_| rng.gen()).collect();
+            assert_eq!(bench.nor_mapped.eval(&bits), limited.eval(&bits));
+        }
+    }
+
+    #[test]
+    fn buffer_names_skip_only_taken_names() {
+        let fanned = |src_name: &str, first_load: &str| {
+            let mut b = CircuitBuilder::new();
+            let a = b.add_input("a");
+            let src = b.add_gate(GateKind::Nor, &[a], src_name);
+            for i in 0..9 {
+                let name = if i == 0 {
+                    first_load.to_string()
+                } else {
+                    format!("load{i}")
+                };
+                let g = b.add_gate(GateKind::Nor, &[src], &name);
+                b.mark_output(g);
+            }
+            limit_fanout(&b.build().unwrap(), 4)
+        };
+        let names = |c: &Circuit| -> Vec<String> {
+            (0..c.net_count())
+                .map(|i| c.net_name(NetId(i)).to_string())
+                .filter(|n| n.starts_with("__buf"))
+                .collect()
+        };
+        // Without a collision the names are the plain sequence.
+        let plain = fanned("src", "load0");
+        assert_eq!(names(&plain), ["__buf1_n", "__buf2", "__buf3_n", "__buf4"]);
+        // Taken names are skipped; the circuit's own nets keep theirs.
+        let taken = fanned("__buf1_n", "__buf4");
+        let mut got = names(&taken);
+        got.sort();
+        assert_eq!(
+            got,
+            ["__buf1_n", "__buf2_n", "__buf3", "__buf4", "__buf4_n", "__buf5"]
+        );
+        assert!(max_gate_fanout(&taken) <= 4);
+        for v in [false, true] {
+            assert_eq!(plain.eval(&[v]), taken.eval(&[v]));
         }
     }
 

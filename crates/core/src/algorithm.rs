@@ -10,16 +10,23 @@ use sigwave::{Level, Sigmoid, SigmoidTrace};
 use sigchar::{DUMMY_SLOPE, T_FAR};
 
 use crate::region::ValidRegion;
-use crate::transfer::{TransferFunction, TransferQuery};
+use crate::transfer::{TransferFunction, TransferPrediction, TransferQuery};
 
 /// A gate model: a transfer function plus (optionally) its valid region.
+///
+/// With a region attached the model also holds a *snap table*: the
+/// transfer's prediction for every training point at both `a_in` signs,
+/// so a batched query that snaps onto a training point is a lookup (see
+/// [`GateModel::with_region`]). The fields are private because the table
+/// must stay in step with them.
 #[derive(Clone)]
 pub struct GateModel {
-    /// The transfer backend (ANN in the paper, LUT/poly for comparison).
-    pub transfer: Arc<dyn TransferFunction + Send + Sync>,
-    /// Valid-region containment (Sec. IV-B); `None` disables projection
-    /// (an ablation the benchmarks exercise).
-    pub region: Option<Arc<ValidRegion>>,
+    transfer: Arc<dyn TransferFunction + Send + Sync>,
+    region: Option<Arc<ValidRegion>>,
+    /// Row `2·node` holds the prediction for a query snapped onto the
+    /// region's training point `node` with a non-negative `a_in`, row
+    /// `2·node + 1` for a negative one. Empty without a region.
+    snapped: Arc<[TransferPrediction]>,
 }
 
 impl std::fmt::Debug for GateModel {
@@ -31,6 +38,14 @@ impl std::fmt::Debug for GateModel {
     }
 }
 
+/// Reusable buffers of [`GateModel::predict_batch_with`]: the row index
+/// and the prediction of each in-region query of a batch.
+#[derive(Debug, Default)]
+pub struct SnapScratch {
+    rows: Vec<usize>,
+    predictions: Vec<TransferPrediction>,
+}
+
 impl GateModel {
     /// A model without valid-region projection.
     #[must_use]
@@ -38,19 +53,53 @@ impl GateModel {
         Self {
             transfer,
             region: None,
+            snapped: Arc::new([]),
         }
     }
 
-    /// Attaches a valid region.
+    /// Attaches a valid region and builds its snap table with one
+    /// [`TransferFunction::predict_batch`] over 2·N rows: each training
+    /// point as the query a snapped query becomes, at both `a_in` signs.
+    ///
+    /// The table replaces later transfer calls, so it requires a *pure*
+    /// transfer: its prediction must depend on the query bits alone (no
+    /// interior state, no randomness). Batched predictions are
+    /// bit-identical to scalar ones (the [`TransferFunction::predict_batch`]
+    /// contract), so a table row equals what the scalar path computes for
+    /// the same snapped query.
     #[must_use]
     pub fn with_region(mut self, region: Arc<ValidRegion>) -> Self {
+        let rows: Vec<TransferQuery> = (0..region.len())
+            .flat_map(|node| {
+                let p = region.node_query(node);
+                [1.0, -1.0].map(|sign| TransferQuery {
+                    a_in: p.a_in.abs() * sign,
+                    ..p
+                })
+            })
+            .collect();
+        let mut table = Vec::new();
+        self.transfer.predict_batch(&rows, &mut table);
+        self.snapped = table.into();
         self.region = Some(region);
         self
     }
 
+    /// The transfer backend (ANN in the paper, LUT/poly for comparison).
+    #[must_use]
+    pub fn transfer(&self) -> &Arc<dyn TransferFunction + Send + Sync> {
+        &self.transfer
+    }
+
+    /// The valid region (Sec. IV-B); `None` disables projection (an
+    /// ablation the benchmarks exercise).
+    #[must_use]
+    pub fn region(&self) -> Option<&Arc<ValidRegion>> {
+        self.region.as_ref()
+    }
+
     /// Clamps a raw query to the trained domain and (when a region is
-    /// attached) projects it into the valid region — the per-query
-    /// preparation shared by the scalar and batch paths.
+    /// attached) projects it into the valid region.
     fn prepare(&self, query: TransferQuery) -> TransferQuery {
         match &self.region {
             Some(r) => {
@@ -67,26 +116,74 @@ impl GateModel {
         }
     }
 
-    fn predict(&self, query: TransferQuery) -> crate::transfer::TransferPrediction {
+    /// The scalar prediction: prepare, then one transfer call. It never
+    /// reads the snap table, so it is the oracle the batched path is
+    /// tested against.
+    fn predict(&self, query: TransferQuery) -> TransferPrediction {
         self.transfer.predict(self.prepare(query))
     }
 
-    /// Predicts a batch of independent queries: each is clamped/projected
-    /// **in place** exactly as the scalar [`GateModel`] prediction does
-    /// (the batch buffer is the scratch, so nothing is allocated per
-    /// call), then the whole batch goes through
-    /// [`TransferFunction::predict_batch`] in one call. `out` is
-    /// overwritten with one prediction per query, in order,
-    /// bit-identical to per-query [`TransferFunction::predict`] calls.
-    pub fn predict_batch(
+    /// [`GateModel::predict_batch_with`] with buffers of its own, which
+    /// it allocates only when some rows are in-region. Loops keep a
+    /// [`SnapScratch`] and call `predict_batch_with` instead.
+    pub fn predict_batch(&self, queries: &mut [TransferQuery], out: &mut Vec<TransferPrediction>) {
+        self.predict_batch_with(queries, out, &mut SnapScratch::default());
+    }
+
+    /// Predicts a batch of independent queries, overwriting `out` with one
+    /// prediction per query, in order, bit-identical to the scalar
+    /// prediction of each.
+    ///
+    /// Without a region every query is clamped in place and the batch goes
+    /// to [`TransferFunction::predict_batch`] in one call. With a region,
+    /// a query that snaps onto a training point is answered from the snap
+    /// table; the in-region queries are compacted to the front of
+    /// `queries` and go to the transfer as one batch. `queries` is
+    /// scratch: its contents afterwards are unspecified.
+    pub fn predict_batch_with(
         &self,
         queries: &mut [TransferQuery],
-        out: &mut Vec<crate::transfer::TransferPrediction>,
+        out: &mut Vec<TransferPrediction>,
+        scratch: &mut SnapScratch,
     ) {
-        for q in queries.iter_mut() {
-            *q = self.prepare(*q);
+        let Some(region) = &self.region else {
+            for q in queries.iter_mut() {
+                *q = q.clamped();
+            }
+            self.transfer.predict_batch(queries, out);
+            return;
+        };
+        let SnapScratch { rows, predictions } = scratch;
+        rows.clear();
+        out.clear();
+        for i in 0..queries.len() {
+            let q = queries[i].clamped();
+            match region.snap_node(&q) {
+                // The scalar path's snapped query takes `a_in`'s sign from
+                // `signum`, which is -1 exactly for the negative sign bit.
+                Some(node) => {
+                    out.push(self.snapped[2 * node + usize::from(q.a_in.is_sign_negative())]);
+                }
+                // Inside, `prepare` keeps the clamped query's bits
+                // (`|a|·signum(a) == a`, also for ±0.0).
+                None => {
+                    queries[rows.len()] = q;
+                    rows.push(i);
+                    out.push(TransferPrediction {
+                        a_out: f64::NAN,
+                        delay: f64::NAN,
+                    });
+                }
+            }
         }
-        self.transfer.predict_batch(queries, out);
+        if rows.is_empty() {
+            return;
+        }
+        self.transfer
+            .predict_batch(&queries[..rows.len()], predictions);
+        for (&i, &p) in rows.iter().zip(predictions.iter()) {
+            out[i] = p;
+        }
     }
 }
 
@@ -288,7 +385,7 @@ impl CellFunction {
 /// 1. [`GatePlan::next_query`] yields the query for the next relevant
 ///    transition (or `None` when the plan is exhausted),
 /// 2. the caller evaluates it — alone, or batched with the pending queries
-///    of *other* gates via [`GateModel::predict_batch`] —
+///    of *other* gates via [`GateModel::predict_batch_with`] —
 /// 3. [`GatePlan::apply`] consumes the prediction, advancing Algorithm 1's
 ///    output state (alternation repair, out-of-order cancellation,
 ///    sub-threshold pulse removal),
@@ -549,7 +646,7 @@ pub fn plan_cell<'a>(
 /// Drives a plan to completion against one model: the scalar
 /// query→predict→apply loop. (A level-scheduled simulator instead
 /// interleaves the loops of many plans through
-/// [`GateModel::predict_batch`]; both produce identical traces.)
+/// [`GateModel::predict_batch_with`]; both produce identical traces.)
 #[must_use]
 pub fn apply_plan(mut plan: GatePlan<'_>, model: &GateModel) -> SigmoidTrace {
     while let Some(query) = plan.next_query() {
@@ -1040,6 +1137,113 @@ mod tests {
         for (q, p) in queries.iter().zip(&out) {
             assert_eq!(*p, m.predict(*q));
         }
+    }
+
+    /// A transfer whose output depends on every query field and the sign
+    /// of `a_in`, counting the rows that reach its batch path.
+    #[derive(Default)]
+    struct Probe {
+        rows: std::sync::atomic::AtomicUsize,
+    }
+
+    impl TransferFunction for Probe {
+        fn predict(&self, q: TransferQuery) -> TransferPrediction {
+            TransferPrediction {
+                a_out: -q.a_in.signum() * (10.0 + q.t + 0.1 * q.a_prev_out.abs()),
+                delay: 0.05 + 0.01 * q.t + 0.001 * q.a_in + 0.0001 * q.a_prev_out,
+            }
+        }
+        fn predict_batch(&self, queries: &[TransferQuery], out: &mut Vec<TransferPrediction>) {
+            self.rows
+                .fetch_add(queries.len(), std::sync::atomic::Ordering::Relaxed);
+            out.clear();
+            out.extend(queries.iter().map(|&q| self.predict(q)));
+        }
+        fn backend_name(&self) -> &'static str {
+            "probe"
+        }
+    }
+
+    #[test]
+    fn predict_batch_matches_scalar_on_snapped_and_in_region_rows() {
+        use crate::region::ValidRegion;
+        use std::sync::atomic::Ordering;
+        // Training points whose slopes straddle zero, so `a_in = ±0.0`
+        // lands both inside the region and (far off in T) outside it.
+        let mut pts = Vec::new();
+        for t in [0.5, 1.0, 1.5, 2.0] {
+            for a_in in [-1.0, -0.5, 0.0, 0.5, 1.0] {
+                for a_prev in [-1.0, 0.0, 1.0] {
+                    pts.push([t, a_in, a_prev]);
+                }
+            }
+        }
+        let region = Arc::new(ValidRegion::build(&pts, 1.0));
+        let probe = Arc::new(Probe::default());
+        let m = GateModel::new(Arc::clone(&probe) as _).with_region(Arc::clone(&region));
+        assert_eq!(probe.rows.swap(0, Ordering::Relaxed), 2 * pts.len());
+        let mut queries = Vec::new();
+        for t in [0.5, 1.26, 2.0, 40.0] {
+            for a_in in [0.0, -0.0, 0.5, -0.5, 0.77, -0.77, 30.0, -30.0] {
+                for a_prev in [-1.0, 0.4, 9.0] {
+                    queries.push(TransferQuery {
+                        t,
+                        a_in,
+                        a_prev_out: a_prev,
+                    });
+                }
+            }
+        }
+        let inside = |q: &TransferQuery| region.contains(&q.clamped());
+        for sign in [false, true] {
+            for kind in [false, true] {
+                assert!(
+                    queries
+                        .iter()
+                        .any(|q| q.a_in.is_sign_negative() == sign && inside(q) == kind),
+                    "no {} row with negative a_in = {sign}",
+                    if kind { "in-region" } else { "snapped" }
+                );
+            }
+        }
+        for zero in [0.0f64, -0.0] {
+            let rows = queries
+                .iter()
+                .filter(|q| q.a_in.to_bits() == zero.to_bits());
+            let kinds: Vec<bool> = rows.map(inside).collect();
+            assert!(
+                kinds.contains(&true) && kinds.contains(&false),
+                "a_in = {zero:?}"
+            );
+        }
+
+        let mut scratch = SnapScratch::default();
+        let mut out = Vec::new();
+        // Twice through one scratch, then a shorter batch: reused buffers
+        // must not leak rows between calls.
+        for batch in [&queries[..], &queries[..], &queries[5..17]] {
+            let mut rows = batch.to_vec();
+            m.predict_batch_with(&mut rows, &mut out, &mut scratch);
+            assert_eq!(out.len(), batch.len());
+            for (q, p) in batch.iter().zip(&out) {
+                let scalar = m.predict(*q);
+                assert_eq!(
+                    [p.a_out.to_bits(), p.delay.to_bits()],
+                    [scalar.a_out.to_bits(), scalar.delay.to_bits()],
+                    "{q:?}: batch {p:?} vs scalar {scalar:?}"
+                );
+            }
+            // Only the in-region rows reach the transfer.
+            assert_eq!(
+                probe.rows.swap(0, Ordering::Relaxed),
+                batch.iter().filter(|q| inside(q)).count()
+            );
+        }
+        let mut rows = queries.clone();
+        let mut convenience = Vec::new();
+        m.predict_batch(&mut rows, &mut convenience);
+        m.predict_batch_with(&mut queries, &mut out, &mut scratch);
+        assert_eq!(convenience, out);
     }
 
     #[test]

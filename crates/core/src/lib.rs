@@ -75,7 +75,7 @@ mod transfer;
 
 pub use algorithm::{
     apply_plan, plan_cell, plan_single_input, predict_single_input, traces_bit_identical,
-    CellFunction, GateModel, GatePlan, PlanScratch, PlanTemplate, TomOptions,
+    CellFunction, GateModel, GatePlan, PlanScratch, PlanTemplate, SnapScratch, TomOptions,
 };
 pub use ann::{AnnTrainConfig, AnnTransfer, TrainTransferError};
 pub use baselines::{LutTransfer, PolyTransfer};

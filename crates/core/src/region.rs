@@ -10,7 +10,7 @@
 //! projection snaps the query to the nearest training point. A kd-tree
 //! makes both operations `O(log n)`.
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Error, Serialize, Value};
 
 use crate::transfer::TransferQuery;
 
@@ -27,9 +27,12 @@ struct KdNode {
     right: Option<usize>,
 }
 
-/// The valid input region of a trained transfer function.
+/// The serialized part of a [`ValidRegion`]. These four fields are the
+/// model cache format; the search boxes are derived from them on load.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ValidRegion {
+struct KdTree {
+    /// Nodes in preorder: the root is node 0 and every child index is
+    /// larger than its parent's.
     nodes: Vec<KdNode>,
     root: Option<usize>,
     /// Per-axis normalization scale (so distances weigh T and slopes
@@ -37,6 +40,16 @@ pub struct ValidRegion {
     scales: [f64; 3],
     /// Inside iff nearest-neighbour distance (normalized) ≤ threshold.
     threshold: f64,
+}
+
+/// The valid input region of a trained transfer function.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ValidRegion {
+    tree: KdTree,
+    /// Per node: the tight bounding box `[lo, hi]` of the points in its
+    /// subtree, which [`ValidRegion::nearest`] prunes by. Derived from the
+    /// tree when a region is built or loaded, never serialized.
+    boxes: Vec<[Point; 2]>,
 }
 
 impl ValidRegion {
@@ -70,21 +83,21 @@ impl ValidRegion {
             .map(|p| [p[0] / scales[0], p[1] / scales[1], p[2] / scales[2]])
             .collect();
 
-        let mut region = Self {
+        let mut tree = KdTree {
             nodes: Vec::with_capacity(points.len()),
             root: None,
             scales,
             threshold: 0.0,
         };
         let mut idx: Vec<usize> = (0..normalized.len()).collect();
-        region.root = region.build_rec(&normalized, &mut idx, 0);
+        tree.root = tree.build_rec(&normalized, &mut idx, 0);
 
         // Typical spacing: median nearest-neighbour distance (each point
         // queried against the tree excluding itself would need bookkeeping;
         // the second-nearest of a self-query is the same thing).
         let mut nn: Vec<f64> = normalized
             .iter()
-            .map(|p| region.two_nearest(*p).1)
+            .map(|p| tree.two_nearest(*p).1)
             .filter(|d| d.is_finite())
             .collect();
         nn.sort_by(f64::total_cmp);
@@ -95,10 +108,169 @@ impl ValidRegion {
         } else {
             nn[nn.len() / 2].max(1e-9)
         };
-        region.threshold = margin * median;
-        region
+        tree.threshold = margin * median;
+        Self::from_tree(tree).expect("build writes a preorder tree")
     }
 
+    /// Derives the search boxes of a tree, bottom-up: children follow
+    /// their parent in preorder, so one reverse pass sees every child's
+    /// box before its parent's. Rejects a tree that is not the preorder
+    /// layout [`ValidRegion::build`] writes.
+    fn from_tree(tree: KdTree) -> Result<Self, Error> {
+        let n = tree.nodes.len();
+        if n == 0 || tree.root != Some(0) {
+            return Err(Error::new("valid region: empty tree or root not at node 0"));
+        }
+        let mut boxes = vec![[[0.0; 3]; 2]; n];
+        for i in (0..n).rev() {
+            let node = &tree.nodes[i];
+            if node.axis >= 3 {
+                return Err(Error::new(format!(
+                    "valid region: node {i} splits axis {}",
+                    node.axis
+                )));
+            }
+            let mut bounds = [node.point; 2];
+            for child in [node.left, node.right].into_iter().flatten() {
+                if child <= i || child >= n {
+                    return Err(Error::new(format!(
+                        "valid region: node {i} has child {child} outside preorder"
+                    )));
+                }
+                for axis in 0..3 {
+                    bounds[0][axis] = bounds[0][axis].min(boxes[child][0][axis]);
+                    bounds[1][axis] = bounds[1][axis].max(boxes[child][1][axis]);
+                }
+            }
+            boxes[i] = bounds;
+        }
+        Ok(Self { tree, boxes })
+    }
+
+    /// The node nearest to `q` (normalized space) and its squared
+    /// distance; `None` only for a query with a NaN or infinite
+    /// coordinate. A depth-first descent, near child first, that skips
+    /// every subtree whose box is no closer than the best distance so far.
+    ///
+    /// Exact, and the same node [`KdTree::search`] finds: a skipped subtree
+    /// holds no point strictly closer than the best (the box distance is
+    /// computed with the same rounding as the point distance, so it never
+    /// exceeds it), and a tie never replaces the best. Both searches thus
+    /// return the first node, in the same depth-first order, at the
+    /// minimum distance.
+    fn nearest(&self, q: Point) -> (f64, Option<usize>) {
+        let mut best = (f64::INFINITY, None);
+        self.descend(0, q, &mut best);
+        best
+    }
+
+    fn descend(&self, i: usize, q: Point, best: &mut (f64, Option<usize>)) {
+        if box_dist2(&self.boxes[i], q) >= best.0 {
+            return;
+        }
+        let n = &self.tree.nodes[i];
+        let d2 = dist2(n.point, q);
+        if d2 < best.0 {
+            *best = (d2, Some(i));
+        }
+        let (near, far) = if q[n.axis] - n.point[n.axis] < 0.0 {
+            (n.left, n.right)
+        } else {
+            (n.right, n.left)
+        };
+        for child in [near, far].into_iter().flatten() {
+            self.descend(child, q, best);
+        }
+    }
+
+    fn normalize(&self, q: &TransferQuery) -> Point {
+        let s = self.tree.scales;
+        [q.t / s[0], q.a_in / s[1], q.a_prev_out / s[2]]
+    }
+
+    /// `true` if the query lies inside the valid region.
+    #[must_use]
+    pub fn contains(&self, query: &TransferQuery) -> bool {
+        let (d2, _) = self.nearest(self.normalize(query));
+        d2.sqrt() <= self.tree.threshold
+    }
+
+    /// The node a query outside the region snaps to, or `None` for a
+    /// query inside it. One search yields both the membership distance
+    /// and the snap target.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a query with a NaN or infinite coordinate.
+    pub(crate) fn snap_node(&self, query: &TransferQuery) -> Option<usize> {
+        let (d2, node) = self.nearest(self.normalize(query));
+        if d2.sqrt() <= self.tree.threshold {
+            return None;
+        }
+        Some(node.expect("query coordinates are finite"))
+    }
+
+    /// The training point stored at `node`, as a query in unnormalized
+    /// units.
+    pub(crate) fn node_query(&self, node: usize) -> TransferQuery {
+        let p = self.tree.nodes[node].point;
+        let s = self.tree.scales;
+        TransferQuery {
+            t: p[0] * s[0],
+            a_in: p[1] * s[1],
+            a_prev_out: p[2] * s[2],
+        }
+    }
+
+    /// Projects the query into the region: queries already inside are
+    /// returned unchanged, outside queries snap to the closest training
+    /// point ("compute the closest point on the concave hull and use these
+    /// coordinates as inputs instead", Sec. IV-B).
+    ///
+    /// # Panics
+    ///
+    /// Panics on a query with a NaN or infinite coordinate.
+    #[must_use]
+    pub fn project(&self, query: TransferQuery) -> TransferQuery {
+        match self.snap_node(&query) {
+            None => query,
+            Some(node) => self.node_query(node),
+        }
+    }
+
+    /// Number of stored training points.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.tree.nodes.len()
+    }
+
+    /// `false`: construction requires at least one point.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        false
+    }
+
+    /// Builds the region from a dataset's polarity half.
+    #[must_use]
+    pub fn from_samples(samples: &[sigchar::TransferSample], margin: f64) -> Self {
+        let pts: Vec<[f64; 3]> = samples.iter().map(|s| s.features()).collect();
+        Self::build(&pts, margin)
+    }
+}
+
+impl Serialize for ValidRegion {
+    fn to_value(&self) -> Value {
+        self.tree.to_value()
+    }
+}
+
+impl Deserialize for ValidRegion {
+    fn from_value(v: &Value) -> Result<Self, Error> {
+        Self::from_tree(KdTree::from_value(v)?)
+    }
+}
+
+impl KdTree {
     fn build_rec(&mut self, pts: &[Point], idx: &mut [usize], depth: usize) -> Option<usize> {
         if idx.is_empty() {
             return None;
@@ -123,19 +295,17 @@ impl ValidRegion {
         Some(slot)
     }
 
-    /// Nearest and second-nearest distances from `q` (normalized space).
+    /// Nearest and second-nearest distances from `q` (normalized space):
+    /// the spacing estimate of [`ValidRegion::build`].
     fn two_nearest(&self, q: Point) -> (f64, f64) {
         let mut best = (f64::INFINITY, f64::INFINITY, None::<Point>);
         self.search(self.root, q, &mut best);
         (best.0.sqrt(), best.1.sqrt())
     }
 
-    fn nearest_point(&self, q: Point) -> (f64, Point) {
-        let mut best = (f64::INFINITY, f64::INFINITY, None::<Point>);
-        self.search(self.root, q, &mut best);
-        (best.0.sqrt(), best.2.expect("tree non-empty"))
-    }
-
+    /// Two-nearest search pruned by the splitting plane alone. Besides the
+    /// spacing estimate it is the reference [`ValidRegion::nearest`] is
+    /// tested against.
     fn search(&self, node: Option<usize>, q: Point, best: &mut (f64, f64, Option<Point>)) {
         let Some(i) = node else { return };
         let n = &self.nodes[i];
@@ -158,58 +328,6 @@ impl ValidRegion {
             self.search(far, q, best);
         }
     }
-
-    fn normalize(&self, q: &TransferQuery) -> Point {
-        [
-            q.t / self.scales[0],
-            q.a_in / self.scales[1],
-            q.a_prev_out / self.scales[2],
-        ]
-    }
-
-    /// `true` if the query lies inside the valid region.
-    #[must_use]
-    pub fn contains(&self, query: &TransferQuery) -> bool {
-        let (d, _) = self.two_nearest(self.normalize(query));
-        d <= self.threshold
-    }
-
-    /// Projects the query into the region: queries already inside are
-    /// returned unchanged, outside queries snap to the closest training
-    /// point ("compute the closest point on the concave hull and use these
-    /// coordinates as inputs instead", Sec. IV-B). One kd-tree search
-    /// yields both the membership distance and the snap target.
-    #[must_use]
-    pub fn project(&self, query: TransferQuery) -> TransferQuery {
-        let (d, p) = self.nearest_point(self.normalize(&query));
-        if d <= self.threshold {
-            return query;
-        }
-        TransferQuery {
-            t: p[0] * self.scales[0],
-            a_in: p[1] * self.scales[1],
-            a_prev_out: p[2] * self.scales[2],
-        }
-    }
-
-    /// Number of stored training points.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// `false`: construction requires at least one point.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
-    /// Builds the region from a dataset's polarity half.
-    #[must_use]
-    pub fn from_samples(samples: &[sigchar::TransferSample], margin: f64) -> Self {
-        let pts: Vec<[f64; 3]> = samples.iter().map(|s| s.features()).collect();
-        Self::build(&pts, margin)
-    }
 }
 
 fn dist2(a: Point, b: Point) -> f64 {
@@ -217,6 +335,21 @@ fn dist2(a: Point, b: Point) -> f64 {
     let dy = a[1] - b[1];
     let dz = a[2] - b[2];
     dx * dx + dy * dy + dz * dz
+}
+
+/// Squared distance from `q` to the box `[lo, hi]`, summed like
+/// [`dist2`]. Each axis gap is a rounded difference against a box face
+/// that lies no farther from `q` than any point in the box, and rounding
+/// is monotone, so the result never exceeds the [`dist2`] of a point in
+/// the box.
+fn box_dist2(bounds: &[Point; 2], q: Point) -> f64 {
+    let gap = |axis: usize| {
+        (bounds[0][axis] - q[axis])
+            .max(q[axis] - bounds[1][axis])
+            .max(0.0)
+    };
+    let (gx, gy, gz) = (gap(0), gap(1), gap(2));
+    gx * gx + gy * gy + gz * gz
 }
 
 #[cfg(test)]
@@ -309,19 +442,89 @@ mod tests {
         let _ = ValidRegion::build(&[], 3.0);
     }
 
-    /// The two-search projection: membership from [`ValidRegion::contains`],
-    /// then a second search for the snap target.
-    fn two_search_project(r: &ValidRegion, query: TransferQuery) -> TransferQuery {
-        if r.contains(&query) {
+    /// The reference projection: membership and snap target from the
+    /// retained two-nearest search.
+    fn reference_project(r: &ValidRegion, query: TransferQuery) -> TransferQuery {
+        let mut best = (f64::INFINITY, f64::INFINITY, None);
+        r.tree.search(r.tree.root, r.normalize(&query), &mut best);
+        if best.0.sqrt() <= r.tree.threshold {
             return query;
         }
-        let (_, p) = r.nearest_point(r.normalize(&query));
-        q(p[0] * r.scales[0], p[1] * r.scales[1], p[2] * r.scales[2])
+        let p = best.2.expect("tree non-empty");
+        let s = r.tree.scales;
+        q(p[0] * s[0], p[1] * s[1], p[2] * s[2])
+    }
+
+    fn bits(q: TransferQuery) -> [u64; 3] {
+        [q.t, q.a_in, q.a_prev_out].map(f64::to_bits)
+    }
+
+    #[test]
+    fn serializes_to_the_cache_format_and_round_trips() {
+        // The exact bytes this region (with a duplicate point) serialized
+        // to before regions carried search boxes: model cache files must
+        // not change.
+        const CACHE: &str = concat!(
+            r#"{"nodes":[{"point":[0.3333333333333333,0.16666666666666666,-0.3333333333333333],"#,
+            r#""axis":0,"left":1,"right":3},{"point":[0,0.6666666666666666,0.6666666666666666],"#,
+            r#""axis":1,"left":2,"right":null},{"point":[0.3333333333333333,0.16666666666666666,"#,
+            r#"-0.3333333333333333],"axis":2,"left":null,"right":null},{"point":[1,"#,
+            r#"-0.3333333333333333,0.6666666666666666],"axis":1,"left":null,"right":null}],"#,
+            r#""root":0,"scales":[1.5,1.5,3],"threshold":3.5}"#
+        );
+        let r = ValidRegion::build(
+            &[
+                [0.0, 1.0, 2.0],
+                [1.5, -0.5, 2.0],
+                [0.5, 0.25, -1.0],
+                [0.5, 0.25, -1.0],
+            ],
+            3.0,
+        );
+        let json = serde_json::to_string(&r).unwrap();
+        assert_eq!(json, CACHE);
+        let back: ValidRegion = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, r, "boxes are rebuilt on load");
+        assert_eq!(serde_json::to_string(&back).unwrap(), json);
+        for probe in [
+            q(0.0, 0.0, 0.0),
+            q(0.5, 0.25, -1.0),
+            q(9.0, -9.0, 9.0),
+            q(1.5, -0.5, 2.1),
+            q(-3.0, 1.0, 2.0),
+        ] {
+            assert_eq!(
+                bits(back.project(probe)),
+                bits(r.project(probe)),
+                "{probe:?}"
+            );
+            assert_eq!(back.contains(&probe), r.contains(&probe), "{probe:?}");
+        }
+    }
+
+    #[test]
+    fn malformed_trees_are_rejected() {
+        let region = |nodes: &str| {
+            format!(r#"{{"nodes":[{nodes}],"root":0,"scales":[1,1,1],"threshold":1}}"#)
+        };
+        let leaf = r#"{"point":[0,0,0],"axis":0,"left":null,"right":null}"#;
+        for bad in [
+            r#"{"nodes":[],"root":null,"scales":[1,1,1],"threshold":1}"#.to_string(),
+            format!(r#"{{"nodes":[{leaf}],"root":null,"scales":[1,1,1],"threshold":1}}"#),
+            region(r#"{"point":[0,0,0],"axis":0,"left":0,"right":null}"#),
+            region(&format!(
+                r#"{{"point":[0,0,0],"axis":0,"left":null,"right":2}},{leaf}"#
+            )),
+            region(r#"{"point":[0,0,0],"axis":3,"left":null,"right":null}"#),
+        ] {
+            assert!(serde_json::from_str::<ValidRegion>(&bad).is_err(), "{bad}");
+        }
+        assert!(serde_json::from_str::<ValidRegion>(&region(leaf)).is_ok());
     }
 
     proptest! {
         #[test]
-        fn single_search_projection_matches_two_searches(seed in 0u64..u64::MAX) {
+        fn box_search_matches_reference_search(seed in 0u64..u64::MAX) {
             use rand::{Rng, SeedableRng};
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
             // Points on a coarse integer grid, so repeated points and
@@ -347,20 +550,36 @@ mod tests {
                         let g = grid(&mut rng);
                         [0, 1, 2].map(|i| (base[i] + g[i]) / 2.0)
                     }
-                    // Near or far off the cloud, inside or outside the
-                    // threshold.
+                    // Near, off or far off the cloud, inside or outside
+                    // the threshold.
                     _ => {
-                        let spread = [0.05, 0.5, 5.0][rng.gen_range(0..3usize)];
+                        let spread = [0.05, 0.5, 5.0, 500.0][rng.gen_range(0..4usize)];
                         [0, 1, 2].map(|i| base[i] + rng.gen_range(-spread..spread))
                     }
                 };
                 let query = q(t, a, p);
-                let one = r.project(query);
-                let two = two_search_project(&r, query);
+                let norm = r.normalize(&query);
+                let (d2, node) = r.nearest(norm);
+                let mut reference = (f64::INFINITY, f64::INFINITY, None);
+                r.tree.search(r.tree.root, norm, &mut reference);
+                prop_assert_eq!(d2.to_bits(), reference.0.to_bits(), "{:?}", query);
                 prop_assert!(
-                    [one.t, one.a_in, one.a_prev_out].map(f64::to_bits)
-                        == [two.t, two.a_in, two.a_prev_out].map(f64::to_bits),
-                    "{query:?}: one search {one:?} vs two {two:?}"
+                    node.map(|i| r.tree.nodes[i].point.map(f64::to_bits))
+                        == reference.2.map(|p| p.map(f64::to_bits)),
+                    "{query:?}: box search node {node:?} vs reference point {:?}",
+                    reference.2
+                );
+                let projected = r.project(query);
+                let expected = reference_project(&r, query);
+                prop_assert!(
+                    bits(projected) == bits(expected),
+                    "{query:?}: box search {projected:?} vs reference {expected:?}"
+                );
+                prop_assert_eq!(
+                    r.contains(&query),
+                    reference.0.sqrt() <= r.tree.threshold,
+                    "{:?}",
+                    query
                 );
             }
         }
@@ -374,16 +593,16 @@ mod tests {
             let r = ValidRegion::build(&pts, 3.0);
             let query = q(probe[0], probe[1], probe[2]);
             let norm = r.normalize(&query);
-            let (d, _) = r.two_nearest(norm);
+            let (d, _) = r.tree.two_nearest(norm);
+            let (d2, _) = r.nearest(norm);
             // Brute force in the same normalized space.
+            let s = r.tree.scales;
             let brute = pts
                 .iter()
-                .map(|p| {
-                    let n = [p[0] / r.scales[0], p[1] / r.scales[1], p[2] / r.scales[2]];
-                    dist2(n, norm).sqrt()
-                })
+                .map(|p| dist2([p[0] / s[0], p[1] / s[1], p[2] / s[2]], norm).sqrt())
                 .fold(f64::INFINITY, f64::min);
             prop_assert!((d - brute).abs() < 1e-9, "kd {d} vs brute {brute}");
+            prop_assert!((d2.sqrt() - brute).abs() < 1e-9, "box kd {d2} vs brute {brute}");
         }
     }
 }

@@ -830,6 +830,29 @@ mod service_tests {
     }
 
     #[test]
+    fn inline_netlist_with_a_buffer_style_net_name_maps() {
+        // A client netlist may already name a net `__buf1_n`. Mapping
+        // keeps input names, and this input drives 12 NOR inputs after
+        // XOR mapping, so buffering must pick names around it, not panic.
+        let mut text = String::from("INPUT(__buf1_n)\nINPUT(b)\n");
+        for i in 0..6 {
+            text.push_str(&format!("OUTPUT(y{i})\ny{i} = XOR(__buf1_n, b)\n"));
+        }
+        let parsed = sigcircuit::parse_circuit(&text, sigcircuit::sniff_format(&text)).unwrap();
+        let mapped =
+            crate::service::map_for_simulation(parsed.clone(), sigcircuit::MappingPolicy::NorOnly);
+        assert!(mapped.is_nor_only());
+        assert!(
+            mapped.find_net("__buf2_n").is_some(),
+            "the input was buffered"
+        );
+        assert_eq!(mapped.inputs().len(), 2);
+        for bits in [[false, false], [false, true], [true, false], [true, true]] {
+            assert_eq!(mapped.eval(&bits), parsed.eval(&bits), "{bits:?}");
+        }
+    }
+
+    #[test]
     fn inline_bench_text_simulates_and_caches_by_content() {
         let service = Service::new(ServiceConfig::default());
         service.registry().insert(synthetic_set("synth"));

@@ -511,7 +511,7 @@ mod tests {
             a_prev_out: 15.0,
         };
         for tag in [GateTag::Inverter, GateTag::NorFo1, GateTag::NorFo2] {
-            let p = lib.model(tag).unwrap().transfer.predict(q);
+            let p = lib.model(tag).unwrap().transfer().predict(q);
             assert!(p.delay > 0.0 && p.delay < 0.5, "{tag}: delay {p:?}");
             assert!(p.a_out < 0.0, "{tag}: inverting polarity {p:?}");
         }
@@ -534,8 +534,8 @@ mod tests {
             a_prev_out: 9.0,
         };
         assert_eq!(
-            lib.model(GateTag::Inverter).unwrap().transfer.predict(q),
-            back.model(GateTag::Inverter).unwrap().transfer.predict(q)
+            lib.model(GateTag::Inverter).unwrap().transfer().predict(q),
+            back.model(GateTag::Inverter).unwrap().transfer().predict(q)
         );
     }
 
@@ -585,12 +585,12 @@ mod tests {
             a_in: 15.0,
             a_prev_out: 15.0,
         };
-        let nand = lib.model(GateTag::NandFo1).unwrap().transfer.predict(q);
+        let nand = lib.model(GateTag::NandFo1).unwrap().transfer().predict(q);
         assert!(nand.a_out < 0.0, "NAND inverts: {nand:?}");
         let and = lib
             .model(GateTag::AndFo1)
             .unwrap()
-            .transfer
+            .transfer()
             .predict(sigtom::TransferQuery {
                 a_prev_out: -15.0,
                 ..q
@@ -615,8 +615,8 @@ mod tests {
             a_prev_out: 10.0,
         };
         assert_eq!(
-            lib.model(GateTag::NandFo1).unwrap().transfer.predict(q),
-            back.model(GateTag::NandFo1).unwrap().transfer.predict(q)
+            lib.model(GateTag::NandFo1).unwrap().transfer().predict(q),
+            back.model(GateTag::NandFo1).unwrap().transfer().predict(q)
         );
     }
 
@@ -663,8 +663,8 @@ mod tests {
             a_prev_out: -12.0,
         };
         assert_eq!(
-            a.model(GateTag::NorFo1).unwrap().transfer.predict(q),
-            b.model(GateTag::NorFo1).unwrap().transfer.predict(q)
+            a.model(GateTag::NorFo1).unwrap().transfer().predict(q),
+            b.model(GateTag::NorFo1).unwrap().transfer().predict(q)
         );
         let _ = std::fs::remove_file(&path);
     }

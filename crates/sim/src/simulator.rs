@@ -4,7 +4,7 @@
 //! The engine schedules the circuit level by level
 //! ([`Circuit::levels`]): all gates within one ASAP level are independent,
 //! so their pending transfer-function queries are grouped by
-//! [`CellModels`] slot and evaluated as one [`predict_batch`] call per
+//! [`CellModels`] slot and evaluated as one [`predict_batch_with`] call per
 //! (model, round), on the calling thread. [`SigmoidSimConfig`] selects
 //! batched or scalar evaluation; both produce bit-identical traces (see
 //! `docs/architecture.md`).
@@ -30,7 +30,7 @@
 //! is bit-identical to the committed one (see `docs/architecture.md`
 //! § Incremental engine).
 //!
-//! [`predict_batch`]: sigtom::GateModel::predict_batch
+//! [`predict_batch_with`]: sigtom::GateModel::predict_batch_with
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -39,7 +39,7 @@ use sigchar::GateTag;
 use sigcircuit::{Circuit, GateKind, NetId};
 use sigtom::{
     apply_plan, traces_bit_identical, CellFunction, GateModel, GatePlan, PlanScratch, PlanTemplate,
-    TomOptions, TransferPrediction, TransferQuery,
+    SnapScratch, TomOptions, TransferPrediction, TransferQuery,
 };
 use sigwave::{Level, SigmoidTrace};
 
@@ -273,7 +273,7 @@ impl CellModels {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SigmoidSimConfig {
     /// `true`: group each level's pending queries by model slot and issue
-    /// one [`GateModel::predict_batch`] per (model, round), evaluating
+    /// one [`GateModel::predict_batch_with`] per (model, round), evaluating
     /// duplicate gates once. `false`: evaluate each gate's plan with
     /// scalar predictions — the pre-levelization reference path.
     pub batch: bool,
@@ -522,6 +522,8 @@ pub struct FleetScratch {
     queries: Vec<TransferQuery>,
     /// The matching predictions, scattered back to the plans.
     predictions: Vec<TransferPrediction>,
+    /// The in-region rows of a batch (see [`GateModel::predict_batch_with`]).
+    snap: SnapScratch,
     /// Plan indices of the round being applied.
     round: Vec<usize>,
     /// Per-slot pending plan indices (indices into the fleet-wide,
@@ -1027,8 +1029,8 @@ impl IncrementalState {
 /// of every run are bound (run-major, evaluating duplicate gates once
 /// per run, see [`GateMemo`]); the engine then repeatedly gathers each
 /// plan's next pending query, groups the queries of all runs by
-/// [`CellModels`] slot, and issues one [`GateModel::predict_batch`] per
-/// (model, round). Scalar: each gate's plan runs with one-shot
+/// [`CellModels`] slot, and issues one [`GateModel::predict_batch_with`]
+/// per (model, round). Scalar: each gate's plan runs with one-shot
 /// predictions — the reference the batched schedule must match bit for
 /// bit. Everything runs on the calling thread.
 fn execute_program(
@@ -1049,6 +1051,7 @@ fn execute_program(
         nets,
         queries,
         predictions,
+        snap,
         round,
         pending,
         plan,
@@ -1166,7 +1169,9 @@ fn execute_program(
                 ROUND_ROWS.record(queries.len() as u64);
                 let mut infer_span = sigobs::span("execute.infer");
                 infer_span.set_arg("rows", queries.len() as u64);
-                cells.by_slot(slot).predict_batch(queries, predictions);
+                cells
+                    .by_slot(slot)
+                    .predict_batch_with(queries, predictions, snap);
                 drop(infer_span);
                 round.clear();
                 std::mem::swap(member, round);
@@ -1223,7 +1228,7 @@ fn execute_program(
 mod tests {
     use super::*;
     use sigcircuit::CircuitBuilder;
-    use sigtom::{TransferFunction, TransferPrediction};
+    use sigtom::{TransferFunction, TransferPrediction, ValidRegion};
     use sigwave::{Sigmoid, VDD_DEFAULT};
     use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -1253,15 +1258,87 @@ mod tests {
         nor_only([inv_d, inv_d, fo1_d, fo2_d].map(|d| GateModel::new(Arc::new(Fixed(d)))))
     }
 
+    /// The valid region of every random-DAG slot: a grid over the history
+    /// and slope ranges the random stimuli and [`HistoryTransfer`]
+    /// produce, with a threshold of about half a grid step, so some queries
+    /// fall inside and the rest snap onto a grid point.
+    fn history_region() -> Arc<ValidRegion> {
+        let mut pts = Vec::new();
+        for t in [0.1, 0.6, 1.2, 2.0, 3.0] {
+            for a_in in [-24.0, -16.0, -8.0, 8.0, 16.0, 24.0] {
+                for a_prev in [-25.0, -16.0, -8.0, 8.0, 16.0, 25.0] {
+                    pts.push([t, a_in, a_prev]);
+                }
+            }
+        }
+        Arc::new(ValidRegion::build(&pts, 0.5))
+    }
+
     /// The distinct per-slot models the random-DAG properties use, so a
-    /// slot mix-up changes results.
+    /// slot mix-up changes results, each projecting onto
+    /// [`history_region`] so both snapped and in-region rows occur.
     fn history_models() -> CellModels {
-        nor_only([
-            GateModel::new(Arc::new(HistoryTransfer)),
-            GateModel::new(Arc::new(Fixed(0.09))),
-            GateModel::new(Arc::new(HistoryTransfer)),
-            GateModel::new(Arc::new(Fixed(0.13))),
-        ])
+        tallied_history_models(&Arc::default())
+    }
+
+    /// [`history_models`] whose transfers report to `tally`; the snap
+    /// table builds are not counted.
+    fn tallied_history_models(tally: &Arc<Tally>) -> CellModels {
+        let region = history_region();
+        let model = |inner: Arc<dyn TransferFunction + Send + Sync>| {
+            GateModel::new(Arc::new(Tallied {
+                inner,
+                tally: Arc::clone(tally),
+            }))
+            .with_region(Arc::clone(&region))
+        };
+        let cells = nor_only([
+            model(Arc::new(HistoryTransfer)),
+            model(Arc::new(Fixed(0.09))),
+            model(Arc::new(HistoryTransfer)),
+            model(Arc::new(Fixed(0.13))),
+        ]);
+        tally.reset();
+        cells
+    }
+
+    /// What reached a transfer: scalar calls (one per query on the scalar
+    /// path) and batch rows (every query of the batched path without a
+    /// region, only the in-region ones with a region).
+    #[derive(Default)]
+    struct Tally {
+        scalar: AtomicU64,
+        batched: AtomicU64,
+    }
+
+    impl Tally {
+        fn reset(&self) -> (u64, u64) {
+            (
+                self.scalar.swap(0, Ordering::Relaxed),
+                self.batched.swap(0, Ordering::Relaxed),
+            )
+        }
+    }
+
+    /// A transfer that counts its calls into a [`Tally`].
+    struct Tallied {
+        inner: Arc<dyn TransferFunction + Send + Sync>,
+        tally: Arc<Tally>,
+    }
+    impl TransferFunction for Tallied {
+        fn predict(&self, q: TransferQuery) -> TransferPrediction {
+            self.tally.scalar.fetch_add(1, Ordering::Relaxed);
+            self.inner.predict(q)
+        }
+        fn predict_batch(&self, queries: &[TransferQuery], out: &mut Vec<TransferPrediction>) {
+            self.tally
+                .batched
+                .fetch_add(queries.len() as u64, Ordering::Relaxed);
+            self.inner.predict_batch(queries, out);
+        }
+        fn backend_name(&self) -> &'static str {
+            "tallied"
+        }
     }
 
     /// Batched simulation with default options.
@@ -1452,14 +1529,17 @@ mod tests {
     }
 
     /// A transfer with history (`T`) and slope dependence so interleaving
-    /// bugs would actually change the numbers.
+    /// bugs would actually change the numbers. Rising inputs are slower
+    /// than falling ones (the paper trains separate `F↑`/`F↓` networks),
+    /// so a prediction taken for the wrong polarity changes the trace too.
     struct HistoryTransfer;
     impl TransferFunction for HistoryTransfer {
         fn predict(&self, q: TransferQuery) -> TransferPrediction {
             let degradation = 1.0 - (-q.t / 0.25).exp();
+            let rising = if q.a_in > 0.0 { 0.02 } else { 0.0 };
             TransferPrediction {
                 a_out: -q.a_in.signum() * (10.0 + 0.2 * q.a_prev_out.abs()) * degradation.max(0.04),
-                delay: 0.05 + 0.01 * (-q.t / 0.4).exp() + 0.3 / q.a_in.abs().max(1.0),
+                delay: 0.05 + rising + 0.01 * (-q.t / 0.4).exp() + 0.3 / q.a_in.abs().max(1.0),
             }
         }
         fn backend_name(&self) -> &'static str {
@@ -1467,76 +1547,87 @@ mod tests {
         }
     }
 
+    /// One case of `batched_matches_scalar_on_random_dags`. Returns the
+    /// queries the case issued and how many of them were in-region.
+    fn batched_matches_scalar_case(seed: u64) -> (u64, u64) {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+
+        // Random NOR-only DAG: 1–4 primary inputs, up to 14 gates of
+        // arity 1–3 reading any earlier net (so fan-outs of 0, 1 and
+        // ≥ 2 all occur and exercise every model slot).
+        let mut b = CircuitBuilder::new();
+        let n_inputs = rng.gen_range(1..5usize);
+        let mut nets: Vec<NetId> = (0..n_inputs)
+            .map(|i| b.add_input(&format!("i{i}")))
+            .collect();
+        let n_gates = rng.gen_range(1..15usize);
+        for g in 0..n_gates {
+            let arity = rng.gen_range(1..4usize);
+            let mut ins: Vec<NetId> = Vec::new();
+            for _ in 0..arity {
+                let pick = nets[rng.gen_range(0..nets.len())];
+                if !ins.contains(&pick) {
+                    ins.push(pick);
+                }
+            }
+            let out = b.add_gate(GateKind::Nor, &ins, &format!("g{g}"));
+            nets.push(out);
+        }
+        b.mark_output(*nets.last().expect("at least one net"));
+        let c = b.build().expect("random DAG is valid");
+
+        // Random stimuli: 0–5 alternating transitions per input with
+        // random slopes, spacings and initial levels.
+        let mut stim = HashMap::new();
+        for &input in c.inputs() {
+            let initial = if rng.gen::<bool>() {
+                Level::High
+            } else {
+                Level::Low
+            };
+            let mut rising = !initial.is_high();
+            let mut t = 0.0;
+            let mut transitions = Vec::new();
+            for _ in 0..rng.gen_range(0..6usize) {
+                t += rng.gen_range(0.03..1.5f64);
+                let a = rng.gen_range(5.0..25.0f64);
+                transitions.push(if rising {
+                    Sigmoid::rising(a, t)
+                } else {
+                    Sigmoid::falling(a, t)
+                });
+                rising = !rising;
+            }
+            let trace = SigmoidTrace::from_transitions(initial, transitions, VDD_DEFAULT).unwrap();
+            stim.insert(input, Arc::new(trace));
+        }
+
+        let tally = Arc::new(Tally::default());
+        let m = tallied_history_models(&tally);
+        let opts = TomOptions::default();
+        let reference =
+            simulate_cells_with(&c, &stim, &m, opts, &SigmoidSimConfig::scalar()).unwrap();
+        let (queries, _) = tally.reset();
+        let mut in_region = 0;
+        for config in [SigmoidSimConfig::scalar(), SigmoidSimConfig::default()] {
+            let got = simulate_cells_with(&c, &stim, &m, opts, &config).unwrap();
+            in_region = tally.reset().1;
+            for net in 0..c.net_count() {
+                assert_eq!(
+                    got.trace(NetId(net)),
+                    reference.trace(NetId(net)),
+                    "net {net} differs under {config:?} (seed {seed})"
+                );
+            }
+        }
+        (queries, in_region)
+    }
+
     proptest::proptest! {
         #[test]
         fn batched_matches_scalar_on_random_dags(seed in 0u64..u64::MAX) {
-            use rand::{Rng, SeedableRng};
-            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-
-            // Random NOR-only DAG: 1–4 primary inputs, up to 14 gates of
-            // arity 1–3 reading any earlier net (so fan-outs of 0, 1 and
-            // ≥ 2 all occur and exercise every model slot).
-            let mut b = CircuitBuilder::new();
-            let n_inputs = rng.gen_range(1..5usize);
-            let mut nets: Vec<NetId> =
-                (0..n_inputs).map(|i| b.add_input(&format!("i{i}"))).collect();
-            let n_gates = rng.gen_range(1..15usize);
-            for g in 0..n_gates {
-                let arity = rng.gen_range(1..4usize);
-                let mut ins: Vec<NetId> = Vec::new();
-                for _ in 0..arity {
-                    let pick = nets[rng.gen_range(0..nets.len())];
-                    if !ins.contains(&pick) {
-                        ins.push(pick);
-                    }
-                }
-                let out = b.add_gate(GateKind::Nor, &ins, &format!("g{g}"));
-                nets.push(out);
-            }
-            b.mark_output(*nets.last().expect("at least one net"));
-            let c = b.build().expect("random DAG is valid");
-
-            // Random stimuli: 0–5 alternating transitions per input with
-            // random slopes, spacings and initial levels.
-            let mut stim = HashMap::new();
-            for &input in c.inputs() {
-                let initial = if rng.gen::<bool>() { Level::High } else { Level::Low };
-                let mut rising = !initial.is_high();
-                let mut t = 0.0;
-                let mut transitions = Vec::new();
-                for _ in 0..rng.gen_range(0..6usize) {
-                    t += rng.gen_range(0.03..1.5f64);
-                    let a = rng.gen_range(5.0..25.0f64);
-                    transitions.push(if rising {
-                        Sigmoid::rising(a, t)
-                    } else {
-                        Sigmoid::falling(a, t)
-                    });
-                    rising = !rising;
-                }
-                let trace =
-                    SigmoidTrace::from_transitions(initial, transitions, VDD_DEFAULT).unwrap();
-                stim.insert(input, Arc::new(trace));
-            }
-
-            // Distinct per-slot models so a slot mix-up changes results.
-            let m = history_models();
-            let opts = TomOptions::default();
-            let reference =
-                simulate_cells_with(&c, &stim, &m, opts, &SigmoidSimConfig::scalar()).unwrap();
-            for config in [SigmoidSimConfig::scalar(), SigmoidSimConfig::default()] {
-                let got = simulate_cells_with(&c, &stim, &m, opts, &config).unwrap();
-                for net in 0..c.net_count() {
-                    proptest::prop_assert_eq!(
-                        got.trace(NetId(net)),
-                        reference.trace(NetId(net)),
-                        "net {} differs under {:?} (seed {})",
-                        net,
-                        config,
-                        seed
-                    );
-                }
-            }
+            batched_matches_scalar_case(seed);
         }
     }
 
@@ -1840,6 +1931,52 @@ mod tests {
         }
     }
 
+    /// One case of `fleet_matches_independent_runs_on_random_dags`.
+    /// Returns the queries the NOR-mapped fleet issued and how many of
+    /// them were in-region.
+    fn fleet_matches_independent_runs_case(seed: u64) -> (u64, u64) {
+        let native = random_native_dag(seed);
+        let nor = sigcircuit::map_with_policy(
+            &native,
+            sigcircuit::MappingPolicy::NorOnly,
+            sigcircuit::NorMappingOptions::default(),
+        );
+        let tally = Arc::new(Tally::default());
+        let nor_cells = tallied_history_models(&tally);
+        let opts = TomOptions::default();
+        let mut solo = FleetScratch::new();
+        let mut fleet = FleetScratch::new();
+        for (circuit, cells) in [(&native, native_cells()), (&nor, nor_cells)] {
+            let program = CircuitProgram::compile(Arc::new(circuit.clone()), Arc::new(cells), opts)
+                .expect("simulable DAG compiles");
+            let sets: Vec<HashMap<NetId, Arc<SigmoidTrace>>> = (0..4)
+                .map(|r| random_native_stimuli(circuit, seed ^ (r as u64) << 17))
+                .collect();
+            let results = program
+                .execute_fleet_with(&sets, &SigmoidSimConfig::default(), &mut fleet)
+                .unwrap();
+            assert_eq!(results.len(), sets.len());
+            for (r, (stim, got)) in sets.iter().zip(&results).enumerate() {
+                let independent = program
+                    .execute_with(stim, &SigmoidSimConfig::scalar(), &mut solo)
+                    .unwrap();
+                assert_eq!(
+                    &got.undriven, &independent.undriven,
+                    "run {r} undriven set differs (seed {seed})"
+                );
+                for net in 0..circuit.net_count() {
+                    assert!(
+                        traces_bit_identical(got.trace(NetId(net)), independent.trace(NetId(net)),),
+                        "run {r} net {net} differs from independent execution \
+                         (seed {seed}, cells {})",
+                        program.cells().name()
+                    );
+                }
+            }
+        }
+        tally.reset()
+    }
+
     proptest::proptest! {
         /// The fleet parity property: on random DAGs under BOTH mapping
         /// policies, one `execute_fleet` of K independently-seeded
@@ -1850,54 +1987,29 @@ mod tests {
         /// path is the independent oracle.)
         #[test]
         fn fleet_matches_independent_runs_on_random_dags(seed in 0u64..u64::MAX) {
-            let native = random_native_dag(seed);
-            let nor = sigcircuit::map_with_policy(
-                &native,
-                sigcircuit::MappingPolicy::NorOnly,
-                sigcircuit::NorMappingOptions::default(),
-            );
-            let nor_cells = history_models();
-            let opts = TomOptions::default();
-            let mut solo = FleetScratch::new();
-            let mut fleet = FleetScratch::new();
-            for (circuit, cells) in [(&native, native_cells()), (&nor, nor_cells)] {
-                let program = CircuitProgram::compile(
-                    Arc::new(circuit.clone()),
-                    Arc::new(cells),
-                    opts,
-                )
-                .expect("simulable DAG compiles");
-                let sets: Vec<HashMap<NetId, Arc<SigmoidTrace>>> = (0..4)
-                    .map(|r| random_native_stimuli(circuit, seed ^ (r as u64) << 17))
-                    .collect();
-                let results = program
-                    .execute_fleet_with(&sets, &SigmoidSimConfig::default(), &mut fleet)
-                    .unwrap();
-                proptest::prop_assert_eq!(results.len(), sets.len());
-                for (r, (stim, got)) in sets.iter().zip(&results).enumerate() {
-                    let independent = program
-                        .execute_with(stim, &SigmoidSimConfig::scalar(), &mut solo)
-                        .unwrap();
-                    proptest::prop_assert_eq!(
-                        &got.undriven, &independent.undriven,
-                        "run {} undriven set differs (seed {})", r, seed
-                    );
-                    for net in 0..circuit.net_count() {
-                        proptest::prop_assert!(
-                            traces_bit_identical(
-                                got.trace(NetId(net)),
-                                independent.trace(NetId(net)),
-                            ),
-                            "run {} net {} differs from independent execution \
-                             (seed {}, cells {})",
-                            r,
-                            net,
-                            seed,
-                            program.cells().name()
-                        );
-                    }
-                }
-            }
+            fleet_matches_independent_runs_case(seed);
+        }
+    }
+
+    #[test]
+    fn random_dag_properties_see_snapped_and_in_region_rows() {
+        // The two parity properties above reach both kinds of row: rows
+        // answered from the snap table and rows sent to the transfer.
+        for (name, case) in [
+            (
+                "batched_matches_scalar",
+                batched_matches_scalar_case as fn(u64) -> (u64, u64),
+            ),
+            (
+                "fleet_matches_independent_runs",
+                fleet_matches_independent_runs_case,
+            ),
+        ] {
+            let (queries, in_region) = (0..32u64)
+                .map(case)
+                .fold((0, 0), |acc, (q, i)| (acc.0 + q, acc.1 + i));
+            assert!(in_region > 0, "{name}: no in-region rows in {queries}");
+            assert!(in_region < queries, "{name}: no snapped rows in {queries}");
         }
     }
 
@@ -1945,23 +2057,6 @@ mod tests {
         assert_eq!(scratch.runs(), 6);
     }
 
-    /// Counts the rows every batched inference call carries.
-    struct RowCounter {
-        rows: Arc<AtomicU64>,
-    }
-    impl TransferFunction for RowCounter {
-        fn predict(&self, q: TransferQuery) -> TransferPrediction {
-            HistoryTransfer.predict(q)
-        }
-        fn predict_batch(&self, queries: &[TransferQuery], out: &mut Vec<TransferPrediction>) {
-            self.rows.fetch_add(queries.len() as u64, Ordering::Relaxed);
-            HistoryTransfer.predict_batch(queries, out);
-        }
-        fn backend_name(&self) -> &'static str {
-            "row-counter"
-        }
-    }
-
     #[test]
     fn solo_execute_infers_as_many_rows_as_a_fleet_of_one_on_c1355() {
         // Duplicate-gate elimination covers every level of a solo
@@ -1969,9 +2064,10 @@ mod tests {
         // each with >= 8 gates) it infers exactly the rows of a fleet of
         // one.
         let bench = sigcircuit::Benchmark::by_name("c1355").unwrap();
-        let rows = Arc::new(AtomicU64::new(0));
-        let counting = GateModel::new(Arc::new(RowCounter {
-            rows: Arc::clone(&rows),
+        let tally = Arc::new(Tally::default());
+        let counting = GateModel::new(Arc::new(Tallied {
+            inner: Arc::new(HistoryTransfer),
+            tally: Arc::clone(&tally),
         }));
         let program = CircuitProgram::compile(
             Arc::new(bench.nor_mapped.clone()),
@@ -1987,12 +2083,12 @@ mod tests {
                 &mut FleetScratch::new(),
             )
             .unwrap();
-        let solo = rows.swap(0, Ordering::Relaxed);
+        let (_, solo) = tally.reset();
         let mut fleet = FleetScratch::new();
         program
             .execute_fleet(std::slice::from_ref(&stim), &mut fleet)
             .unwrap();
-        assert_eq!(rows.load(Ordering::Relaxed), fleet.rows_merged());
+        assert_eq!(tally.reset().1, fleet.rows_merged());
         assert!(solo > 0);
         assert_eq!(solo, fleet.rows_merged(), "solo vs fleet-of-one rows");
     }

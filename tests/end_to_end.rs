@@ -104,7 +104,15 @@ fn models_serialize_and_reload_identically() {
         a_prev_out: 16.0,
     };
     assert_eq!(
-        trained.model(GateTag::NorFo2).unwrap().transfer.predict(q),
-        reloaded.model(GateTag::NorFo2).unwrap().transfer.predict(q),
+        trained
+            .model(GateTag::NorFo2)
+            .unwrap()
+            .transfer()
+            .predict(q),
+        reloaded
+            .model(GateTag::NorFo2)
+            .unwrap()
+            .transfer()
+            .predict(q),
     );
 }
