@@ -7,10 +7,13 @@
 //! Santos' k-nearest-neighbour construction); we use the equivalent
 //! kNN-distance membership test: a query is *inside* if its distance to the
 //! nearest training point is within a data-derived threshold, and
-//! projection snaps the query to the nearest training point. A kd-tree
-//! makes both operations `O(log n)`.
+//! projection snaps the query to the nearest training point. The points
+//! are stored in a kd-tree (the cache format) and searched through
+//! buckets whose leaves of at most [`LEAF_POINTS`] points a SIMD kernel
+//! scans.
 
 use serde::{Deserialize, Error, Serialize, Value};
+use signn::simd::{self, SimdLevel, LEAF_POINTS};
 
 use crate::transfer::TransferQuery;
 
@@ -28,7 +31,7 @@ struct KdNode {
 }
 
 /// The serialized part of a [`ValidRegion`]. These four fields are the
-/// model cache format; the search boxes are derived from them on load.
+/// model cache format; the search buckets are derived from them on load.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct KdTree {
     /// Nodes in preorder: the root is node 0 and every child index is
@@ -42,14 +45,76 @@ struct KdTree {
     threshold: f64,
 }
 
+/// Children of an inner bucket: the parts of three median halvings.
+const FANOUT: usize = 8;
+
+/// The training points regrouped for the nearest search. Buckets split at
+/// the median of their widest axis down to leaves of at most
+/// [`LEAF_POINTS`] points; an inner bucket holds the parts of three such
+/// halvings (at most [`FANOUT`]) with their tight bounding boxes, so the
+/// search orders its children in one pass. The leaves store their points
+/// as structure of arrays, contiguous per leaf, for
+/// [`simd::leaf_nearest_soa`].
+#[derive(Debug, Clone, PartialEq)]
+struct Buckets {
+    /// The bucket holding every point.
+    root: Bucket,
+    inner: Vec<Inner>,
+    /// The point range `start..end` of each leaf.
+    leaves: Vec<(usize, usize)>,
+    xs: Vec<f64>,
+    ys: Vec<f64>,
+    zs: Vec<f64>,
+    /// The kd-tree node index of each leaf point.
+    ids: Vec<u32>,
+}
+
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Bucket {
+    Inner(usize),
+    Leaf(usize),
+}
+
+#[derive(Debug, Clone, PartialEq)]
+struct Inner {
+    /// The tight bounding boxes of the children, axis by axis: child `k`'s
+    /// points lie in `lo[axis][k]..=hi[axis][k]`.
+    lo: [[f64; FANOUT]; 3],
+    hi: [[f64; FANOUT]; 3],
+    /// Slots from `len` on are unused.
+    children: [Bucket; FANOUT],
+    len: usize,
+}
+
+impl Inner {
+    /// The squared distance from `q` to each child's box; NaN for the
+    /// unused slots.
+    fn box_dist2(&self, q: Point) -> [f64; FANOUT] {
+        let mut d2 = [0.0; FANOUT];
+        for (k, d2) in d2.iter_mut().enumerate() {
+            let corner = |c: &[[f64; FANOUT]; 3]| [c[0][k], c[1][k], c[2][k]];
+            *d2 = box_dist2(&[corner(&self.lo), corner(&self.hi)], q);
+        }
+        d2[self.len..].fill(f64::NAN);
+        d2
+    }
+}
+
+/// The outcome of a bucket search: the minimum squared distance, how many
+/// points reach it, and the node of the first one found.
+struct Scan {
+    d2: f64,
+    ties: usize,
+    node: u32,
+}
+
 /// The valid input region of a trained transfer function.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ValidRegion {
     tree: KdTree,
-    /// Per node: the tight bounding box `[lo, hi]` of the points in its
-    /// subtree, which [`ValidRegion::nearest`] prunes by. Derived from the
-    /// tree when a region is built or loaded, never serialized.
-    boxes: Vec<[Point; 2]>,
+    /// The tree's points in search buckets. Derived from the tree when a
+    /// region is built or loaded, never serialized.
+    buckets: Buckets,
 }
 
 impl ValidRegion {
@@ -112,75 +177,62 @@ impl ValidRegion {
         Self::from_tree(tree).expect("build writes a preorder tree")
     }
 
-    /// Derives the search boxes of a tree, bottom-up: children follow
-    /// their parent in preorder, so one reverse pass sees every child's
-    /// box before its parent's. Rejects a tree that is not the preorder
-    /// layout [`ValidRegion::build`] writes.
+    /// Derives the search buckets of a tree. Rejects a tree that is not
+    /// the preorder layout [`ValidRegion::build`] writes, so the buckets
+    /// hold exactly the nodes [`KdTree::search`] reaches from the root.
     fn from_tree(tree: KdTree) -> Result<Self, Error> {
         let n = tree.nodes.len();
         if n == 0 || tree.root != Some(0) {
             return Err(Error::new("valid region: empty tree or root not at node 0"));
         }
-        let mut boxes = vec![[[0.0; 3]; 2]; n];
-        for i in (0..n).rev() {
-            let node = &tree.nodes[i];
+        if u32::try_from(n).is_err() {
+            return Err(Error::new(format!("valid region: {n} points")));
+        }
+        let mut parents = vec![0u8; n];
+        for (i, node) in tree.nodes.iter().enumerate() {
             if node.axis >= 3 {
                 return Err(Error::new(format!(
                     "valid region: node {i} splits axis {}",
                     node.axis
                 )));
             }
-            let mut bounds = [node.point; 2];
             for child in [node.left, node.right].into_iter().flatten() {
                 if child <= i || child >= n {
                     return Err(Error::new(format!(
                         "valid region: node {i} has child {child} outside preorder"
                     )));
                 }
-                for axis in 0..3 {
-                    bounds[0][axis] = bounds[0][axis].min(boxes[child][0][axis]);
-                    bounds[1][axis] = bounds[1][axis].max(boxes[child][1][axis]);
-                }
+                parents[child] = parents[child].saturating_add(1);
             }
-            boxes[i] = bounds;
         }
-        Ok(Self { tree, boxes })
+        // Every parent precedes its child, so one parent per node below the
+        // root links each node to the root.
+        if let Some(i) = (1..n).find(|&i| parents[i] != 1) {
+            return Err(Error::new(format!(
+                "valid region: node {i} has {} parents",
+                parents[i]
+            )));
+        }
+        let buckets = Buckets::build(&tree.nodes);
+        Ok(Self { tree, buckets })
     }
 
     /// The node nearest to `q` (normalized space) and its squared
-    /// distance; `None` only for a query with a NaN or infinite
-    /// coordinate. A depth-first descent, near child first, that skips
-    /// every subtree whose box is no closer than the best distance so far.
+    /// distance; `None` only when no distance is finite (a query with a
+    /// NaN or infinite coordinate).
     ///
-    /// Exact, and the same node [`KdTree::search`] finds: a skipped subtree
-    /// holds no point strictly closer than the best (the box distance is
-    /// computed with the same rounding as the point distance, so it never
-    /// exceeds it), and a tie never replaces the best. Both searches thus
-    /// return the first node, in the same depth-first order, at the
-    /// minimum distance.
-    fn nearest(&self, q: Point) -> (f64, Option<usize>) {
-        let mut best = (f64::INFINITY, None);
-        self.descend(0, q, &mut best);
-        best
-    }
-
-    fn descend(&self, i: usize, q: Point, best: &mut (f64, Option<usize>)) {
-        if box_dist2(&self.boxes[i], q) >= best.0 {
-            return;
+    /// Exact, and the node [`KdTree::search`] finds: the bucket search
+    /// computes every distance with the same bits and misses no point at
+    /// the minimum, so a minimum reached by one point names that point.
+    /// When several points reach it, the reference search breaks the tie.
+    fn closest(&self, q: Point) -> (f64, Option<usize>) {
+        let scan = self.buckets.scan(q, simd::active_level());
+        if scan.ties == 1 && scan.d2 < f64::INFINITY {
+            return (scan.d2, Some(scan.node as usize));
         }
-        let n = &self.tree.nodes[i];
-        let d2 = dist2(n.point, q);
-        if d2 < best.0 {
-            *best = (d2, Some(i));
-        }
-        let (near, far) = if q[n.axis] - n.point[n.axis] < 0.0 {
-            (n.left, n.right)
-        } else {
-            (n.right, n.left)
-        };
-        for child in [near, far].into_iter().flatten() {
-            self.descend(child, q, best);
-        }
+        let mut best = (f64::INFINITY, f64::INFINITY, None);
+        self.tree.search(self.tree.root, q, &mut best);
+        (best.0, best.2)
     }
 
     fn normalize(&self, q: &TransferQuery) -> Point {
@@ -191,7 +243,7 @@ impl ValidRegion {
     /// `true` if the query lies inside the valid region.
     #[must_use]
     pub fn contains(&self, query: &TransferQuery) -> bool {
-        let (d2, _) = self.nearest(self.normalize(query));
+        let (d2, _) = self.closest(self.normalize(query));
         d2.sqrt() <= self.tree.threshold
     }
 
@@ -203,7 +255,7 @@ impl ValidRegion {
     ///
     /// Panics on a query with a NaN or infinite coordinate.
     pub(crate) fn snap_node(&self, query: &TransferQuery) -> Option<usize> {
-        let (d2, node) = self.nearest(self.normalize(query));
+        let (d2, node) = self.closest(self.normalize(query));
         if d2.sqrt() <= self.tree.threshold {
             return None;
         }
@@ -298,22 +350,25 @@ impl KdTree {
     /// Nearest and second-nearest distances from `q` (normalized space):
     /// the spacing estimate of [`ValidRegion::build`].
     fn two_nearest(&self, q: Point) -> (f64, f64) {
-        let mut best = (f64::INFINITY, f64::INFINITY, None::<Point>);
+        let mut best = (f64::INFINITY, f64::INFINITY, None);
         self.search(self.root, q, &mut best);
         (best.0.sqrt(), best.1.sqrt())
     }
 
-    /// Two-nearest search pruned by the splitting plane alone. Besides the
-    /// spacing estimate it is the reference [`ValidRegion::nearest`] is
+    /// Two-nearest search pruned by the splitting plane alone: the
+    /// squared distances and the node of the nearest, the first node in
+    /// depth-first order (near child first) at the minimum distance.
+    /// Besides the spacing estimate it breaks the ties of
+    /// [`ValidRegion::closest`] and is the reference that search is
     /// tested against.
-    fn search(&self, node: Option<usize>, q: Point, best: &mut (f64, f64, Option<Point>)) {
+    fn search(&self, node: Option<usize>, q: Point, best: &mut (f64, f64, Option<usize>)) {
         let Some(i) = node else { return };
         let n = &self.nodes[i];
         let d2 = dist2(n.point, q);
         if d2 < best.0 {
             best.1 = best.0;
             best.0 = d2;
-            best.2 = Some(n.point);
+            best.2 = Some(i);
         } else if d2 < best.1 {
             best.1 = d2;
         }
@@ -328,6 +383,151 @@ impl KdTree {
             self.search(far, q, best);
         }
     }
+}
+
+impl Buckets {
+    fn build(nodes: &[KdNode]) -> Self {
+        let n = nodes.len();
+        let mut buckets = Self {
+            root: Bucket::Leaf(0),
+            inner: Vec::new(),
+            leaves: Vec::new(),
+            xs: Vec::with_capacity(n),
+            ys: Vec::with_capacity(n),
+            zs: Vec::with_capacity(n),
+            ids: Vec::with_capacity(n),
+        };
+        let mut ids: Vec<u32> = (0..n as u32).collect();
+        buckets.root = buckets.bucket(nodes, &mut ids);
+        buckets
+    }
+
+    /// Appends the bucket of `ids` and its descendants.
+    fn bucket(&mut self, nodes: &[KdNode], ids: &mut [u32]) -> Bucket {
+        if ids.len() <= LEAF_POINTS {
+            let start = self.ids.len();
+            for &id in ids.iter() {
+                let [x, y, z] = nodes[id as usize].point;
+                self.xs.push(x);
+                self.ys.push(y);
+                self.zs.push(z);
+                self.ids.push(id);
+            }
+            self.leaves.push((start, self.ids.len()));
+            return Bucket::Leaf(self.leaves.len() - 1);
+        }
+        let mut parts = vec![ids];
+        for _ in 0..FANOUT.ilog2() {
+            parts = parts
+                .into_iter()
+                .flat_map(|part| halve(nodes, part))
+                .collect();
+        }
+        let slot = self.inner.len();
+        self.inner.push(Inner {
+            lo: [[0.0; FANOUT]; 3],
+            hi: [[0.0; FANOUT]; 3],
+            children: [Bucket::Leaf(0); FANOUT],
+            len: parts.len(),
+        });
+        for (k, part) in parts.into_iter().enumerate() {
+            let [lo, hi] = bounds_of(nodes, part);
+            let child = self.bucket(nodes, part);
+            let inner = &mut self.inner[slot];
+            for axis in 0..3 {
+                inner.lo[axis][k] = lo[axis];
+                inner.hi[axis][k] = hi[axis];
+            }
+            inner.children[k] = child;
+        }
+        Bucket::Inner(slot)
+    }
+
+    /// Finds the minimum squared distance from `q` and counts the points
+    /// at it, scanning leaves at `level`. Visits the children of a bucket
+    /// nearest box first, and skips a child only when its box is strictly
+    /// farther than the best distance so far, so every point at the
+    /// minimum is counted.
+    fn scan(&self, q: Point, level: SimdLevel) -> Scan {
+        let mut best = Scan {
+            d2: f64::INFINITY,
+            ties: 0,
+            node: 0,
+        };
+        self.visit(self.root, q, level, &mut best);
+        best
+    }
+
+    fn visit(&self, bucket: Bucket, q: Point, level: SimdLevel, best: &mut Scan) {
+        match bucket {
+            Bucket::Leaf(leaf) => {
+                let (start, end) = self.leaves[leaf];
+                let (xs, ys, zs) = (
+                    &self.xs[start..end],
+                    &self.ys[start..end],
+                    &self.zs[start..end],
+                );
+                let leaf = simd::leaf_nearest_soa(level, xs, ys, zs, q, best.d2);
+                if leaf.d2 < best.d2 {
+                    *best = Scan {
+                        d2: leaf.d2,
+                        ties: leaf.ties,
+                        node: self.ids[start + leaf.index],
+                    };
+                } else {
+                    best.ties += leaf.ties;
+                }
+            }
+            Bucket::Inner(inner) => {
+                let inner = &self.inner[inner];
+                // A visited child's distance becomes NaN, which `<` never
+                // picks again.
+                let mut d2 = inner.box_dist2(q);
+                loop {
+                    let (mut next, mut next_d2) = (None, f64::INFINITY);
+                    for (k, &d2) in d2.iter().enumerate() {
+                        if d2 < next_d2 {
+                            (next, next_d2) = (Some(k), d2);
+                        }
+                    }
+                    // The rest are no nearer than `next`.
+                    let Some(k) = next.filter(|_| next_d2 <= best.d2) else {
+                        return;
+                    };
+                    d2[k] = f64::NAN;
+                    self.visit(inner.children[k], q, level, best);
+                }
+            }
+        }
+    }
+}
+
+/// Splits a part at the median of its box's widest axis; a part of at
+/// most [`LEAF_POINTS`] points stays whole.
+fn halve<'a>(nodes: &[KdNode], ids: &'a mut [u32]) -> Vec<&'a mut [u32]> {
+    if ids.len() <= LEAF_POINTS {
+        return vec![ids];
+    }
+    let [lo, hi] = bounds_of(nodes, ids);
+    let width = |axis: usize| hi[axis] - lo[axis];
+    let axis = (1..3).fold(0, |w, a| if width(a) > width(w) { a } else { w });
+    let point = |id: &u32| nodes[*id as usize].point[axis];
+    let mid = ids.len() / 2;
+    ids.select_nth_unstable_by(mid, |a, b| point(a).total_cmp(&point(b)));
+    let (low, high) = ids.split_at_mut(mid);
+    vec![low, high]
+}
+
+/// The tight bounding box `[lo, hi]` of the nodes `ids`.
+fn bounds_of(nodes: &[KdNode], ids: &[u32]) -> [Point; 2] {
+    let mut bounds = [nodes[ids[0] as usize].point; 2];
+    for &id in ids {
+        for (axis, &c) in nodes[id as usize].point.iter().enumerate() {
+            bounds[0][axis] = bounds[0][axis].min(c);
+            bounds[1][axis] = bounds[1][axis].max(c);
+        }
+    }
+    bounds
 }
 
 fn dist2(a: Point, b: Point) -> f64 {
@@ -442,17 +642,34 @@ mod tests {
         let _ = ValidRegion::build(&[], 3.0);
     }
 
-    /// The reference projection: membership and snap target from the
-    /// retained two-nearest search.
-    fn reference_project(r: &ValidRegion, query: TransferQuery) -> TransferQuery {
+    /// The reference search: the squared distance and node of the
+    /// nearest point from the two-nearest kd-tree search.
+    fn reference(r: &ValidRegion, query: &TransferQuery) -> (f64, Option<usize>) {
         let mut best = (f64::INFINITY, f64::INFINITY, None);
-        r.tree.search(r.tree.root, r.normalize(&query), &mut best);
-        if best.0.sqrt() <= r.tree.threshold {
+        r.tree.search(r.tree.root, r.normalize(query), &mut best);
+        (best.0, best.2)
+    }
+
+    /// The reference projection: membership and snap target from the
+    /// reference search.
+    fn reference_project(r: &ValidRegion, query: TransferQuery) -> TransferQuery {
+        let (d2, node) = reference(r, &query);
+        if d2.sqrt() <= r.tree.threshold {
             return query;
         }
-        let p = best.2.expect("tree non-empty");
+        let p = r.tree.nodes[node.expect("tree non-empty")].point;
         let s = r.tree.scales;
         q(p[0] * s[0], p[1] * s[1], p[2] * s[2])
+    }
+
+    /// The leaf bucket holding kd-tree node `node`.
+    fn leaf_of(r: &ValidRegion, node: usize) -> usize {
+        let b = &r.buckets;
+        let at = b.ids.iter().position(|&id| id as usize == node).unwrap();
+        b.leaves
+            .iter()
+            .position(|&(start, end)| (start..end).contains(&at))
+            .unwrap()
     }
 
     fn bits(q: TransferQuery) -> [u64; 3] {
@@ -462,8 +679,8 @@ mod tests {
     #[test]
     fn serializes_to_the_cache_format_and_round_trips() {
         // The exact bytes this region (with a duplicate point) serialized
-        // to before regions carried search boxes: model cache files must
-        // not change.
+        // to before regions carried search structures: model cache files
+        // must not change.
         const CACHE: &str = concat!(
             r#"{"nodes":[{"point":[0.3333333333333333,0.16666666666666666,-0.3333333333333333],"#,
             r#""axis":0,"left":1,"right":3},{"point":[0,0.6666666666666666,0.6666666666666666],"#,
@@ -484,7 +701,7 @@ mod tests {
         let json = serde_json::to_string(&r).unwrap();
         assert_eq!(json, CACHE);
         let back: ValidRegion = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, r, "boxes are rebuilt on load");
+        assert_eq!(back, r, "buckets are rebuilt on load");
         assert_eq!(serde_json::to_string(&back).unwrap(), json);
         for probe in [
             q(0.0, 0.0, 0.0),
@@ -516,24 +733,102 @@ mod tests {
                 r#"{{"point":[0,0,0],"axis":0,"left":null,"right":2}},{leaf}"#
             )),
             region(r#"{"point":[0,0,0],"axis":3,"left":null,"right":null}"#),
+            // An orphan node, and a node with two parents.
+            region(&format!("{leaf},{leaf}")),
+            region(&format!(
+                r#"{{"point":[0,0,0],"axis":0,"left":1,"right":1}},{leaf}"#
+            )),
         ] {
             assert!(serde_json::from_str::<ValidRegion>(&bad).is_err(), "{bad}");
         }
         assert!(serde_json::from_str::<ValidRegion>(&region(leaf)).is_ok());
+        assert!(serde_json::from_str::<ValidRegion>(&region(&format!(
+            r#"{{"point":[0,0,0],"axis":0,"left":null,"right":1}},{leaf}"#
+        )))
+        .is_ok());
+    }
+
+    #[test]
+    fn buckets_cover_every_point_once_within_their_boxes() {
+        // 500 points: an inner root over 8 leaves of 62 or 63.
+        let r = ValidRegion::build(&grid(), 3.0);
+        let b = &r.buckets;
+        let mut seen = vec![0; r.len()];
+        for &(start, end) in &b.leaves {
+            assert!((1..=LEAF_POINTS).contains(&(end - start)));
+            for i in start..end {
+                seen[b.ids[i] as usize] += 1;
+                assert_eq!(
+                    [b.xs[i], b.ys[i], b.zs[i]],
+                    r.tree.nodes[b.ids[i] as usize].point
+                );
+            }
+        }
+        assert!(seen.iter().all(|&n| n == 1));
+        assert_eq!(
+            (b.root, b.inner.len(), b.leaves.len()),
+            (Bucket::Inner(0), 1, 8)
+        );
+        let root = &b.inner[0];
+        for (k, child) in root.children.iter().enumerate().take(root.len) {
+            let Bucket::Leaf(leaf) = *child else {
+                panic!("{child:?}")
+            };
+            let (start, end) = b.leaves[leaf];
+            let [lo, hi] = bounds_of(&r.tree.nodes, &b.ids[start..end]);
+            assert_eq!([0, 1, 2].map(|a| root.lo[a][k]), lo);
+            assert_eq!([0, 1, 2].map(|a| root.hi[a][k]), hi);
+            for i in start..end {
+                assert_eq!(root.box_dist2([b.xs[i], b.ys[i], b.zs[i]])[k], 0.0);
+            }
+        }
+    }
+
+    #[test]
+    fn a_tie_across_leaves_returns_the_reference_node() {
+        // 257 points on the t axis, spread 256, so normalized coordinates
+        // are exact and a query halfway between two neighbours ties.
+        let pts: Vec<[f64; 3]> = (0..=256).map(|i| [f64::from(i), 0.0, 0.0]).collect();
+        let r = ValidRegion::build(&pts, 0.1);
+        let mut tied_across_leaves = 0;
+        for i in 0..256 {
+            let query = q(f64::from(i) + 0.5, 0.0, 0.0);
+            let norm = r.normalize(&query);
+            let scan = r.buckets.scan(norm, SimdLevel::Scalar);
+            assert_eq!(scan.ties, 2, "{query:?}");
+            let (d2, node) = r.closest(norm);
+            assert_eq!(d2.to_bits(), scan.d2.to_bits());
+            assert_eq!((d2, node), reference(&r, &query), "{query:?}");
+            let pair = [i, i + 1].map(|p| {
+                r.tree
+                    .nodes
+                    .iter()
+                    .position(|n| n.point == [f64::from(p) / 256.0, 0.0, 0.0])
+            });
+            assert!(pair.contains(&node), "{query:?}: {node:?} vs {pair:?}");
+            if leaf_of(&r, pair[0].unwrap()) != leaf_of(&r, pair[1].unwrap()) {
+                tied_across_leaves += 1;
+            }
+        }
+        assert!(tied_across_leaves >= 3, "{tied_across_leaves}");
     }
 
     proptest! {
         #[test]
-        fn box_search_matches_reference_search(seed in 0u64..u64::MAX) {
+        fn bucket_search_matches_reference_search(seed in 0u64..u64::MAX) {
             use rand::{Rng, SeedableRng};
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            // Points on a coarse integer grid, so repeated points and
-            // equidistant neighbours (tied distances) are common.
+            // Points on an integer grid, coarse enough that repeated points
+            // and equidistant neighbours (tied distances) are common.
+            let steps = [4u32, 8, 32][rng.gen_range(0..3usize)];
             let grid = |rng: &mut rand::rngs::StdRng| -> [f64; 3] {
-                [0, 1, 2].map(|_| f64::from(rng.gen_range(0..4u32)) * 0.5)
+                [0, 1, 2].map(|_| f64::from(rng.gen_range(0..steps)) * 0.5)
             };
+            // Up to 400 points fill one inner bucket's leaves; 1,500 nest
+            // inner buckets.
+            let count = [40, 400, 1500][rng.gen_range(0..3usize)];
             let mut pts: Vec<[f64; 3]> =
-                (0..rng.gen_range(1..40usize)).map(|_| grid(&mut rng)).collect();
+                (0..rng.gen_range(1..count)).map(|_| grid(&mut rng)).collect();
             for _ in 0..rng.gen_range(0..8usize) {
                 let again = pts[rng.gen_range(0..pts.len())];
                 pts.push(again);
@@ -558,26 +853,19 @@ mod tests {
                     }
                 };
                 let query = q(t, a, p);
-                let norm = r.normalize(&query);
-                let (d2, node) = r.nearest(norm);
-                let mut reference = (f64::INFINITY, f64::INFINITY, None);
-                r.tree.search(r.tree.root, norm, &mut reference);
-                prop_assert_eq!(d2.to_bits(), reference.0.to_bits(), "{:?}", query);
-                prop_assert!(
-                    node.map(|i| r.tree.nodes[i].point.map(f64::to_bits))
-                        == reference.2.map(|p| p.map(f64::to_bits)),
-                    "{query:?}: box search node {node:?} vs reference point {:?}",
-                    reference.2
-                );
+                let (d2, node) = r.closest(r.normalize(&query));
+                let (ref_d2, ref_node) = reference(&r, &query);
+                prop_assert_eq!(d2.to_bits(), ref_d2.to_bits(), "{:?}", query);
+                prop_assert_eq!(node, ref_node, "{:?}", query);
                 let projected = r.project(query);
                 let expected = reference_project(&r, query);
                 prop_assert!(
                     bits(projected) == bits(expected),
-                    "{query:?}: box search {projected:?} vs reference {expected:?}"
+                    "{query:?}: bucket search {projected:?} vs reference {expected:?}"
                 );
                 prop_assert_eq!(
                     r.contains(&query),
-                    reference.0.sqrt() <= r.tree.threshold,
+                    ref_d2.sqrt() <= r.tree.threshold,
                     "{:?}",
                     query
                 );
@@ -587,14 +875,14 @@ mod tests {
         #[test]
         fn nearest_matches_brute_force(
             pts in proptest::collection::vec(
-                proptest::array::uniform3(-10.0..10.0f64), 1..60),
+                proptest::array::uniform3(-10.0..10.0f64), 1..200),
             probe in proptest::array::uniform3(-15.0..15.0f64),
         ) {
             let r = ValidRegion::build(&pts, 3.0);
             let query = q(probe[0], probe[1], probe[2]);
             let norm = r.normalize(&query);
             let (d, _) = r.tree.two_nearest(norm);
-            let (d2, _) = r.nearest(norm);
+            let (d2, _) = r.closest(norm);
             // Brute force in the same normalized space.
             let s = r.tree.scales;
             let brute = pts
@@ -602,7 +890,7 @@ mod tests {
                 .map(|p| dist2([p[0] / s[0], p[1] / s[1], p[2] / s[2]], norm).sqrt())
                 .fold(f64::INFINITY, f64::min);
             prop_assert!((d - brute).abs() < 1e-9, "kd {d} vs brute {brute}");
-            prop_assert!((d2.sqrt() - brute).abs() < 1e-9, "box kd {d2} vs brute {brute}");
+            prop_assert!((d2.sqrt() - brute).abs() < 1e-9, "bucket {d2} vs brute {brute}");
         }
     }
 }

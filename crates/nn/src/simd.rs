@@ -1,12 +1,14 @@
 //! Runtime-dispatched SIMD kernels for the inference hot loops.
 //!
-//! Three loops dominate the simulator's inference cost: the dense
+//! Four loops dominate the simulator's inference cost: the dense
 //! matmul inside [`crate::Mlp::forward_batch`], the elementwise
-//! standardize/unstandardize passes of [`crate::Standardizer`], and the
-//! LUT neighbour-distance sweep in `sigtom`'s `LutTransfer`. This module
-//! provides SSE2/AVX2 f64 kernels for all three behind a process-global
-//! selection policy, using only `std::arch` + runtime feature detection
-//! — no dependencies, and a scalar fallback on every other architecture.
+//! standardize/unstandardize passes of [`crate::Standardizer`], the
+//! LUT neighbour-distance sweep in `sigtom`'s `LutTransfer`, and the
+//! leaf scan of `sigtom`'s valid-region nearest search. This module
+//! provides SSE2/AVX2 f64 kernels for the first three and an AVX2 kernel
+//! for the leaf scan behind a process-global selection policy, using
+//! only `std::arch` + runtime feature detection — no dependencies, and a
+//! scalar fallback at every other level and architecture.
 //!
 //! # Bit-identity contract
 //!
@@ -18,7 +20,10 @@
 //! operation sequence — for the dense kernel, `acc = bias` then
 //! `acc += w[i] * x[i]` in input order with separate mul and add
 //! roundings (never FMA, which rounds once and would diverge); for the
-//! elementwise kernels, the single IEEE op per element is order-free.
+//! elementwise kernels, the single IEEE op per element is order-free;
+//! for the leaf scan, merging lane minima is order-free too (it skips
+//! NaN, and a squared distance is never `-0.0`), and counting the
+//! distances equal to the minimum is exact.
 //! Leftover rows (`n % lanes`) run the scalar loop. Parity proptests in
 //! this module enforce the contract per kernel at every detected level.
 //!
@@ -617,6 +622,203 @@ fn scaled_distances_tail<const DIMS: usize>(
     }
 }
 
+// ---------------------------------------------------------------------
+// Kernel 4: nearest point of an SoA point leaf.
+// ---------------------------------------------------------------------
+
+/// The most points one [`leaf_nearest_soa`] call scans.
+pub const LEAF_POINTS: usize = 64;
+
+/// The nearest points of a leaf to a query, see [`leaf_nearest_soa`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LeafNearest {
+    /// The minimum squared distance; `+∞` for an empty leaf or one whose
+    /// distances are all NaN.
+    pub d2: f64,
+    /// How many points are at exactly `d2` (0 when `d2` exceeds the
+    /// bound).
+    pub ties: usize,
+    /// The first point at `d2` (`usize::MAX` when `ties` is 0).
+    pub index: usize,
+}
+
+impl LeafNearest {
+    const NONE: Self = Self {
+        d2: f64::INFINITY,
+        ties: 0,
+        index: usize::MAX,
+    };
+}
+
+/// Finds the points of a leaf `(xs[r], ys[r], zs[r])` nearest to
+/// `query`: the minimum squared distance and, unless it exceeds
+/// `bound`, how many points reach it and the first of them. Each
+/// distance is `dx * dx + dy * dy + dz * dz` with `dx = xs[r] - query[0]`
+/// (and so on), rounded after every operation in that order — the
+/// scalar sequence of `sigtom`'s valid-region search. The minimum skips
+/// NaN distances (`if d < min` from `+∞`).
+///
+/// The scalar level scans once; AVX2 keeps a minimum per lane, merges
+/// the lanes, then counts the distances equal to the minimum in a second
+/// pass. Both give the same result: a minimum is order-free once NaN is
+/// skipped (and a squared distance is never `-0.0`), and the count and
+/// first position of a value are exact. SSE2 runs the scalar scan: its
+/// two-lane version measured no reliable gain over it.
+///
+/// # Panics
+///
+/// Panics if the slice lengths differ or exceed [`LEAF_POINTS`].
+pub fn leaf_nearest_soa(
+    level: SimdLevel,
+    xs: &[f64],
+    ys: &[f64],
+    zs: &[f64],
+    query: [f64; 3],
+    bound: f64,
+) -> LeafNearest {
+    let n = xs.len();
+    assert!(
+        ys.len() == n && zs.len() == n && n <= LEAF_POINTS,
+        "point leaf shape mismatch"
+    );
+    match level {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: level provenance as in `dense_forward_soa`.
+        SimdLevel::Avx2 => unsafe { leaf_nearest_avx2(xs, ys, zs, query, bound) },
+        _ => leaf_nearest_scalar(xs, ys, zs, query, bound),
+    }
+}
+
+fn leaf_nearest_scalar(
+    xs: &[f64],
+    ys: &[f64],
+    zs: &[f64],
+    query: [f64; 3],
+    bound: f64,
+) -> LeafNearest {
+    let mut found = LeafNearest::NONE;
+    for r in 0..xs.len() {
+        let dx = xs[r] - query[0];
+        let dy = ys[r] - query[1];
+        let dz = zs[r] - query[2];
+        let d2 = dx * dx + dy * dy + dz * dz;
+        if d2 < found.d2 {
+            found = LeafNearest {
+                d2,
+                ties: 1,
+                index: r,
+            };
+        } else if d2 == found.d2 {
+            found.ties += 1;
+            found.index = found.index.min(r);
+        }
+    }
+    if found.d2 > bound {
+        LeafNearest {
+            d2: found.d2,
+            ..LeafNearest::NONE
+        }
+    } else {
+        found
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn leaf_nearest_avx2(
+    xs: &[f64],
+    ys: &[f64],
+    zs: &[f64],
+    query: [f64; 3],
+    bound: f64,
+) -> LeafNearest {
+    use std::arch::x86_64::{
+        _mm256_add_pd, _mm256_cmp_pd, _mm256_loadu_pd, _mm256_min_pd, _mm256_movemask_pd,
+        _mm256_mul_pd, _mm256_set1_pd, _mm256_storeu_pd, _mm256_sub_pd, _CMP_EQ_OQ,
+    };
+    let n = xs.len();
+    let main = n - n % 4;
+    let mut buffer = [0.0; LEAF_POINTS];
+    let out = &mut buffer[..n];
+    let (qx, qy, qz) = (
+        _mm256_set1_pd(query[0]),
+        _mm256_set1_pd(query[1]),
+        _mm256_set1_pd(query[2]),
+    );
+    let mut distances = |r: usize| {
+        let dx = _mm256_sub_pd(_mm256_loadu_pd(xs.as_ptr().add(r)), qx);
+        let dy = _mm256_sub_pd(_mm256_loadu_pd(ys.as_ptr().add(r)), qy);
+        let dz = _mm256_sub_pd(_mm256_loadu_pd(zs.as_ptr().add(r)), qz);
+        let d2 = _mm256_add_pd(
+            _mm256_add_pd(_mm256_mul_pd(dx, dx), _mm256_mul_pd(dy, dy)),
+            _mm256_mul_pd(dz, dz),
+        );
+        _mm256_storeu_pd(out.as_mut_ptr().add(r), d2);
+        d2
+    };
+    // `_mm256_min_pd(d2, min)` returns its second operand when `d2` is
+    // NaN, so a lane minimum skips NaN exactly as the scalar fold does.
+    // Two of them, so consecutive vectors do not wait on one another.
+    let mut min = [_mm256_set1_pd(f64::INFINITY); 2];
+    let mut r = 0;
+    while r + 8 <= main {
+        min[0] = _mm256_min_pd(distances(r), min[0]);
+        min[1] = _mm256_min_pd(distances(r + 4), min[1]);
+        r += 8;
+    }
+    if r < main {
+        min[0] = _mm256_min_pd(distances(r), min[0]);
+    }
+    let mut lanes = [0.0; 8];
+    _mm256_storeu_pd(lanes.as_mut_ptr(), min[0]);
+    _mm256_storeu_pd(lanes.as_mut_ptr().add(4), min[1]);
+    let mut d2 = f64::INFINITY;
+    for &lane in &lanes {
+        if lane < d2 {
+            d2 = lane;
+        }
+    }
+    for r in main..n {
+        let dx = xs[r] - query[0];
+        let dy = ys[r] - query[1];
+        let dz = zs[r] - query[2];
+        out[r] = dx * dx + dy * dy + dz * dz;
+        if out[r] < d2 {
+            d2 = out[r];
+        }
+    }
+    let mut found = LeafNearest {
+        d2,
+        ..LeafNearest::NONE
+    };
+    if d2 > bound {
+        return found;
+    }
+    // Count the distances equal to the minimum: bit `l` of a vector's
+    // mask is lane `l`.
+    let target = _mm256_set1_pd(d2);
+    let mut r = 0;
+    while r < main {
+        let equal = _mm256_cmp_pd::<_CMP_EQ_OQ>(_mm256_loadu_pd(out.as_ptr().add(r)), target);
+        let hits = _mm256_movemask_pd(equal) as u32;
+        let first = if hits == 0 {
+            usize::MAX
+        } else {
+            r + hits.trailing_zeros() as usize
+        };
+        found.ties += hits.count_ones() as usize;
+        found.index = found.index.min(first);
+        r += 4;
+    }
+    for (r, &d) in out.iter().enumerate().skip(main) {
+        if d == d2 {
+            found.ties += 1;
+            found.index = found.index.min(r);
+        }
+    }
+    found
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -750,6 +952,66 @@ mod tests {
                 let mut out = vec![f64::NAN; n];
                 scaled_distances_soa(level, &features, n, &query, &scales, &mut out);
                 assert_bits_eq(&out, &reference, level.as_str());
+            }
+        }
+
+        /// Leaf-scan parity at every available level: the minimum, its
+        /// ties and first index, on lengths around the vector widths up
+        /// to a full leaf, with repeated points (tied minima), NaN
+        /// coordinates and bounds below, at and above the minimum.
+        #[test]
+        fn leaf_nearest_kernel_parity(
+            seed in 0u64..u64::MAX,
+            n in 0usize..LEAF_POINTS + 1,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut axes = [0, 1, 2].map(|_| random_vec(&mut rng, n));
+            for r in 0..n {
+                match rng.gen_range(0..8u32) {
+                    0 | 1 if r > 0 => {
+                        let from = rng.gen_range(0..r);
+                        for axis in &mut axes {
+                            axis[r] = axis[from];
+                        }
+                    }
+                    2 => axes[rng.gen_range(0..3usize)][r] = f64::NAN,
+                    _ => {}
+                }
+            }
+            let query = [0, 1, 2].map(|_| rng.gen_range(-20.0..20.0));
+            let [xs, ys, zs] = &axes;
+            // The reference: plain folds over the scalar distances.
+            let d2: Vec<f64> = (0..n)
+                .map(|r| {
+                    let (dx, dy, dz) = (xs[r] - query[0], ys[r] - query[1], zs[r] - query[2]);
+                    dx * dx + dy * dy + dz * dz
+                })
+                .collect();
+            let min = d2.iter().fold(f64::INFINITY, |m, &d| if d < m { d } else { m });
+            let bound = match rng.gen_range(0..4u32) {
+                0 => min,
+                1 => min / 2.0,
+                2 => min * 2.0,
+                _ => f64::INFINITY,
+            };
+            let expected = if min > bound {
+                LeafNearest { d2: min, ..LeafNearest::NONE }
+            } else {
+                LeafNearest {
+                    d2: min,
+                    ties: d2.iter().filter(|&&d| d == min).count(),
+                    index: d2.iter().position(|&d| d == min).unwrap_or(usize::MAX),
+                }
+            };
+            for level in SimdLevel::available() {
+                let got = leaf_nearest_soa(level, xs, ys, zs, query, bound);
+                prop_assert_eq!(got.d2.to_bits(), expected.d2.to_bits(), "{}", level.as_str());
+                prop_assert_eq!(
+                    (got.ties, got.index),
+                    (expected.ties, expected.index),
+                    "{}",
+                    level.as_str()
+                );
             }
         }
     }

@@ -39,6 +39,14 @@ pub const MAX_WIRE_INT: u64 = 1 << 53;
 /// (the daemon promises bounded memory under any input).
 pub const MAX_TRANSITIONS: usize = 4096;
 
+/// Upper bound, in seconds, on a request's stimulus times: `mu`, `sigma`
+/// and every `toggles` entry. Served stimuli are tens to hundreds of
+/// picoseconds; the bound leaves twelve orders of magnitude of headroom
+/// and keeps every time finite in the engine's scaled units (×1e10), so
+/// a huge but finite value fails at decode instead of panicking in a
+/// worker.
+pub const MAX_STIMULUS_S: f64 = 1.0;
+
 /// Hard cap on a `sim.batch` request's `runs` field. The paper's heaviest
 /// Monte-Carlo campaign uses 50 runs per cell; the cap keeps one frame
 /// from demanding an unbounded fleet while leaving generous headroom.
@@ -127,8 +135,9 @@ pub struct SessionEdit {
     /// Initial logic level (`true` = high); optional on the wire with
     /// default `false` (matching [`OutputTrace`]'s convention).
     pub initial_high: bool,
-    /// Toggle times in seconds: finite, positive, strictly increasing,
-    /// at most [`MAX_TRANSITIONS`]. Empty means a constant level.
+    /// Toggle times in seconds: positive, at most [`MAX_STIMULUS_S`],
+    /// strictly increasing, at most [`MAX_TRANSITIONS`] of them. Empty
+    /// means a constant level.
     pub toggles: Vec<f64>,
 }
 
@@ -819,10 +828,10 @@ impl Deserialize for SessionEdit {
         // The same physical-trace invariants DigitalTrace enforces,
         // checked at decode so a bad edit fails in the protocol layer
         // instead of panicking in a worker.
-        if !toggles.iter().all(|t| t.is_finite() && *t > 0.0) {
-            return Err(serde::Error::new(
-                "field `toggles` entries must be finite and positive",
-            ));
+        if !toggles.iter().all(|t| *t > 0.0 && *t <= MAX_STIMULUS_S) {
+            return Err(serde::Error::new(format!(
+                "field `toggles` entries must be positive and at most {MAX_STIMULUS_S} s"
+            )));
         }
         if !toggles.windows(2).all(|w| w[0] < w[1]) {
             return Err(serde::Error::new(
@@ -861,10 +870,10 @@ fn sim_from_value(v: &Value) -> Result<SimRequest, serde::Error> {
         })?;
     let mu = get_f64(v, "mu")?;
     let sigma = get_f64(v, "sigma")?;
-    if !(mu > 0.0 && sigma > 0.0 && mu.is_finite() && sigma.is_finite()) {
-        return Err(serde::Error::new(
-            "fields `mu` and `sigma` must be positive and finite",
-        ));
+    if !(mu > 0.0 && sigma > 0.0 && mu <= MAX_STIMULUS_S && sigma <= MAX_STIMULUS_S) {
+        return Err(serde::Error::new(format!(
+            "fields `mu` and `sigma` must be positive and at most {MAX_STIMULUS_S} s"
+        )));
     }
     // Optional with back-compat default: pre-library clients never send
     // it and must keep prototype behaviour.
@@ -1791,6 +1800,10 @@ mod tests {
             "{\"id\":1,\"op\":\"sim\",\"circuit\":{},\"models\":\"x\",\"seed\":1,\"mu\":1e-11,\"sigma\":1e-11,\"transitions\":2}",
             "{\"id\":1,\"op\":\"sim\",\"circuit\":{\"name\":\"c17\"},\"models\":\"x\",\"seed\":1,\"mu\":-1.0,\"sigma\":1e-11,\"transitions\":2}",
             "{\"id\":1,\"op\":\"sim\",\"circuit\":{\"name\":\"c17\"},\"models\":\"x\",\"seed\":1,\"mu\":NaN,\"sigma\":1e-11,\"transitions\":2}",
+            // Huge but finite stimulus times overflow the engine's scaled
+            // units.
+            "{\"id\":1,\"op\":\"sim\",\"circuit\":{\"name\":\"c17\"},\"models\":\"x\",\"seed\":1,\"mu\":1e300,\"sigma\":1e-11,\"transitions\":2}",
+            "{\"id\":1,\"op\":\"sim\",\"circuit\":{\"name\":\"c17\"},\"models\":\"x\",\"seed\":1,\"mu\":1e-11,\"sigma\":2.0,\"transitions\":2}",
             // An absurd transition count must be rejected at decode, not
             // allowed to size stimulus allocations in a worker.
             "{\"id\":1,\"op\":\"sim\",\"circuit\":{\"name\":\"c17\"},\"models\":\"x\",\"seed\":1,\"mu\":1e-11,\"sigma\":1e-11,\"transitions\":1e15}",
@@ -1823,6 +1836,9 @@ mod tests {
             // Non-finite toggle.
             "{\"id\":1,\"op\":\"session.delta\",\"session\":3,\
              \"edits\":[{\"net\":\"a\",\"toggles\":[Infinity]}]}",
+            // A toggle past MAX_STIMULUS_S.
+            "{\"id\":1,\"op\":\"session.delta\",\"session\":3,\
+             \"edits\":[{\"net\":\"a\",\"toggles\":[0.5,1.5]}]}",
             // Close without a session id.
             "{\"id\":1,\"op\":\"session.close\"}",
         ] {

@@ -262,6 +262,46 @@ mod tests {
         );
     }
 
+    /// Asserts that frame `id` of `responses` is a `protocol` error.
+    fn assert_protocol_error(responses: &[Response], id: u64) {
+        assert!(
+            responses.iter().any(|r| matches!(
+                r,
+                Response::Error { id: Some(i), kind: ErrorKind::Protocol, .. } if *i == id
+            )),
+            "frame {id}: {responses:?}"
+        );
+    }
+
+    // Stimulus times that are finite but past `MAX_STIMULUS_S` overflow
+    // once scaled to engine units, which used to panic a worker and
+    // answer `internal`.
+
+    #[test]
+    fn a_huge_mu_gets_a_protocol_error() {
+        let sim = "{\"id\":1,\"op\":\"sim\",\"circuit\":{\"name\":\"c17\"},\"models\":\"synth\",\
+                   \"seed\":1,\"mu\":1e300,\"sigma\":2.5e-11,\"transitions\":4,\"timing\":false}";
+        assert_protocol_error(&drive(&test_service(), &format!("{sim}\n")), 1);
+    }
+
+    #[test]
+    fn huge_delta_toggles_get_a_protocol_error() {
+        let open =
+            "{\"id\":1,\"op\":\"session.open\",\"session\":5,\"circuit\":{\"name\":\"c17\"},\
+                    \"models\":\"synth\",\"seed\":1,\"mu\":6e-11,\"sigma\":2.5e-11,\
+                    \"transitions\":4,\"timing\":false}";
+        let delta = "{\"id\":2,\"op\":\"session.delta\",\"session\":5,\
+                     \"edits\":[{\"net\":\"1\",\"toggles\":[1e299,2e299,3e299]}]}";
+        let responses = drive(&test_service(), &format!("{open}\n{delta}\n"));
+        assert!(
+            responses
+                .iter()
+                .any(|r| matches!(r, Response::Session { id: 1, .. })),
+            "{responses:?}"
+        );
+        assert_protocol_error(&responses, 2);
+    }
+
     #[test]
     fn sessions_are_scoped_to_their_connection() {
         use crate::protocol::SimRequest;

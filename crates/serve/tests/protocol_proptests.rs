@@ -11,7 +11,7 @@ use sigserve::protocol::{
     decode_request, decode_response, encode_request, encode_response, hex64, CacheOutcome,
     CircuitSource, CompareStats, ErrorKind, FrameReader, OutputTrace, PhaseTimings, ProtocolError,
     Request, Response, SessionEdit, SimRequest, SimResult, StatsReply, TimingStats, TraceSpan,
-    MAX_BATCH_RUNS, MAX_WIRE_INT,
+    MAX_BATCH_RUNS, MAX_STIMULUS_S, MAX_WIRE_INT,
 };
 
 fn drain_frames(bytes: &[u8], cap: usize) -> Vec<Result<String, ProtocolError>> {
@@ -142,6 +142,14 @@ fn random_f64(rng: &mut rand::rngs::StdRng) -> f64 {
     (rng.gen_range(-1.0..1.0f64)) * mag
 }
 
+/// A stimulus time in `[1e-15, MAX_STIMULUS_S)`, log-spread over the
+/// valid range.
+fn random_stimulus_s(rng: &mut rand::rngs::StdRng) -> f64 {
+    let s = 10f64.powi(rng.gen_range(-15..0i32)) * rng.gen_range(1.0..10.0f64);
+    debug_assert!((1e-15..MAX_STIMULUS_S).contains(&s));
+    s
+}
+
 fn random_sim(rng: &mut rand::rngs::StdRng) -> SimRequest {
     SimRequest {
         circuit: if rng.gen() {
@@ -156,8 +164,8 @@ fn random_sim(rng: &mut rand::rngs::StdRng) -> SimRequest {
             random_string(rng)
         },
         seed: rng.gen_range(0..MAX_WIRE_INT),
-        mu: random_f64(rng).abs().max(1e-15),
-        sigma: random_f64(rng).abs().max(1e-15),
+        mu: random_stimulus_s(rng),
+        sigma: random_stimulus_s(rng),
         transitions: rng.gen_range(0..1000usize),
         compare: rng.gen(),
         timing: rng.gen(),
