@@ -12,10 +12,12 @@
 //!
 //! Only `program_c1355/ci_nor_only_execute` runs the served workload's
 //! engine: the trained `ci` NOR-only library, valid regions included,
-//! on the stimuli the daemon draws. Every other row, the `ann_*` and
-//! `fleet_*` rows included, uses an analytic transfer or random-weight
-//! MLPs without a valid region, so it measures scheduling and inference
-//! overhead only and never exercises projection or the snap table.
+//! on the stimuli the daemon draws. `response_c1355/ci_digitize` times
+//! the response path after it: digitizing that engine's output traces.
+//! Every other row, the `ann_*` and `fleet_*` rows included, uses an
+//! analytic transfer or random-weight MLPs without a valid region, so it
+//! measures scheduling and inference overhead only and never exercises
+//! projection or the snap table.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -337,13 +339,11 @@ fn bench_program(c: &mut Criterion) {
     }
 }
 
-/// The served workload's engine: warm executes of NOR-mapped c1355 on
-/// the trained `ci` library (trained once and cached under
-/// `target/sigmodels`, as the daemon caches it), each iteration on the
-/// next of 16 stimulus sets drawn like the daemon's (µ 60 ps, σ 25 ps,
-/// 4 transitions). Most rows snap onto the valid region, so this row
-/// covers projection and the snap table.
-fn bench_trained_program(c: &mut Criterion) {
+/// The served c1355 request: NOR-mapped c1355 compiled on the trained
+/// `ci` library (trained once and cached under `target/sigmodels`, as the
+/// daemon caches it), plus 16 stimulus sets drawn like the daemon's
+/// (µ 60 ps, σ 25 ps, 4 transitions).
+fn served_c1355() -> (Arc<sigcircuit::Circuit>, CircuitProgram, Vec<NetTraces>) {
     let path = concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/../../target/sigmodels/ci.nor-only.json"
@@ -364,7 +364,7 @@ fn bench_trained_program(c: &mut Criterion) {
     )
     .expect("compiles");
     let spec = StimulusSpec::new(60e-12, 25e-12, 4);
-    let sets: Vec<NetTraces> = (0..16)
+    let sets = (0..16)
         .map(|seed| {
             let mut rng = StdRng::seed_from_u64(1000 + seed);
             random_stimuli(&circuit, &spec, &mut rng)
@@ -373,6 +373,15 @@ fn bench_trained_program(c: &mut Criterion) {
                 .collect()
         })
         .collect();
+    (circuit, program, sets)
+}
+
+/// The served workload's engine: warm executes of the served c1355
+/// request, each iteration on the next of the 16 stimulus sets. Most rows
+/// snap onto the valid region, so this row covers projection and the
+/// snap table.
+fn bench_trained_program(c: &mut Criterion) {
+    let (_, program, sets) = served_c1355();
     let config = SigmoidSimConfig::default();
     let mut scratch = FleetScratch::new();
     let mut next = 0;
@@ -384,6 +393,43 @@ fn bench_trained_program(c: &mut Criterion) {
             program
                 .execute_with(black_box(&sets[next]), &config, &mut scratch)
                 .expect("sim")
+        })
+    });
+    group.finish();
+}
+
+/// The response path after the engine: every `sim` response digitizes
+/// each primary output at `vdd / 2`. Each iteration digitizes the 32
+/// output traces of the next of 16 recorded executes of the served c1355
+/// request.
+fn bench_response_digitize(c: &mut Criterion) {
+    let (circuit, program, sets) = served_c1355();
+    let config = SigmoidSimConfig::default();
+    let mut scratch = FleetScratch::new();
+    let outputs: Vec<Vec<SigmoidTrace>> = sets
+        .iter()
+        .map(|set| {
+            let result = program
+                .execute_with(set, &config, &mut scratch)
+                .expect("sim");
+            circuit
+                .outputs()
+                .iter()
+                .map(|&o| result.trace(o).clone())
+                .collect()
+        })
+        .collect();
+    let threshold = TomOptions::default().vdd / 2.0;
+    let mut next = 0;
+    let mut group = c.benchmark_group("response_c1355");
+    group.sample_size(60);
+    group.bench_function("ci_digitize", |b| {
+        b.iter(|| {
+            next = (next + 1) % outputs.len();
+            outputs[next]
+                .iter()
+                .map(|trace| black_box(trace).digitize(threshold).len())
+                .sum::<usize>()
         })
     });
     group.finish();
@@ -532,6 +578,7 @@ criterion_group!(
     bench_mapping_policies,
     bench_program,
     bench_trained_program,
+    bench_response_digitize,
     bench_delta,
     bench_fleet
 );

@@ -11,7 +11,7 @@
 
 use std::path::Path;
 
-use crate::netlist::Circuit;
+use crate::netlist::{Circuit, Gate, NetId};
 use crate::ParseBenchError;
 
 /// The detected on-disk format of a circuit file.
@@ -192,42 +192,43 @@ pub fn content_hash(bytes: &[u8]) -> u64 {
     h.finish()
 }
 
-impl Circuit {
-    /// A cheap structural fingerprint: hashes the source data (net names,
-    /// inputs, outputs, gate list) without serializing it. Equal circuits
-    /// fingerprint equal; distinct circuits collide only with hash
-    /// probability. Used by the `sigserve` cache to tag entries and by
-    /// responses to echo which netlist was simulated.
-    #[must_use]
-    pub fn fingerprint(&self) -> u64 {
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = content_hash(b"sigcircuit-v1");
-        let mut mix = |x: u64| {
-            h ^= x;
-            h = h.wrapping_mul(PRIME);
-        };
-        mix(self.net_count() as u64);
-        for i in 0..self.net_count() {
-            mix(content_hash(self.net_name(crate::NetId(i)).as_bytes()));
-        }
-        for &i in self.inputs() {
+/// The structural fingerprint behind [`Circuit::fingerprint`]: hashes the
+/// source data (net names, inputs, outputs, gate list) without
+/// serializing it. The circuit computes it once, when it is built or
+/// deserialized.
+pub(crate) fn structural_fingerprint(
+    net_names: &[String],
+    inputs: &[NetId],
+    outputs: &[NetId],
+    gates: &[Gate],
+) -> u64 {
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    let mut h = content_hash(b"sigcircuit-v1");
+    let mut mix = |x: u64| {
+        h ^= x;
+        h = h.wrapping_mul(PRIME);
+    };
+    mix(net_names.len() as u64);
+    for name in net_names {
+        mix(content_hash(name.as_bytes()));
+    }
+    for &i in inputs {
+        mix(i.0 as u64 + 1);
+    }
+    mix(u64::MAX); // separator between sections
+    for &o in outputs {
+        mix(o.0 as u64 + 1);
+    }
+    mix(u64::MAX);
+    for g in gates {
+        mix(content_hash(g.kind.name().as_bytes()));
+        mix(g.output.0 as u64);
+        for i in &g.inputs {
             mix(i.0 as u64 + 1);
         }
-        mix(u64::MAX); // separator between sections
-        for &o in self.outputs() {
-            mix(o.0 as u64 + 1);
-        }
         mix(u64::MAX);
-        for g in self.gates() {
-            mix(content_hash(g.kind.to_string().as_bytes()));
-            mix(g.output.0 as u64);
-            for i in &g.inputs {
-                mix(i.0 as u64 + 1);
-            }
-            mix(u64::MAX);
-        }
-        h
     }
+    h
 }
 
 #[cfg(test)]
@@ -329,6 +330,21 @@ mod tests {
         let y = b.add_gate(GateKind::Nor, &[a], "y2");
         b.mark_output(y);
         assert_ne!(c.fingerprint(), b.build().unwrap().fingerprint());
+    }
+
+    #[test]
+    fn fingerprint_values_are_stable() {
+        // Responses echo these values; computing them once per circuit
+        // must not change them.
+        assert_eq!(tiny().fingerprint(), 0x259539cd928f8715);
+        for (name, want) in [
+            ("c17", 0x27c5fe22a01c53da),
+            ("c499", 0x7bccb5fbe9f1cca9),
+            ("c1355", 0x34636ebfea757d18),
+        ] {
+            let bench = crate::Benchmark::by_name(name).unwrap();
+            assert_eq!(bench.nor_mapped.fingerprint(), want, "{name}");
+        }
     }
 
     #[test]

@@ -5,6 +5,8 @@ use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
 
+use crate::loader::structural_fingerprint;
+
 /// Index of a net (signal) in a [`Circuit`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct NetId(pub usize);
@@ -75,9 +77,11 @@ impl GateKind {
     }
 }
 
-impl std::fmt::Display for GateKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
+impl GateKind {
+    /// The upper-case cell name (`"NOR"`, `"XNOR"`, …), as displayed.
+    #[must_use]
+    pub fn name(&self) -> &'static str {
+        match self {
             GateKind::Inv => "INV",
             GateKind::Buf => "BUF",
             GateKind::And => "AND",
@@ -86,8 +90,13 @@ impl std::fmt::Display for GateKind {
             GateKind::Nor => "NOR",
             GateKind::Xor => "XOR",
             GateKind::Xnor => "XNOR",
-        };
-        f.write_str(s)
+        }
+    }
+}
+
+impl std::fmt::Display for GateKind {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.name())
     }
 }
 
@@ -109,9 +118,9 @@ pub struct Gate {
 /// order.
 ///
 /// Serialization carries only the source data (nets, inputs, outputs,
-/// gates); the derived schedules (`topo`, `levels`, `fanouts`) are
-/// recomputed on deserialization so they can never disagree with the gate
-/// list.
+/// gates); the derived schedules (`topo`, `levels`, `fanouts`) and the
+/// fingerprint are recomputed on deserialization so they can never
+/// disagree with the gate list.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Circuit {
     net_names: Vec<String>,
@@ -128,6 +137,8 @@ pub struct Circuit {
     /// indices of the gates reading net `n` (computed at build time, like
     /// `topo`/`levels`).
     fanouts: Vec<Vec<usize>>,
+    /// [`Circuit::fingerprint`] (computed at build time, like `topo`).
+    fingerprint: u64,
 }
 
 /// The derived schedules of a gate list: the topological order (Kahn), the
@@ -236,6 +247,7 @@ impl Deserialize for Circuit {
             .map_err(|e| serde::Error::new(format!("invalid circuit: {e}")))?;
         let (topo, levels, fanouts) = derive_schedules(&gates, n)
             .ok_or_else(|| serde::Error::new("circuit contains a combinational cycle"))?;
+        let fingerprint = structural_fingerprint(&net_names, &inputs, &outputs, &gates);
         Ok(Self {
             net_names,
             inputs,
@@ -244,6 +256,7 @@ impl Deserialize for Circuit {
             topo,
             levels,
             fanouts,
+            fingerprint,
         })
     }
 }
@@ -374,6 +387,17 @@ impl Circuit {
     #[must_use]
     pub fn fanouts(&self) -> &[Vec<usize>] {
         &self.fanouts
+    }
+
+    /// A cheap structural fingerprint of the source data (net names,
+    /// inputs, outputs, gate list), computed once when the circuit is
+    /// built or deserialized. Equal circuits fingerprint equal; distinct
+    /// circuits collide only with hash probability. Used by the
+    /// `sigserve` cache to tag entries and by responses to echo which
+    /// netlist was simulated.
+    #[must_use]
+    pub fn fingerprint(&self) -> u64 {
+        self.fingerprint
     }
 
     /// Number of gate inputs reading each net (the net's fan-out); primary
@@ -627,6 +651,8 @@ impl CircuitBuilder {
         validate_structure(&self.net_names, &self.inputs, &self.outputs, &self.gates)?;
         let (topo, levels, fanouts) =
             derive_schedules(&self.gates, self.net_names.len()).ok_or(BuildCircuitError::Cyclic)?;
+        let fingerprint =
+            structural_fingerprint(&self.net_names, &self.inputs, &self.outputs, &self.gates);
         Ok(Circuit {
             net_names: self.net_names,
             inputs: self.inputs,
@@ -635,6 +661,7 @@ impl CircuitBuilder {
             topo,
             levels,
             fanouts,
+            fingerprint,
         })
     }
 }

@@ -43,6 +43,12 @@ static OP_BATCH: sigobs::Hist = sigobs::Hist::new("op.sim_batch");
 static OP_OPEN: sigobs::Hist = sigobs::Hist::new("op.session_open");
 static OP_DELTA: sigobs::Hist = sigobs::Hist::new("op.session_delta");
 
+/// Digitizing a response's primary outputs ([`digitize_outputs`]): the
+/// response-path cost after the engine, one sample per `sim` (sigmoid-only
+/// or compare mode), `sim.batch` entry, `session.open` and
+/// `session.delta` response.
+static DIGITIZE: sigobs::Hist = sigobs::Hist::new("serve.digitize");
+
 /// Service configuration.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
@@ -1169,18 +1175,10 @@ pub fn run_sim_edited(
         let config = HarnessConfig::default();
         let outcome = compare_circuit_cells(circuit, &stimuli, &set.cells, &delays, &config)
             .map_err(|e| (ErrorKind::Simulation, e.to_string()))?;
-        let outputs = outcome
-            .bundles
-            .iter()
-            .map(|b| {
-                let d = b.sigmoid.digitize(threshold);
-                OutputTrace {
-                    net: b.net.clone(),
-                    initial_high: d.initial().is_high(),
-                    toggles: d.toggles().to_vec(),
-                }
-            })
-            .collect();
+        let outputs = digitize_outputs(
+            outcome.bundles.iter().map(|b| (b.net.as_str(), &b.sigmoid)),
+            threshold,
+        );
         Ok(SimResult {
             fingerprint,
             library,
@@ -1285,16 +1283,32 @@ fn sigmoid_outputs(
     result: &SigmoidSimResult,
     threshold: f64,
 ) -> Vec<OutputTrace> {
-    circuit
-        .outputs()
-        .iter()
-        .map(|&o| {
-            let d = result.trace(o).digitize(threshold);
+    digitize_outputs(
+        circuit
+            .outputs()
+            .iter()
+            .map(|&o| (circuit.net_name(o), result.trace(o))),
+        threshold,
+    )
+}
+
+/// Digitizes `(net, trace)` pairs at `threshold` into wire traces, under
+/// the `serve.digitize` span.
+fn digitize_outputs<'a>(
+    traces: impl Iterator<Item = (&'a str, &'a SigmoidTrace)>,
+    threshold: f64,
+) -> Vec<OutputTrace> {
+    let sw = sigobs::stopwatch();
+    let outputs = traces
+        .map(|(net, trace)| {
+            let d = trace.digitize(threshold);
             OutputTrace {
-                net: circuit.net_name(o).to_string(),
+                net: net.to_string(),
                 initial_high: d.initial().is_high(),
                 toggles: d.toggles().to_vec(),
             }
         })
-        .collect()
+        .collect();
+    sw.observe_span(&DIGITIZE, "serve.digitize");
+    outputs
 }

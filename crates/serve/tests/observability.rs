@@ -185,6 +185,7 @@ fn traced_daemon_reports_timings_stats_and_spans() {
         "pool.queue_wait",
         "serve.decode",
         "serve.encode",
+        "serve.digitize",
     ] {
         assert!(
             spans.iter().any(|s| s.name == expected),

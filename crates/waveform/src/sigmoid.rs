@@ -73,14 +73,7 @@ impl Sigmoid {
     /// without producing NaN).
     #[must_use]
     pub fn eval_scaled(&self, x: f64) -> f64 {
-        let z = self.a * (x - self.b);
-        // Stable logistic: avoid exp overflow for very negative z.
-        if z >= 0.0 {
-            1.0 / (1.0 + (-z).exp())
-        } else {
-            let e = z.exp();
-            e / (1.0 + e)
-        }
+        logistic(self.a * (x - self.b))
     }
 
     /// Evaluates `Fs` at a time in seconds.
@@ -322,6 +315,19 @@ impl Sigmoid {
         } else {
             ext.sum < threshold
         }
+    }
+}
+
+/// The logistic `1 / (1 + e^-z)` of an exponent `z = a (x - b)`, exactly
+/// as [`Sigmoid::eval_scaled`] evaluates it. Stable: the `exp` argument is
+/// never positive, so it cannot overflow for very negative `z`.
+#[inline]
+pub(crate) fn logistic(z: f64) -> f64 {
+    if z >= 0.0 {
+        1.0 / (1.0 + (-z).exp())
+    } else {
+        let e = z.exp();
+        e / (1.0 + e)
     }
 }
 
