@@ -216,9 +216,11 @@ struct OutputState {
 }
 
 impl OutputState {
-    fn new(initial: Level, options: TomOptions) -> Self {
+    /// `capacity` is the number of relevant input transitions: each adds
+    /// at most one output transition, so the list never reallocates.
+    fn new(initial: Level, options: TomOptions, capacity: usize) -> Self {
         Self {
-            transitions: Vec::new(),
+            transitions: Vec::with_capacity(capacity),
             initial,
             options,
         }
@@ -479,7 +481,7 @@ pub fn plan_single_input(
     GatePlan {
         relevant: Cow::Borrowed(input.transitions()),
         cursor: 0,
-        state: OutputState::new(initial_output, options),
+        state: OutputState::new(initial_output, options, input.transitions().len()),
     }
 }
 
@@ -599,10 +601,11 @@ impl PlanTemplate {
             }
             levels[src] = sin.is_rising();
         }
+        let capacity = relevant.len();
         GatePlan {
             relevant: Cow::Owned(relevant),
             cursor: 0,
-            state: OutputState::new(initial_out, options),
+            state: OutputState::new(initial_out, options, capacity),
         }
     }
 }

@@ -431,9 +431,9 @@ const MAX_CELL_ARITY: usize = 3;
 
 /// The circuit-dependent tables of a compiled program: everything the
 /// executor needs that is derivable from `(circuit, cells)` alone —
-/// resolved model slots and plan templates per gate. Compiling also *is*
-/// the upfront validation pass: a circuit with an unsupported gate never
-/// produces tables.
+/// resolved model slots, plan templates and duplicate gates per gate.
+/// Compiling also *is* the upfront validation pass: a circuit with an
+/// unsupported gate never produces tables.
 #[derive(Debug)]
 struct ProgramTables {
     /// Per gate index: the [`CellModels`] slot its queries batch into.
@@ -441,6 +441,21 @@ struct ProgramTables {
     /// Per gate index: the circuit-only plan template
     /// ([`sigtom::PlanTemplate`]: cell function, arity, masking level).
     templates: Vec<PlanTemplate>,
+    /// Per gate index: for a duplicate gate, the output net of the first
+    /// gate in its level with the same evaluation identity; `None` for a
+    /// gate the batched loop evaluates.
+    ///
+    /// The identity is the model slot, the cell function and the input
+    /// nets in order (no commutativity assumed), each input replaced by
+    /// its *canonical* net: the output of the gate a duplicate aliases,
+    /// so duplicated cones collapse transitively. Gate evaluation is
+    /// deterministic in (model, input traces, options), so a duplicate
+    /// produces a bit-identical trace and shares its leader's `Arc`
+    /// instead of being planned and predicted. NOR-mapped netlists
+    /// duplicate gates across fan-out branches heavily: NOR-only c1355
+    /// aliases 603 of its 2172 gates, and its batched execute evaluates
+    /// the other 1569. The scalar reference evaluates every gate.
+    alias_of: Vec<Option<NetId>>,
 }
 
 impl ProgramTables {
@@ -460,42 +475,38 @@ impl ProgramTables {
             slots.push(slot);
             templates.push(PlanTemplate::new(func, gate.inputs.len()));
         }
-        Ok(Self { slots, templates })
+        // Walk the levels in the executor's order and group each level's
+        // gates by evaluation identity. Sorting by (identity, gate index)
+        // puts first the group's first gate in level order (a level lists
+        // ascending indices), which the rest alias. Unused input lanes pad
+        // with a net id no circuit has, so arity is part of the identity.
+        let mut alias_of = vec![None; circuit.gates().len()];
+        let mut canonical: Vec<NetId> = (0..circuit.net_count()).map(NetId).collect();
+        let mut keyed = Vec::new();
+        for level in circuit.levels() {
+            keyed.clear();
+            for &gi in level {
+                let mut inputs = [NetId(usize::MAX); MAX_CELL_ARITY];
+                for (lane, i) in circuit.gates()[gi].inputs.iter().enumerate() {
+                    inputs[lane] = canonical[i.0];
+                }
+                keyed.push((slots[gi], templates[gi].function() as u8, inputs, gi));
+            }
+            keyed.sort_unstable();
+            for group in keyed.chunk_by(|x, y| (x.0, x.1, x.2) == (y.0, y.1, y.2)) {
+                let leader = circuit.gates()[group[0].3].output;
+                for &(.., gi) in &group[1..] {
+                    alias_of[gi] = Some(leader);
+                    canonical[circuit.gates()[gi].output.0] = leader;
+                }
+            }
+        }
+        Ok(Self {
+            slots,
+            templates,
+            alias_of,
+        })
     }
-}
-
-/// The duplicate-gate elimination table: maps a gate's *evaluation
-/// identity* — model slot, cell function, and the exact input traces (by
-/// `Arc` pointer, valid while the level holds them alive) — to the output
-/// net of the first gate in the level with that identity. Gate evaluation
-/// is deterministic in (model, input traces, options), so later gates with
-/// the same identity must produce a bit-identical trace and simply share
-/// the first gate's `Arc` instead of re-planning and re-predicting.
-/// NOR-mapped netlists duplicate gates across fan-out branches heavily
-/// (ISCAS c1355 carries 535 duplicates among 2172 gates), so this removes
-/// a quarter of all inference work there. Input order is part of the key
-/// (no commutativity assumed), and the table never outlives a (run, level)
-/// — pointers cannot be recycled while the memoized traces are alive.
-type GateMemo = HashMap<(usize, CellFunction, [usize; MAX_CELL_ARITY]), NetId>;
-
-/// The `GateMemo` key of one bound gate: unused input lanes pad with
-/// `usize::MAX`, which no live `Arc` pointer equals, so arity is encoded
-/// implicitly.
-fn memo_key(
-    slot: usize,
-    function: CellFunction,
-    inputs: &[NetId],
-    nets: &[Option<Arc<SigmoidTrace>>],
-    base: usize,
-) -> (usize, CellFunction, [usize; MAX_CELL_ARITY]) {
-    let mut ptrs = [usize::MAX; MAX_CELL_ARITY];
-    for (lane, i) in inputs.iter().enumerate() {
-        ptrs[lane] = nets[base + i.0]
-            .as_ref()
-            .map(|t| Arc::as_ptr(t) as usize)
-            .expect("level order");
-    }
-    (slot, function, ptrs)
 }
 
 /// The execution arena of the level loop: every scheduling buffer an
@@ -531,9 +542,6 @@ pub struct FleetScratch {
     pending: Vec<Vec<usize>>,
     /// Multi-input transition-merge buffers for sequential planning.
     plan: PlanScratch,
-    /// Duplicate-gate elimination table of the current (run, level) (see
-    /// [`GateMemo`]).
-    memo: GateMemo,
     /// Cumulative stimulus sets executed through this arena.
     runs: u64,
     /// Cumulative query rows issued through merged batches.
@@ -1026,8 +1034,8 @@ impl IncrementalState {
 /// and returns the `K` results in run order.
 ///
 /// `batch` selects the schedule. Batched: per level, the plan templates
-/// of every run are bound (run-major, evaluating duplicate gates once
-/// per run, see [`GateMemo`]); the engine then repeatedly gathers each
+/// of every run are bound (run-major, skipping the duplicate gates of
+/// `ProgramTables::alias_of`); the engine then repeatedly gathers each
 /// plan's next pending query, groups the queries of all runs by
 /// [`CellModels`] slot, and issues one [`GateModel::predict_batch_with`]
 /// per (model, round). Scalar: each gate's plan runs with one-shot
@@ -1055,7 +1063,6 @@ fn execute_program(
         round,
         pending,
         plan,
-        memo,
         runs,
         rows_merged,
     } = scratch;
@@ -1102,28 +1109,17 @@ fn execute_program(
         // after the level's plans are consumed.
         let mut bind_span = sigobs::span("execute.bind");
         let mut plans: Vec<(usize, usize, NetId, GatePlan)> = Vec::with_capacity(k * level.len());
-        // Duplicate gates (same slot, function, and input traces —
-        // fan-out replicas in NOR-mapped netlists) evaluate once per run;
-        // the rest alias the first copy's output `Arc` after the level
-        // finalizes. See [`GateMemo`] for the soundness argument.
-        let mut aliases: Vec<(usize, NetId, NetId)> = Vec::new();
+        // Duplicate gates (`ProgramTables::alias_of`) are not bound: they
+        // share their leader's output `Arc` once the level finalizes.
         for r in 0..k {
             let base = r * nc;
-            memo.clear();
             for &gi in level {
+                if tables.alias_of[gi].is_some() {
+                    continue;
+                }
                 let gate = &circuit.gates()[gi];
                 let slot = tables.slots[gi];
                 let template = &tables.templates[gi];
-                let key = memo_key(slot, template.function(), &gate.inputs, nets, base);
-                match memo.entry(key) {
-                    std::collections::hash_map::Entry::Occupied(first) => {
-                        aliases.push((r, gate.output, *first.get()));
-                        continue;
-                    }
-                    std::collections::hash_map::Entry::Vacant(v) => {
-                        v.insert(gate.output);
-                    }
-                }
                 // Compiled arities are <= MAX_CELL_ARITY (slot resolution
                 // enforces it), so the gather fits a fixed stack buffer.
                 let first = nets[base + gate.inputs[0].0]
@@ -1194,9 +1190,13 @@ fn execute_program(
         for (r, output, trace) in finished {
             nets[r * nc + output.0] = Some(Arc::new(trace));
         }
-        for (r, output, source) in aliases {
-            let shared = nets[r * nc + source.0].clone().expect("memoized gate ran");
-            nets[r * nc + output.0] = Some(shared);
+        for r in 0..k {
+            for &gi in level {
+                if let Some(leader) = tables.alias_of[gi] {
+                    let shared = nets[r * nc + leader.0].clone().expect("leader ran");
+                    nets[r * nc + circuit.gates()[gi].output.0] = Some(shared);
+                }
+            }
         }
         drop(finalize_span);
     }
@@ -2055,6 +2055,31 @@ mod tests {
         let empty = program.execute_fleet(&[], &mut scratch).unwrap();
         assert!(empty.is_empty());
         assert_eq!(scratch.runs(), 6);
+    }
+
+    #[test]
+    fn compiled_c1355_aliases_its_duplicate_gates() {
+        // The batched loop of the served NOR-only c1355 evaluates 1569
+        // gates and aliases the other 603. A weaker dedup would add
+        // inference rows without changing a bit, so the count is pinned.
+        let bench = sigcircuit::Benchmark::by_name("c1355").unwrap();
+        let tables = ProgramTables::compile(&bench.nor_mapped, &models(0.05, 0.05, 0.05)).unwrap();
+        let aliased = tables.alias_of.iter().flatten().count();
+        assert_eq!(bench.nor_mapped.gates().len(), 2172);
+        assert_eq!(aliased, 603);
+        // Every leader is an evaluated gate of the same level.
+        for level in bench.nor_mapped.levels() {
+            for &gi in level {
+                if let Some(leader) = tables.alias_of[gi] {
+                    let lead = level
+                        .iter()
+                        .find(|&&g| bench.nor_mapped.gates()[g].output == leader)
+                        .expect("leader in the same level");
+                    assert!(tables.alias_of[*lead].is_none());
+                    assert_eq!(tables.slots[*lead], tables.slots[gi]);
+                }
+            }
+        }
     }
 
     #[test]

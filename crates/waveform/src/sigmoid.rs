@@ -228,6 +228,19 @@ impl Sigmoid {
     /// (as does a non-canonical threshold), so the decision always
     /// terminates.
     ///
+    /// Most visible pulses are settled before any logistic is evaluated:
+    /// when `thr ≤ 1.75`, the interval is at least the branch-and-bound's
+    /// `1e-12` convergence width, and both exponents at its midpoint
+    /// (`r.a·(m − r.b)` and `f.a·(m − f.b)`, the ones the first sample
+    /// would feed to the logistic) are at least 2, the answer is `true`.
+    /// Both logistics then exceed σ(2) ≈ 0.8808 at the midpoint, and by
+    /// monotonicity `σ_r(hi)` and `σ_f(lo)` do too, so the whole-interval
+    /// bound and the first midpoint sample both read at least 1.76 and the
+    /// full procedure would return `true` at that first sample. The margin
+    /// over 1.75 (about 0.0116) dwarfs `exp`'s rounding error (a few units
+    /// in the last place of a value near 1), so the shortcut returns
+    /// exactly the decision of the full procedure.
+    ///
     /// # Panics
     ///
     /// Panics if both sigmoids have the same polarity, as in
@@ -265,20 +278,26 @@ impl Sigmoid {
             // S < 1.5 ≤ thr everywhere.
             return false;
         }
-        let (sr_lo, sr_hi) = (r.eval_scaled(lo), r.eval_scaled(hi));
-        let (sf_lo, sf_hi) = (f.eval_scaled(lo), f.eval_scaled(hi));
-        if sr_lo + sf_lo > thr || sr_hi + sf_hi > thr {
+        // Certified witness (see the doc comment): the midpoint the first
+        // branch-and-bound step samples, with its exponents computed as
+        // `eval_scaled` computes them.
+        let m = 0.5 * (lo + hi);
+        if thr <= 1.75 && hi - lo >= 1e-12 && r.a * (m - r.b) >= 2.0 && f.a * (m - f.b) >= 2.0 {
             return true;
         }
+        // No endpoint can be a witness: σr(lo) = σf(hi) = σ(0) = 0.5 and
+        // the other term is at most 1, so each endpoint sum is ≤ 1.5 ≤ thr.
+        let (sr_hi, sf_lo) = (r.eval_scaled(hi), f.eval_scaled(lo));
         if sr_hi + sf_lo <= thr {
             // Whole-interval bound: the pulse cannot reach the threshold.
             return false;
         }
-        // Branch-and-bound over segments (l, u, σr(l), σr(u), σf(l), σf(u)).
-        let mut stack: Vec<(f64, f64, f64, f64, f64, f64)> = Vec::with_capacity(16);
-        stack.push((lo, hi, sr_lo, sr_hi, sf_lo, sf_hi));
+        // Branch-and-bound over segments (l, u, σr(u), σf(l)): the two
+        // values the segment's bound reads.
+        let mut stack: Vec<(f64, f64, f64, f64)> = Vec::with_capacity(16);
+        stack.push((lo, hi, sr_hi, sf_lo));
         let mut evals = 0usize;
-        while let Some((l, u, srl, sru, sfl, sfu)) = stack.pop() {
+        while let Some((l, u, sru, sfl)) = stack.pop() {
             if u - l < 1e-12 {
                 // Narrower than the search's own convergence window and
                 // still no witness: treat as not crossing.
@@ -288,6 +307,72 @@ impl Sigmoid {
             if evals > 256 {
                 // Near-threshold plateau: hand the call to the search
                 // rather than refining indefinitely.
+                return self.decide_by_extremum(other, threshold);
+            }
+            let m = 0.5 * (l + u);
+            let (srm, sfm) = (r.eval_scaled(m), f.eval_scaled(m));
+            if srm + sfm > thr {
+                return true;
+            }
+            if srm + sfl > thr {
+                stack.push((l, m, srm, sfl));
+            }
+            if sru + sfm > thr {
+                stack.push((m, u, sru, sfm));
+            }
+        }
+        false
+    }
+
+    /// [`Sigmoid::pair_crosses`] without the certified witness: four
+    /// endpoint logistics, an endpoint witness test, the whole-interval
+    /// bound, then the branch-and-bound. The oracle the shortcut must
+    /// agree with on every input.
+    #[cfg(test)]
+    fn pair_crosses_oracle(&self, other: &Sigmoid, threshold: f64) -> bool {
+        assert!(
+            self.is_rising() != other.is_rising(),
+            "pulse pair must have opposite polarities"
+        );
+        let (r, f, thr) = if self.is_rising() {
+            (*self, *other, threshold)
+        } else {
+            (
+                Sigmoid {
+                    a: -self.a,
+                    b: self.b,
+                },
+                Sigmoid {
+                    a: -other.a,
+                    b: other.b,
+                },
+                2.0 - threshold,
+            )
+        };
+        if thr < 1.5 {
+            return self.decide_by_extremum(other, threshold);
+        }
+        let (lo, hi) = (r.b, f.b);
+        if hi <= lo {
+            return false;
+        }
+        let (sr_lo, sr_hi) = (r.eval_scaled(lo), r.eval_scaled(hi));
+        let (sf_lo, sf_hi) = (f.eval_scaled(lo), f.eval_scaled(hi));
+        if sr_lo + sf_lo > thr || sr_hi + sf_hi > thr {
+            return true;
+        }
+        if sr_hi + sf_lo <= thr {
+            return false;
+        }
+        let mut stack: Vec<(f64, f64, f64, f64, f64, f64)> = Vec::with_capacity(16);
+        stack.push((lo, hi, sr_lo, sr_hi, sf_lo, sf_hi));
+        let mut evals = 0usize;
+        while let Some((l, u, srl, sru, sfl, sfu)) = stack.pop() {
+            if u - l < 1e-12 {
+                continue;
+            }
+            evals += 1;
+            if evals > 256 {
                 return self.decide_by_extremum(other, threshold);
             }
             let m = 0.5 * (l + u);
@@ -513,6 +598,76 @@ mod tests {
         let _ = a.pair_crosses(&b, 1.5);
     }
 
+    #[test]
+    fn pair_crosses_respects_the_convergence_width() {
+        // Slopes so steep that a 5e-13-wide pulse has midpoint exponents
+        // of 2.5: the pulse is visible in exact arithmetic, but narrower
+        // than the branch-and-bound's 1e-12 window, which reports it as
+        // not crossing. The shortcut must not overrule that.
+        for (a, width, visible) in [(1e13, 5e-13, false), (4e12, 2e-12, true)] {
+            let r = Sigmoid::rising(a, 0.0);
+            let f = Sigmoid::falling(a, width);
+            assert_eq!(r.pair_crosses(&f, 1.5), visible, "rising, width {width}");
+            assert_eq!(r.pair_crosses_oracle(&f, 1.5), visible);
+            let f = Sigmoid::falling(a, 0.0);
+            let r = Sigmoid::rising(a, width);
+            assert_eq!(f.pair_crosses(&r, 0.5), visible, "falling, width {width}");
+            assert_eq!(f.pair_crosses_oracle(&r, 0.5), visible);
+        }
+    }
+
+    #[test]
+    fn pair_crosses_matches_oracle_across_the_exponent_bound() {
+        // Symmetric and skewed pulses whose midpoint exponents sweep
+        // through [0, 4] in steps of 0.005, at canonical and nearby
+        // thresholds: covers pulses just below and above visibility,
+        // midpoints just below and above the shortcut's exponent bound,
+        // and thresholds on both sides of its 1.75 limit (a symmetric
+        // pulse at exponent 2 peaks at 2σ(2) ≈ 1.7616).
+        let mut checked = 0usize;
+        for &a in &[0.1, 1.0, 7.0, 60.0, 1000.0] {
+            for &skew in &[1.0, 1.3, 4.0] {
+                for step in 0..=800 {
+                    let z = f64::from(step) * 0.005;
+                    let (a1, a2) = (a, a * skew);
+                    // Midpoint exponent of the steeper side is z.
+                    let width = 2.0 * z / a2;
+                    for &(thr_max, falling_first) in &[
+                        (1.5, false),
+                        (1.5, true),
+                        (1.6, false),
+                        (1.75, true),
+                        (1.76, false),
+                        (1.78, true),
+                        (1.9, false),
+                        (1.2, true),
+                    ] {
+                        let (first, second, threshold) = if falling_first {
+                            (
+                                Sigmoid::falling(a1, 3.0),
+                                Sigmoid::rising(a2, 3.0 + width),
+                                2.0 - thr_max,
+                            )
+                        } else {
+                            (
+                                Sigmoid::rising(a1, 3.0),
+                                Sigmoid::falling(a2, 3.0 + width),
+                                thr_max,
+                            )
+                        };
+                        assert_eq!(
+                            first.pair_crosses(&second, threshold),
+                            first.pair_crosses_oracle(&second, threshold),
+                            "pair ({first}, {second}) threshold {threshold}"
+                        );
+                        checked += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(checked, 5 * 3 * 801 * 8);
+    }
+
     use proptest::prelude::*;
 
     proptest! {
@@ -545,6 +700,44 @@ mod tests {
                 prop_assert_eq!(first.pair_crosses(&second, threshold), expect,
                     "pair ({}, {}) threshold {}", first, second, threshold);
             }
+        }
+
+        #[test]
+        fn pair_crosses_matches_its_oracle(
+            log_a1 in -1.0..3.0f64,
+            log_a2 in -1.0..3.0f64,
+            log_b in -1.0..10.0f64,
+            negative_b in any::<bool>(),
+            regime in 0usize..4,
+            u in 0.0..1.0f64,
+            falling_first in any::<bool>(),
+            thr_pick in 0usize..8,
+        ) {
+            // The certified witness must leave every decision of the
+            // branch-and-bound unchanged: slopes 0.1–1000, crossing times
+            // up to 1e10 scaled units, both polarities, canonical and
+            // non-canonical thresholds, and four width regimes.
+            let (a1, a2) = (10f64.powf(log_a1), 10f64.powf(log_a2));
+            let b1 = if negative_b { -10f64.powf(log_b) } else { 10f64.powf(log_b) };
+            let width = match regime {
+                // Log-uniform from 1e-15 (below the 1e-12 window) to 100.
+                0 => 10f64.powf(-15.0 + 17.0 * u),
+                // Near threshold: midpoint exponents of order 0–4.
+                1 => 4.0 * u * (1.0 / a1 + 1.0 / a2),
+                // Around the 1e-12 convergence window.
+                2 => 1e-12 * (0.5 + 1.5 * u),
+                // Reversed pairs (the second crossing comes first).
+                _ => -10f64.powf(-3.0 + 5.0 * u),
+            };
+            let thr_max = [1.5, 1.5, 1.5, 1.2, 1.6, 1.75, 1.78, 1.9][thr_pick];
+            let (first, second, threshold) = if falling_first {
+                (Sigmoid::falling(a1, b1), Sigmoid::rising(a2, b1 + width), 2.0 - thr_max)
+            } else {
+                (Sigmoid::rising(a1, b1), Sigmoid::falling(a2, b1 + width), thr_max)
+            };
+            prop_assert_eq!(first.pair_crosses(&second, threshold),
+                first.pair_crosses_oracle(&second, threshold),
+                "pair ({}, {}) threshold {}", first, second, threshold);
         }
     }
 }

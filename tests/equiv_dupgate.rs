@@ -4,7 +4,8 @@
 //! circuit's boolean function. The engine argues this "sound by
 //! determinism"; here the claim is *proven* by miter on c1355, whose
 //! NOR-mapped form carries the workspace's largest duplicate
-//! population (535 duplicates among 2172 gates — the PR 7 case).
+//! population: 627 of its 2172 gates alias by (kind, inputs), and 603
+//! once the engine also keys on the fan-out model slot.
 
 use std::collections::HashMap;
 
