@@ -10,13 +10,14 @@
 //! MLPs where batched inference is the win. Both modes produce
 //! bit-identical traces; only wall-clock differs.
 //!
-//! Only `program_c1355/ci_nor_only_execute` runs the served workload's
-//! engine: the trained `ci` NOR-only library, valid regions included,
-//! on the stimuli the daemon draws. `response_c1355/ci_digitize` times
-//! the response path after it: digitizing that engine's output traces.
-//! Every other row, the `ann_*` and `fleet_*` rows included, uses an
-//! analytic transfer or random-weight MLPs without a valid region, so it
-//! measures scheduling and inference overhead only and never exercises
+//! Only `program_c1355/ci_nor_only_execute` and `delta_c1355/ci_1edit`
+//! run the served workload's engine: the trained `ci` NOR-only library,
+//! valid regions included, on the stimuli the daemon draws.
+//! `response_c1355/ci_digitize` times the response path after it:
+//! digitizing that engine's output traces. Every other row, the `ann_*`,
+//! `fleet_*` and other `delta_*` rows included, uses an analytic
+//! transfer or random-weight MLPs without a valid region, so it measures
+//! scheduling and inference overhead only and never exercises
 //! projection or the snap table.
 
 use std::collections::HashMap;
@@ -435,15 +436,16 @@ fn bench_response_digitize(c: &mut Criterion) {
     group.finish();
 }
 
-/// Incremental-engine rows (the event-driven tentpole): a resident
-/// session absorbs stimulus edits against its committed state. `1edit`
-/// re-evaluates a single input cone, `10pct_edits` a tenth of the
-/// inputs, and `full` is the warm full execute of the same compiled
-/// program with a reused scratch — the reference a delta must beat
-/// (≥ 5× on c1355's single-edit row). Every iteration alternates the
-/// edited inputs between two distinct traces: re-submitting the
-/// committed trace converges after zero gate evaluations under the
-/// cutoff and would measure nothing.
+/// Incremental-engine scheduling rows: a resident session absorbs
+/// stimulus edits against its committed state. `1edit` re-evaluates a
+/// single input cone, `10pct_edits` a tenth of the inputs, and `full` is
+/// the warm full execute of the same compiled program with a reused
+/// scratch. They run the `Analytic` transfer without a valid region, so
+/// they measure scheduling only; `delta_c1355/ci_1edit` is the row on
+/// trained models. Every iteration alternates the edited inputs between
+/// two distinct traces: re-submitting the committed trace converges
+/// after zero gate evaluations under the cutoff and would measure
+/// nothing.
 fn bench_delta(c: &mut Criterion) {
     for name in ["c17", "c1355"] {
         let bench = Benchmark::by_name(name).expect("benchmark");
@@ -506,6 +508,36 @@ fn bench_delta(c: &mut Criterion) {
         });
         group.finish();
     }
+}
+
+/// A single-input delta on the served c1355 request: a session opened on
+/// the first of the 16 served stimulus sets, and each iteration edits the
+/// next primary input to its trace in the next of the other 15 sets (41
+/// inputs against 15 sets, so every edit changes its input). The warm
+/// full execute a delta saves is `program_c1355/ci_nor_only_execute`.
+fn bench_trained_delta(c: &mut Criterion) {
+    let (circuit, program, sets) = served_c1355();
+    let mut state = program
+        .open_session(&sets[0], &mut FleetScratch::new())
+        .expect("opens");
+    let inputs = circuit.inputs();
+    let mut next = 0;
+    let mut group = c.benchmark_group("delta_c1355");
+    group.sample_size(60);
+    group.bench_function("ci_1edit", |b| {
+        b.iter(|| {
+            next += 1;
+            let net = inputs[next % inputs.len()];
+            let edit = StimulusEdit {
+                net,
+                trace: Arc::clone(&sets[1 + next % (sets.len() - 1)][&net]),
+            };
+            program
+                .execute_delta(black_box(&mut state), &[edit])
+                .expect("delta")
+        })
+    });
+    group.finish();
 }
 
 /// Fleet rows (this tentpole's wall-clock claim): a 16-run c1355
@@ -580,6 +612,7 @@ criterion_group!(
     bench_trained_program,
     bench_response_digitize,
     bench_delta,
+    bench_trained_delta,
     bench_fleet
 );
 criterion_main!(benches);

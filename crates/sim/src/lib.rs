@@ -25,9 +25,9 @@
 //! * [`IncrementalState`] — the event-driven incremental engine:
 //!   [`CircuitProgram::open_session`] captures a full execution,
 //!   [`CircuitProgram::execute_delta`] applies [`StimulusEdit`] batches
-//!   by re-simulating only the affected cone, bit-identical to a cold
-//!   full execution of the final stimuli (see `docs/architecture.md`
-//!   § Incremental engine).
+//!   by re-simulating only the affected cone through the same batched
+//!   level loop, bit-identical to a cold full execution of the final
+//!   stimuli (see `docs/architecture.md` § Incremental engine).
 //! * [`train_cell_library`]/[`train_cell_library_cached`] — the
 //!   end-to-end pipeline: analog characterization sweeps → waveform
 //!   fitting → four ANNs per cell variant → valid regions, for a

@@ -25,10 +25,10 @@
 //! On top of the split sits the **event-driven incremental engine**:
 //! [`CircuitProgram::open_session`] captures a full execution in a
 //! resident [`IncrementalState`], and [`CircuitProgram::execute_delta`]
-//! re-simulates only the cone affected by a batch of [`StimulusEdit`]s —
-//! a level-ordered dirty-set walk that stops wherever a recomputed trace
-//! is bit-identical to the committed one (see `docs/architecture.md`
-//! § Incremental engine).
+//! re-simulates only the cone affected by a batch of [`StimulusEdit`]s:
+//! each level's dirty gates run through the same batched level loop, and
+//! propagation stops wherever a recomputed trace is bit-identical to the
+//! committed one (see `docs/architecture.md` § Incremental engine).
 //!
 //! [`predict_batch_with`]: sigtom::GateModel::predict_batch_with
 
@@ -809,26 +809,14 @@ impl CircuitProgram {
         scratch: &mut FleetScratch,
     ) -> Result<IncrementalState, SigmoidSimError> {
         let baseline = self.execute(stimuli, scratch)?;
-        let circuit = &self.circuit;
-        let mut level_of = vec![0usize; circuit.gates().len()];
-        for (li, level) in circuit.levels().iter().enumerate() {
-            for &gi in level {
-                level_of[gi] = li;
-            }
-        }
-        let mut is_input = vec![false; circuit.net_count()];
-        for &input in circuit.inputs() {
-            is_input[input.0] = true;
-        }
+        let mut committed = FleetScratch::new();
+        committed.nets = baseline.traces.into_iter().map(Some).collect();
+        committed.pending.resize_with(self.cells.slots(), Vec::new);
         Ok(IncrementalState {
-            circuit: Arc::clone(circuit),
-            committed: baseline.traces,
+            circuit: Arc::clone(&self.circuit),
+            committed,
             undriven: baseline.undriven,
-            level_of,
-            is_input,
-            dirty_levels: vec![Vec::new(); circuit.levels().len()],
-            gate_marked: vec![false; circuit.gates().len()],
-            plan: PlanScratch::default(),
+            dirty: vec![false; self.circuit.gates().len()],
             deltas: 0,
             gates_reeval: 0,
             last_reeval: 0,
@@ -839,16 +827,19 @@ impl CircuitProgram {
     /// **only the affected cone**: the event-driven half of the engine.
     ///
     /// Dirtiness seeds from each edited input's consumer gates
-    /// ([`Circuit::fanouts`]) and the scheduler walks the dirty set in
-    /// ASAP-level order, re-planning and re-predicting each dirty gate
-    /// with the compiled [`sigtom::PlanTemplate`] (the exact per-gate
-    /// computation of the scalar executor). Propagation **stops** at any
-    /// gate whose recomputed output trace is bit-identical
-    /// ([`sigtom::traces_bit_identical`] — exact `f64` bits, not a
-    /// tolerance) to the committed one, so the result is provably equal
-    /// to a cold full [`CircuitProgram::execute`] of the final stimuli:
-    /// every skipped gate's inputs are unchanged bit-for-bit, and gate
-    /// evaluation is deterministic in its inputs.
+    /// ([`Circuit::fanouts`]). Level by level, the dirty gates run
+    /// through the batched level loop of [`CircuitProgram::execute`] as a
+    /// fleet of one: one [`GateModel::predict_batch_with`] per (model,
+    /// round), snapped rows answered from the snap table, and a dirty
+    /// duplicate gate sharing its leader's new trace. Propagation
+    /// **stops** at any gate whose recomputed output trace is
+    /// bit-identical ([`sigtom::traces_bit_identical`] — exact `f64`
+    /// bits, not a tolerance) to the committed one, so the result is
+    /// provably equal to a cold full [`CircuitProgram::execute`] of the
+    /// final stimuli: every skipped gate's inputs are unchanged
+    /// bit-for-bit, and gate evaluation is deterministic in its inputs.
+    /// A duplicate and its leader read the same bits, so they turn dirty
+    /// together.
     ///
     /// Edits whose trace is bit-identical to the committed stimulus are
     /// no-ops (they seed no dirtiness); an empty `changed` slice returns
@@ -875,61 +866,44 @@ impl CircuitProgram {
             "IncrementalState belongs to a program compiled for a different circuit"
         );
         let circuit = &*self.circuit;
-        for edit in changed {
-            if !state.is_input[edit.net.0] {
-                return Err(SigmoidSimError::EditNotAnInput {
-                    net: circuit.net_name(edit.net).to_string(),
-                });
-            }
+        if let Some(edit) = changed.iter().find(|e| !circuit.inputs().contains(&e.net)) {
+            return Err(SigmoidSimError::EditNotAnInput {
+                net: circuit.net_name(edit.net).to_string(),
+            });
         }
         let sw = sigobs::stopwatch();
-        state.deltas += 1;
-        state.last_reeval = 0;
         let fanouts = circuit.fanouts();
+        let (committed, dirty) = (&mut state.committed, &mut state.dirty);
         for edit in changed {
-            if traces_bit_identical(&edit.trace, &state.committed[edit.net.0]) {
+            let old = committed.nets[edit.net.0].replace(Arc::clone(&edit.trace));
+            if !traces_bit_identical(&edit.trace, &old.expect("committed")) {
+                fanouts[edit.net.0].iter().for_each(|&gi| dirty[gi] = true);
+            }
+        }
+        let (mut gates, mut previous, mut evaluated) = (Vec::<usize>::new(), Vec::new(), 0);
+        for level in circuit.levels() {
+            gates.clear();
+            gates.extend(level.iter().filter(|&&gi| std::mem::take(&mut dirty[gi])));
+            if gates.is_empty() {
                 continue;
             }
-            state.committed[edit.net.0] = Arc::clone(&edit.trace);
-            for &gi in &fanouts[edit.net.0] {
-                state.mark_dirty(gi);
-            }
-        }
-        for li in 0..state.dirty_levels.len() {
-            let mut gates = std::mem::take(&mut state.dirty_levels[li]);
-            // Dirt from several sources lands in marking order; sort so
-            // the walk (and the reeval counters) are deterministic.
-            gates.sort_unstable();
-            for gi in gates.drain(..) {
-                state.gate_marked[gi] = false;
-                let gate = &circuit.gates()[gi];
-                let first = &*state.committed[gate.inputs[0].0];
-                let mut ins: [&SigmoidTrace; MAX_CELL_ARITY] = [first; MAX_CELL_ARITY];
-                for (k, i) in gate.inputs.iter().enumerate().skip(1) {
-                    ins[k] = &state.committed[i.0];
-                }
-                let plan = self.tables.templates[gi].bind_with(
-                    &ins[..gate.inputs.len()],
-                    self.options,
-                    &mut state.plan,
-                );
-                let trace = apply_plan(plan, self.cells.by_slot(self.tables.slots[gi]));
-                state.gates_reeval += 1;
-                state.last_reeval += 1;
-                if traces_bit_identical(&trace, &state.committed[gate.output.0]) {
-                    // Converged: the output did not change a single bit,
-                    // so every downstream gate would recompute exactly
-                    // its committed trace — propagation stops here.
-                    continue;
-                }
-                state.committed[gate.output.0] = Arc::new(trace);
-                for &consumer in &fanouts[gate.output.0] {
-                    state.mark_dirty(consumer);
+            let outputs = gates.iter().map(|&gi| circuit.gates()[gi].output.0);
+            previous.clear();
+            previous.extend(outputs.clone().map(|o| committed.nets[o].clone()));
+            let (cells, tables, options) = (&self.cells, &self.tables, self.options);
+            evaluated += execute_level(circuit, cells, tables, options, &gates, 1, committed);
+            // An output that did not change a single bit stops propagation:
+            // every downstream gate would recompute its committed trace.
+            for (o, old) in outputs.zip(&previous) {
+                let new = committed.nets[o].as_deref().expect("published");
+                if !traces_bit_identical(new, old.as_deref().expect("committed")) {
+                    fanouts[o].iter().for_each(|&gi| dirty[gi] = true);
                 }
             }
-            // Hand the (drained) buffer back so its capacity is reused.
-            state.dirty_levels[li] = gates;
         }
+        state.deltas += 1;
+        state.last_reeval = evaluated as u64;
+        state.gates_reeval += state.last_reeval;
         sw.observe_span(&DELTA_HIST, "program.execute_delta");
         Ok(state.result())
     }
@@ -947,7 +921,7 @@ pub struct StimulusEdit {
 
 /// The resident state of one incremental simulation session: the last
 /// committed per-net traces (stimuli *and* gate outputs) of one
-/// [`CircuitProgram`], plus the dirty-set bookkeeping and counters of the
+/// [`CircuitProgram`], plus the dirty flags and counters of the
 /// event-driven scheduler.
 ///
 /// Created by [`CircuitProgram::open_session`]; mutated in place by
@@ -959,21 +933,14 @@ pub struct IncrementalState {
     /// The circuit this state was opened for (identity-checked by
     /// `execute_delta`).
     circuit: Arc<Circuit>,
-    /// Committed per-net traces, indexed by [`NetId`]. Always fully
-    /// populated (undriven nets hold the constant-Low filler).
-    committed: Vec<Arc<SigmoidTrace>>,
+    /// The session's own level-loop arena. Its net matrix (one run)
+    /// holds the committed per-net traces, always fully populated
+    /// (undriven nets hold the constant-Low filler).
+    committed: FleetScratch,
     /// Undriven nets of the baseline execution (stimulus-independent).
     undriven: Vec<NetId>,
-    /// Gate index → ASAP level index (the scheduler's priority key).
-    level_of: Vec<usize>,
-    /// Per-net: is it a primary input (the only editable nets)?
-    is_input: Vec<bool>,
-    /// Per-level dirty gate lists (the level-ordered work queue).
-    dirty_levels: Vec<Vec<usize>>,
-    /// Per-gate dedup flag for the dirty set.
-    gate_marked: Vec<bool>,
-    /// Reusable transition-merge buffers for per-gate re-planning.
-    plan: PlanScratch,
+    /// Per gate: must the next level pass re-evaluate it?
+    dirty: Vec<bool>,
     /// Completed `execute_delta` calls.
     deltas: u64,
     /// Cumulative gates re-evaluated across all deltas.
@@ -994,7 +961,12 @@ impl IncrementalState {
     #[must_use]
     pub fn result(&self) -> SigmoidSimResult {
         SigmoidSimResult {
-            traces: self.committed.clone(),
+            traces: self
+                .committed
+                .nets
+                .iter()
+                .map(|t| t.clone().expect("committed"))
+                .collect(),
             undriven: self.undriven.clone(),
         }
     }
@@ -1005,26 +977,20 @@ impl IncrementalState {
         self.deltas
     }
 
-    /// Cumulative gates re-evaluated across all deltas — the honest cost
-    /// of the session (a full execution costs `gates().len()` per run).
+    /// Cumulative gates evaluated across all deltas — the honest cost of
+    /// the session. Dirty duplicate gates share their leader's trace and
+    /// are not counted, so a full execution costs the program's
+    /// non-duplicate gates per run (1,569 of NOR-mapped c1355's 2,172).
     #[must_use]
     pub fn gates_reeval(&self) -> u64 {
         self.gates_reeval
     }
 
-    /// Gates re-evaluated by the most recent delta (`0` when every edit
-    /// was bit-identical to the committed stimulus).
+    /// Gates evaluated by the most recent delta (`0` when every edit was
+    /// bit-identical to the committed stimulus).
     #[must_use]
     pub fn last_reeval(&self) -> u64 {
         self.last_reeval
-    }
-
-    /// Marks a gate dirty, deduplicating via the per-gate flag.
-    fn mark_dirty(&mut self, gi: usize) {
-        if !self.gate_marked[gi] {
-            self.gate_marked[gi] = true;
-            self.dirty_levels[self.level_of[gi]].push(gi);
-        }
     }
 }
 
@@ -1033,12 +999,8 @@ impl IncrementalState {
 /// [`simulate_cells_with`]: binds `K` stimulus sets to compiled tables
 /// and returns the `K` results in run order.
 ///
-/// `batch` selects the schedule. Batched: per level, the plan templates
-/// of every run are bound (run-major, skipping the duplicate gates of
-/// `ProgramTables::alias_of`); the engine then repeatedly gathers each
-/// plan's next pending query, groups the queries of all runs by
-/// [`CellModels`] slot, and issues one [`GateModel::predict_batch_with`]
-/// per (model, round). Scalar: each gate's plan runs with one-shot
+/// `batch` selects the schedule. Batched: each level runs through
+/// [`execute_level`]. Scalar: each gate's plan runs with one-shot
 /// predictions — the reference the batched schedule must match bit for
 /// bit. Everything runs on the calling thread.
 fn execute_program(
@@ -1055,23 +1017,13 @@ fn execute_program(
     // Reset the arena to this program's exact sizes (idempotent for
     // repeated executions of the same program; defensive against a
     // previous run that died mid-level).
-    let FleetScratch {
-        nets,
-        queries,
-        predictions,
-        snap,
-        round,
-        pending,
-        plan,
-        runs,
-        rows_merged,
-    } = scratch;
-    nets.clear();
-    nets.resize(k * nc, None);
-    for member in pending.iter_mut() {
+    scratch.nets.clear();
+    scratch.nets.resize(k * nc, None);
+    for member in scratch.pending.iter_mut() {
         member.clear();
     }
-    pending.resize_with(cells.slots(), Vec::new);
+    scratch.pending.resize_with(cells.slots(), Vec::new);
+    let nets = &mut scratch.nets;
     for (r, stim) in stimuli.iter().enumerate() {
         for &input in circuit.inputs() {
             let t = stim
@@ -1084,129 +1036,35 @@ fn execute_program(
     }
 
     for level in circuit.levels() {
-        if !batch {
-            // Scalar mode: per-gate one-shot predictions. Gates within a
-            // level are independent, so outputs publish as they finish.
-            for r in 0..k {
-                let base = r * nc;
-                for &gi in level {
-                    let gate = &circuit.gates()[gi];
-                    let ins: Vec<&SigmoidTrace> = gate
-                        .inputs
-                        .iter()
-                        .map(|i| nets[base + i.0].as_deref().expect("level order"))
-                        .collect();
-                    let model = cells.by_slot(tables.slots[gi]);
-                    let trace = apply_plan(tables.templates[gi].bind(&ins, options), model);
-                    nets[base + gate.output.0] = Some(Arc::new(trace));
-                }
-            }
+        if batch {
+            execute_level(circuit, cells, tables, options, level, k, scratch);
             continue;
         }
-        // Bind the level's templates for every run (run-major, so a plan
-        // index identifies both the run and the gate). Plans borrow the
-        // input traces out of the net matrix; outputs are published only
-        // after the level's plans are consumed.
-        let mut bind_span = sigobs::span("execute.bind");
-        let mut plans: Vec<(usize, usize, NetId, GatePlan)> = Vec::with_capacity(k * level.len());
-        // Duplicate gates (`ProgramTables::alias_of`) are not bound: they
-        // share their leader's output `Arc` once the level finalizes.
+        // Scalar mode: per-gate one-shot predictions. Gates within a
+        // level are independent, so outputs publish as they finish.
+        let nets = &mut scratch.nets;
         for r in 0..k {
             let base = r * nc;
             for &gi in level {
-                if tables.alias_of[gi].is_some() {
-                    continue;
-                }
                 let gate = &circuit.gates()[gi];
-                let slot = tables.slots[gi];
-                let template = &tables.templates[gi];
-                // Compiled arities are <= MAX_CELL_ARITY (slot resolution
-                // enforces it), so the gather fits a fixed stack buffer.
-                let first = nets[base + gate.inputs[0].0]
-                    .as_deref()
-                    .expect("level order");
-                let mut ins: [&SigmoidTrace; MAX_CELL_ARITY] = [first; MAX_CELL_ARITY];
-                for (j, i) in gate.inputs.iter().enumerate().skip(1) {
-                    ins[j] = nets[base + i.0].as_deref().expect("level order");
-                }
-                plans.push((
-                    slot,
-                    r,
-                    gate.output,
-                    template.bind_with(&ins[..gate.inputs.len()], options, plan),
-                ));
+                let ins: Vec<&SigmoidTrace> = gate
+                    .inputs
+                    .iter()
+                    .map(|i| nets[base + i.0].as_deref().expect("level order"))
+                    .collect();
+                let model = cells.by_slot(tables.slots[gi]);
+                let trace = apply_plan(tables.templates[gi].bind(&ins, options), model);
+                nets[base + gate.output.0] = Some(Arc::new(trace));
             }
         }
-        bind_span.set_arg("plans", plans.len() as u64);
-        drop(bind_span);
-        // Group the still-pending plans by model slot *across runs*, then
-        // evaluate in rounds: one batched inference per (model, round)
-        // serves the whole fleet, scattered back to the plans; exhausted
-        // plans drop out of their slot's list so each is polled exactly
-        // once per query. Each plan's own query sequence is untouched by
-        // the interleaving, so traces match the scalar path bit for bit.
-        for (pi, (slot, _, _, plan)) in plans.iter().enumerate() {
-            if plan.pending() > 0 {
-                pending[*slot].push(pi);
-            }
-        }
-        loop {
-            let mut progressed = false;
-            for (slot, member) in pending.iter_mut().enumerate() {
-                if member.is_empty() {
-                    continue;
-                }
-                progressed = true;
-                queries.clear();
-                for &pi in member.iter() {
-                    queries.push(plans[pi].3.next_query().expect("pending plan"));
-                }
-                *rows_merged += queries.len() as u64;
-                ROUND_ROWS.record(queries.len() as u64);
-                let mut infer_span = sigobs::span("execute.infer");
-                infer_span.set_arg("rows", queries.len() as u64);
-                cells
-                    .by_slot(slot)
-                    .predict_batch_with(queries, predictions, snap);
-                drop(infer_span);
-                round.clear();
-                std::mem::swap(member, round);
-                for (&pi, &p) in round.iter().zip(predictions.iter()) {
-                    plans[pi].3.apply(p);
-                    if plans[pi].3.pending() > 0 {
-                        member.push(pi);
-                    }
-                }
-            }
-            if !progressed {
-                break;
-            }
-        }
-        let finalize_span = sigobs::span("execute.finalize");
-        let finished: Vec<(usize, NetId, SigmoidTrace)> = plans
-            .into_iter()
-            .map(|(_, r, output, plan)| (r, output, plan.into_trace()))
-            .collect();
-        for (r, output, trace) in finished {
-            nets[r * nc + output.0] = Some(Arc::new(trace));
-        }
-        for r in 0..k {
-            for &gi in level {
-                if let Some(leader) = tables.alias_of[gi] {
-                    let shared = nets[r * nc + leader.0].clone().expect("leader ran");
-                    nets[r * nc + circuit.gates()[gi].output.0] = Some(shared);
-                }
-            }
-        }
-        drop(finalize_span);
     }
 
-    *runs += k as u64;
+    scratch.runs += k as u64;
     let mut results = Vec::with_capacity(k);
     let mut filler: Option<Arc<SigmoidTrace>> = None;
     for r in 0..k {
         let mut undriven = Vec::new();
-        let traces = nets[r * nc..(r + 1) * nc]
+        let traces = scratch.nets[r * nc..(r + 1) * nc]
             .iter_mut()
             .enumerate()
             .map(|(i, slot)| match slot.take() {
@@ -1222,6 +1080,141 @@ fn execute_program(
         results.push(SigmoidSimResult { traces, undriven });
     }
     Ok(results)
+}
+
+/// The batched body of one level, the engine's one gate-evaluation loop.
+/// It evaluates `gates` (all or some of one level, ascending) for each of
+/// the `K` runs of `scratch`'s run-major net matrix, where their inputs
+/// already hold traces. Executions pass whole levels;
+/// [`CircuitProgram::execute_delta`] passes a level's dirty gates with
+/// `K = 1`.
+///
+/// The plan templates of every run are bound (run-major, skipping the
+/// duplicate gates of `ProgramTables::alias_of`); the engine then
+/// repeatedly gathers each plan's next pending query, groups the queries
+/// of all runs by [`CellModels`] slot, and issues one
+/// [`GateModel::predict_batch_with`] per (model, round). Finally each
+/// output is published, and each duplicate in `gates` shares its
+/// leader's `Arc`. Returns the number of plans evaluated.
+fn execute_level(
+    circuit: &Circuit,
+    cells: &CellModels,
+    tables: &ProgramTables,
+    options: TomOptions,
+    gates: &[usize],
+    k: usize,
+    scratch: &mut FleetScratch,
+) -> usize {
+    let nc = circuit.net_count();
+    let FleetScratch {
+        nets,
+        queries,
+        predictions,
+        snap,
+        round,
+        pending,
+        plan,
+        rows_merged,
+        ..
+    } = scratch;
+    // Bind the templates for every run (run-major, so a plan index
+    // identifies both the run and the gate). Plans borrow the input
+    // traces out of the net matrix; outputs are published only after the
+    // level's plans are consumed.
+    let mut bind_span = sigobs::span("execute.bind");
+    let mut plans: Vec<(usize, usize, NetId, GatePlan)> = Vec::with_capacity(k * gates.len());
+    // Duplicate gates (`ProgramTables::alias_of`) are not bound: they
+    // share their leader's output `Arc` once the level finalizes.
+    for r in 0..k {
+        let base = r * nc;
+        for &gi in gates {
+            if tables.alias_of[gi].is_some() {
+                continue;
+            }
+            let gate = &circuit.gates()[gi];
+            let slot = tables.slots[gi];
+            let template = &tables.templates[gi];
+            // Compiled arities are <= MAX_CELL_ARITY (slot resolution
+            // enforces it), so the gather fits a fixed stack buffer.
+            let first = nets[base + gate.inputs[0].0]
+                .as_deref()
+                .expect("level order");
+            let mut ins: [&SigmoidTrace; MAX_CELL_ARITY] = [first; MAX_CELL_ARITY];
+            for (j, i) in gate.inputs.iter().enumerate().skip(1) {
+                ins[j] = nets[base + i.0].as_deref().expect("level order");
+            }
+            plans.push((
+                slot,
+                r,
+                gate.output,
+                template.bind_with(&ins[..gate.inputs.len()], options, plan),
+            ));
+        }
+    }
+    let evaluated = plans.len();
+    bind_span.set_arg("plans", evaluated as u64);
+    drop(bind_span);
+    // Group the still-pending plans by model slot *across runs*, then
+    // evaluate in rounds: one batched inference per (model, round) serves
+    // the whole fleet, scattered back to the plans; exhausted plans drop
+    // out of their slot's list so each is polled exactly once per query.
+    // Each plan's own query sequence is untouched by the interleaving, so
+    // traces match the scalar path bit for bit.
+    for (pi, (slot, _, _, plan)) in plans.iter().enumerate() {
+        if plan.pending() > 0 {
+            pending[*slot].push(pi);
+        }
+    }
+    loop {
+        let mut progressed = false;
+        for (slot, member) in pending.iter_mut().enumerate() {
+            if member.is_empty() {
+                continue;
+            }
+            progressed = true;
+            queries.clear();
+            for &pi in member.iter() {
+                queries.push(plans[pi].3.next_query().expect("pending plan"));
+            }
+            *rows_merged += queries.len() as u64;
+            ROUND_ROWS.record(queries.len() as u64);
+            let mut infer_span = sigobs::span("execute.infer");
+            infer_span.set_arg("rows", queries.len() as u64);
+            cells
+                .by_slot(slot)
+                .predict_batch_with(queries, predictions, snap);
+            drop(infer_span);
+            round.clear();
+            std::mem::swap(member, round);
+            for (&pi, &p) in round.iter().zip(predictions.iter()) {
+                plans[pi].3.apply(p);
+                if plans[pi].3.pending() > 0 {
+                    member.push(pi);
+                }
+            }
+        }
+        if !progressed {
+            break;
+        }
+    }
+    let finalize_span = sigobs::span("execute.finalize");
+    let finished: Vec<(usize, NetId, SigmoidTrace)> = plans
+        .into_iter()
+        .map(|(_, r, output, plan)| (r, output, plan.into_trace()))
+        .collect();
+    for (r, output, trace) in finished {
+        nets[r * nc + output.0] = Some(Arc::new(trace));
+    }
+    for r in 0..k {
+        for &gi in gates {
+            if let Some(leader) = tables.alias_of[gi] {
+                let shared = nets[r * nc + leader.0].clone().expect("leader ran");
+                nets[r * nc + circuit.gates()[gi].output.0] = Some(shared);
+            }
+        }
+    }
+    drop(finalize_span);
+    evaluated
 }
 
 #[cfg(test)]
@@ -1993,8 +1986,8 @@ mod tests {
 
     #[test]
     fn random_dag_properties_see_snapped_and_in_region_rows() {
-        // The two parity properties above reach both kinds of row: rows
-        // answered from the snap table and rows sent to the transfer.
+        // The parity properties reach both kinds of row: rows answered
+        // from the snap table and rows sent to the transfer.
         for (name, case) in [
             (
                 "batched_matches_scalar",
@@ -2003,6 +1996,10 @@ mod tests {
             (
                 "fleet_matches_independent_runs",
                 fleet_matches_independent_runs_case,
+            ),
+            (
+                "delta_chain_matches_cold_execute",
+                delta_chain_matches_cold_execute_case,
             ),
         ] {
             let (queries, in_region) = (0..32u64)
@@ -2242,45 +2239,116 @@ mod tests {
 
     #[test]
     fn single_edit_delta_reevaluates_only_affected_cone_on_c1355() {
-        // The acceptance claim behind the `delta_c1355/1edit` bench row:
+        // The acceptance claim behind the `delta_c1355/*1edit` bench rows:
         // one edited input re-evaluates only its fan-out cone — a small
-        // fraction of the 546-gate netlist — and stays bit-identical to
-        // a cold full execution of the edited stimuli.
+        // fraction of the netlist — and stays bit-identical to a cold full
+        // execution of the edited stimuli. The NOR-mapped form is the one
+        // the daemon serves: 603 of its 2172 gates are duplicates, and a
+        // dirty duplicate takes its leader's new trace.
         let bench = sigcircuit::Benchmark::by_name("c1355").unwrap();
-        let c = &bench.native;
-        let program = CircuitProgram::compile(
-            Arc::new(c.clone()),
-            Arc::new(native_cells()),
-            TomOptions::default(),
-        )
-        .unwrap();
-        let mut stim = random_native_stimuli(c, 20250807);
-        let mut scratch = FleetScratch::new();
-        let mut state = program.open_session(&stim, &mut scratch).unwrap();
-        let input = c.inputs()[0];
-        let edit = StimulusEdit {
-            net: input,
-            trace: rising_input(),
-        };
-        stim.insert(input, Arc::clone(&edit.trace));
-        let res = program.execute_delta(&mut state, &[edit]).unwrap();
-        let gate_count = c.gates().len() as u64;
-        assert!(state.last_reeval() > 0, "the edit must change something");
-        assert!(
-            state.last_reeval() * 4 < gate_count,
-            "cone of one input ({} gates) should be \u{226a} the {} total",
-            state.last_reeval(),
-            gate_count
-        );
-        let cold = program
-            .execute_with(&stim, &SigmoidSimConfig::scalar(), &mut scratch)
+        for (c, cells) in [
+            (&bench.native, native_cells()),
+            (&bench.nor_mapped, history_models()),
+        ] {
+            let program = CircuitProgram::compile(
+                Arc::new(c.clone()),
+                Arc::new(cells),
+                TomOptions::default(),
+            )
             .unwrap();
-        for net in 0..c.net_count() {
+            let mut stim = random_native_stimuli(c, 20250807);
+            let mut scratch = FleetScratch::new();
+            let mut state = program.open_session(&stim, &mut scratch).unwrap();
+            let before = state.result();
+            let input = c.inputs()[0];
+            let edit = StimulusEdit {
+                net: input,
+                trace: rising_input(),
+            };
+            stim.insert(input, Arc::clone(&edit.trace));
+            let res = program.execute_delta(&mut state, &[edit]).unwrap();
+            let gate_count = c.gates().len() as u64;
+            assert!(state.last_reeval() > 0, "the edit must change something");
             assert!(
-                traces_bit_identical(res.trace(NetId(net)), cold.trace(NetId(net))),
-                "net {net} differs from cold execution after cone-only delta"
+                state.last_reeval() * 4 < gate_count,
+                "cone of one input ({} gates) should be \u{226a} the {} total",
+                state.last_reeval(),
+                gate_count
             );
+            let cold = program
+                .execute_with(&stim, &SigmoidSimConfig::scalar(), &mut scratch)
+                .unwrap();
+            for net in 0..c.net_count() {
+                assert!(
+                    traces_bit_identical(res.trace(NetId(net)), cold.trace(NetId(net))),
+                    "net {net} differs from cold execution after cone-only delta ({})",
+                    program.cells().name()
+                );
+            }
+            let moved_duplicates = (0..c.gates().len())
+                .filter(|&gi| program.tables.alias_of[gi].is_some())
+                .map(|gi| c.gates()[gi].output)
+                .filter(|&o| !traces_bit_identical(res.trace(o), before.trace(o)))
+                .count();
+            assert!(moved_duplicates > 0, "no dirty duplicate gate changed");
         }
+    }
+
+    /// One case of `delta_chain_matches_cold_execute_on_random_dags`.
+    /// Returns the queries the NOR-mapped cold executes issued and how
+    /// many rows the NOR-mapped deltas sent to the transfer (the
+    /// in-region ones). Deltas run the batched level loop, so they make
+    /// no scalar transfer call.
+    fn delta_chain_matches_cold_execute_case(seed: u64) -> (u64, u64) {
+        use rand::{Rng, SeedableRng};
+        let native = random_native_dag(seed);
+        let nor = sigcircuit::map_with_policy(
+            &native,
+            sigcircuit::MappingPolicy::NorOnly,
+            sigcircuit::NorMappingOptions::default(),
+        );
+        let tally = Arc::new(Tally::default());
+        let nor_cells = tallied_history_models(&tally);
+        let opts = TomOptions::default();
+        let mut scratch = FleetScratch::new();
+        let (mut queries, mut in_region) = (0, 0);
+        for (circuit, cells) in [(&native, native_cells()), (&nor, nor_cells)] {
+            let mut stim = random_native_stimuli(circuit, seed ^ 0x5eed);
+            let program = CircuitProgram::compile(Arc::new(circuit.clone()), Arc::new(cells), opts)
+                .expect("simulable DAG compiles");
+            let mut state = program.open_session(&stim, &mut scratch).unwrap();
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0xde17a);
+            for step in 0..3 {
+                let mut edits = Vec::new();
+                for &input in circuit.inputs() {
+                    if rng.gen::<bool>() {
+                        let trace = random_trace(&mut rng);
+                        stim.insert(input, Arc::clone(&trace));
+                        edits.push(StimulusEdit { net: input, trace });
+                    }
+                }
+                tally.reset();
+                let incremental = program.execute_delta(&mut state, &edits).unwrap();
+                let (scalar, rows) = tally.reset();
+                assert_eq!(
+                    scalar, 0,
+                    "delta step {step} predicted scalar (seed {seed})"
+                );
+                in_region += rows;
+                let cold = program
+                    .execute_with(&stim, &SigmoidSimConfig::scalar(), &mut scratch)
+                    .unwrap();
+                queries += tally.reset().0;
+                for net in 0..circuit.net_count() {
+                    assert!(
+                        traces_bit_identical(incremental.trace(NetId(net)), cold.trace(NetId(net))),
+                        "net {net} differs after delta step {step} (seed {seed}, cells {})",
+                        program.cells().name()
+                    );
+                }
+            }
+        }
+        (queries, in_region)
     }
 
     proptest::proptest! {
@@ -2290,54 +2358,7 @@ mod tests {
         /// final stimuli after every step, bit for bit on every net.
         #[test]
         fn delta_chain_matches_cold_execute_on_random_dags(seed in 0u64..u64::MAX) {
-            use rand::{Rng, SeedableRng};
-            let native = random_native_dag(seed);
-            let nor = sigcircuit::map_with_policy(
-                &native,
-                sigcircuit::MappingPolicy::NorOnly,
-                sigcircuit::NorMappingOptions::default(),
-            );
-            let nor_cells = history_models();
-            let opts = TomOptions::default();
-            let mut scratch = FleetScratch::new();
-            for (circuit, cells) in [(&native, native_cells()), (&nor, nor_cells)] {
-                let mut stim = random_native_stimuli(circuit, seed ^ 0x5eed);
-                let program = CircuitProgram::compile(
-                    Arc::new(circuit.clone()),
-                    Arc::new(cells),
-                    opts,
-                )
-                .expect("simulable DAG compiles");
-                let mut state = program.open_session(&stim, &mut scratch).unwrap();
-                let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0xde17a);
-                for step in 0..3 {
-                    let mut edits = Vec::new();
-                    for &input in circuit.inputs() {
-                        if rng.gen::<bool>() {
-                            let trace = random_trace(&mut rng);
-                            stim.insert(input, Arc::clone(&trace));
-                            edits.push(StimulusEdit { net: input, trace });
-                        }
-                    }
-                    let incremental = program.execute_delta(&mut state, &edits).unwrap();
-                    let cold = program
-                        .execute_with(&stim, &SigmoidSimConfig::scalar(), &mut scratch)
-                        .unwrap();
-                    for net in 0..circuit.net_count() {
-                        proptest::prop_assert!(
-                            traces_bit_identical(
-                                incremental.trace(NetId(net)),
-                                cold.trace(NetId(net)),
-                            ),
-                            "net {} differs after delta step {} (seed {}, cells {})",
-                            net,
-                            step,
-                            seed,
-                            program.cells().name()
-                        );
-                    }
-                }
-            }
+            delta_chain_matches_cold_execute_case(seed);
         }
     }
 
