@@ -246,7 +246,7 @@ fn bench_cache_temperature(c: &mut Criterion) {
 fn session_exchange(service: &Arc<Service>, table: &Arc<SessionTable>, request: Request) {
     let done = Arc::new((Mutex::new(false), Condvar::new()));
     let signal = Arc::clone(&done);
-    service.handle_connection_request(request, Some(table), move |response| {
+    service.handle(request, table, move |response| {
         assert!(
             !matches!(response, Response::Error { .. }),
             "session request failed: {response:?}"
@@ -263,7 +263,7 @@ fn session_exchange(service: &Arc<Service>, table: &Arc<SessionTable>, request: 
 }
 
 /// Full scheduling path: N clients push M requests each through
-/// `handle_request` (bounded queue + worker pool) and wait for all
+/// `Service::handle` (bounded queue + worker pool) and wait for all
 /// responses — the daemon's hot loop without the socket.
 fn bench_concurrent_clients(c: &mut Criterion) {
     let mut group = c.benchmark_group("service_throughput/clients");
@@ -291,6 +291,7 @@ fn bench_concurrent_clients(c: &mut Criterion) {
                         let pending = Arc::clone(&pending);
                         let completed = Arc::clone(&completed);
                         scope.spawn(move || {
+                            let table = SessionTable::new(Arc::clone(&service));
                             for (i, text) in texts.iter().cycle().take(6).enumerate() {
                                 {
                                     let (count, _) = &*pending;
@@ -298,11 +299,12 @@ fn bench_concurrent_clients(c: &mut Criterion) {
                                 }
                                 let pending = Arc::clone(&pending);
                                 let completed = Arc::clone(&completed);
-                                service.handle_request(
+                                service.handle(
                                     Request::Sim {
                                         id: (client * 100 + i) as u64,
                                         sim: request(text.clone(), i as u64, 1),
                                     },
+                                    &table,
                                     move |_response| {
                                         completed.fetch_add(1, Ordering::Relaxed);
                                         let (count, cv) = &*pending;

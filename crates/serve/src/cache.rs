@@ -14,9 +14,9 @@
 //!   preset and library, and the TOM options (see `docs/protocol.md`
 //!   § Program cache).
 //!
-//! Both caches share one engine: per-key build locks (concurrent misses
-//! on one key build once while other keys proceed), LRU eviction, and
-//! exact hit/miss counters under any client interleaving.
+//! Both are one type, [`KeyedLru`]: per-key build locks (concurrent
+//! misses on one key build once while other keys proceed), LRU eviction,
+//! and exact hit/miss counters under any client interleaving.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -134,7 +134,7 @@ impl<V> Default for Slot<V> {
     }
 }
 
-/// The shared cache engine: a bounded LRU map from [`CacheKey`] to
+/// The service's cache engine: a bounded LRU map from [`CacheKey`] to
 /// `Arc<V>` with per-key build locks and exact counters.
 ///
 /// The outer map lock is held only for slot lookup and LRU bookkeeping
@@ -144,12 +144,22 @@ impl<V> Default for Slot<V> {
 /// key: the first builds and counts the miss, the rest wait on the slot
 /// and count hits).
 #[derive(Debug)]
-struct KeyedLru<V> {
+pub struct KeyedLru<V> {
     inner: Mutex<LruInner<V>>,
     capacity: usize,
     hits: AtomicU64,
     misses: AtomicU64,
 }
+
+/// Parsed circuits keyed by [`CacheKey::of`] (see the module docs).
+pub type CircuitCache = KeyedLru<Circuit>;
+
+/// Compiled programs keyed by [`CacheKey::for_program`] — the
+/// compile-once / execute-many half of the service's warm path. A program
+/// hit means the request pays **no** parsing, mapping, validation, slot
+/// resolution or planning: the worker binds stimuli to resident tables
+/// and runs.
+pub type ProgramCache = KeyedLru<CircuitProgram>;
 
 struct LruInner<V> {
     map: HashMap<CacheKey, (Arc<Slot<V>>, u64)>,
@@ -166,7 +176,13 @@ impl<V> std::fmt::Debug for LruInner<V> {
 }
 
 impl<V> KeyedLru<V> {
-    fn new(capacity: usize) -> Self {
+    /// A cache holding at most `capacity` values.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity` is zero.
+    #[must_use]
+    pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "cache capacity must be positive");
         Self {
             inner: Mutex::new(LruInner {
@@ -179,7 +195,15 @@ impl<V> KeyedLru<V> {
         }
     }
 
-    fn get_or_insert<E>(
+    /// Looks up `key`; on a miss, runs `build` and caches its result.
+    /// Returns the value and whether this was a hit.
+    ///
+    /// # Errors
+    ///
+    /// Propagates `build`'s error. Nothing is cached then: a bad netlist
+    /// is re-reported, not remembered, and error paths are not the hot
+    /// path.
+    pub fn get_or_insert<E>(
         &self,
         key: CacheKey,
         build: impl FnOnce() -> Result<V, E>,
@@ -239,144 +263,22 @@ impl<V> KeyedLru<V> {
         }
     }
 
-    fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    fn entries(&self) -> usize {
-        self.inner.lock().expect("cache poisoned").map.len()
-    }
-}
-
-/// A bounded LRU map from circuit sources to parsed circuits.
-#[derive(Debug)]
-pub struct CircuitCache {
-    lru: KeyedLru<Circuit>,
-}
-
-impl CircuitCache {
-    /// A cache holding at most `capacity` circuits.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    #[must_use]
-    pub fn new(capacity: usize) -> Self {
-        Self {
-            lru: KeyedLru::new(capacity),
-        }
-    }
-
-    /// Looks up the source; on a miss, runs `build` and caches its
-    /// result. Returns the circuit and whether this was a hit.
-    ///
-    /// # Errors
-    ///
-    /// Propagates `build`'s error (nothing is cached then — a bad netlist
-    /// is re-reported, not re-parsed into the same failure forever; error
-    /// paths are not the hot path).
-    pub fn get_or_insert<E>(
-        &self,
-        source: &CircuitSource,
-        policy: MappingPolicy,
-        build: impl FnOnce() -> Result<Circuit, E>,
-    ) -> Result<(Arc<Circuit>, bool), E> {
-        self.get_or_insert_keyed(CacheKey::of(source, policy), build)
-    }
-
-    /// Like [`CircuitCache::get_or_insert`] with an already-computed key
-    /// — the service computes each request's circuit key once and shares
-    /// it with the program-cache key derivation.
-    ///
-    /// # Errors
-    ///
-    /// Propagates `build`'s error; failures are never cached.
-    pub fn get_or_insert_keyed<E>(
-        &self,
-        key: CacheKey,
-        build: impl FnOnce() -> Result<Circuit, E>,
-    ) -> Result<(Arc<Circuit>, bool), E> {
-        self.lru.get_or_insert(key, build)
-    }
-
     /// Cache hits so far.
     #[must_use]
     pub fn hits(&self) -> u64 {
-        self.lru.hits()
+        self.hits.load(Ordering::Relaxed)
     }
 
     /// Cache misses (builds) so far.
     #[must_use]
     pub fn misses(&self) -> u64 {
-        self.lru.misses()
+        self.misses.load(Ordering::Relaxed)
     }
 
-    /// Circuits currently resident.
+    /// Values currently resident.
     #[must_use]
     pub fn entries(&self) -> usize {
-        self.lru.entries()
-    }
-}
-
-/// A bounded LRU map from `(circuit source, policy, preset, library,
-/// options)` to compiled [`CircuitProgram`]s — the compile-once /
-/// execute-many half of the service's warm path. A program hit means the
-/// request pays **no** parsing, mapping, validation, slot resolution or
-/// planning: the worker binds stimuli to resident tables and runs.
-#[derive(Debug)]
-pub struct ProgramCache {
-    lru: KeyedLru<CircuitProgram>,
-}
-
-impl ProgramCache {
-    /// A cache holding at most `capacity` compiled programs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    #[must_use]
-    pub fn new(capacity: usize) -> Self {
-        Self {
-            lru: KeyedLru::new(capacity),
-        }
-    }
-
-    /// Looks up a program by its derived key ([`CacheKey::for_program`]);
-    /// on a miss, runs `build` (typically [`CircuitProgram::compile`]
-    /// over the already-resolved circuit and cells) and caches the
-    /// result.
-    ///
-    /// # Errors
-    ///
-    /// Propagates `build`'s error; failures are never cached.
-    pub fn get_or_insert<E>(
-        &self,
-        key: CacheKey,
-        build: impl FnOnce() -> Result<CircuitProgram, E>,
-    ) -> Result<(Arc<CircuitProgram>, bool), E> {
-        self.lru.get_or_insert(key, build)
-    }
-
-    /// Program-cache hits so far.
-    #[must_use]
-    pub fn hits(&self) -> u64 {
-        self.lru.hits()
-    }
-
-    /// Program-cache misses (compiles) so far.
-    #[must_use]
-    pub fn misses(&self) -> u64 {
-        self.lru.misses()
-    }
-
-    /// Programs currently resident.
-    #[must_use]
-    pub fn entries(&self) -> usize {
-        self.lru.entries()
+        self.inner.lock().expect("cache poisoned").map.len()
     }
 }
 
@@ -403,10 +305,12 @@ mod tests {
     fn hit_returns_shared_arc_and_counts() {
         let cache = CircuitCache::new(4);
         let (a, hit_a) = cache
-            .get_or_insert::<()>(&name("x"), POLICY, || Ok(circuit(0)))
+            .get_or_insert::<()>(CacheKey::of(&name("x"), POLICY), || Ok(circuit(0)))
             .unwrap();
         let (b, hit_b) = cache
-            .get_or_insert::<()>(&name("x"), POLICY, || panic!("must not rebuild"))
+            .get_or_insert::<()>(CacheKey::of(&name("x"), POLICY), || {
+                panic!("must not rebuild")
+            })
             .unwrap();
         assert!(!hit_a && hit_b);
         assert!(Arc::ptr_eq(&a, &b));
@@ -417,14 +321,15 @@ mod tests {
     fn distinct_sources_do_not_collide() {
         let cache = CircuitCache::new(4);
         cache
-            .get_or_insert::<()>(&name("x"), POLICY, || Ok(circuit(0)))
+            .get_or_insert::<()>(CacheKey::of(&name("x"), POLICY), || Ok(circuit(0)))
             .unwrap();
         // An inline source spelling the same bytes as a name must still
         // be a different key (tag prefix).
         let (_, hit) = cache
-            .get_or_insert::<()>(&CircuitSource::Inline("x".into()), POLICY, || {
-                Ok(circuit(1))
-            })
+            .get_or_insert::<()>(
+                CacheKey::of(&CircuitSource::Inline("x".into()), POLICY),
+                || Ok(circuit(1)),
+            )
             .unwrap();
         assert!(!hit);
         assert_eq!(cache.entries(), 2);
@@ -436,10 +341,14 @@ mod tests {
         // circuits, so the keys must differ.
         let cache = CircuitCache::new(4);
         cache
-            .get_or_insert::<()>(&name("x"), MappingPolicy::NorOnly, || Ok(circuit(0)))
+            .get_or_insert::<()>(CacheKey::of(&name("x"), MappingPolicy::NorOnly), || {
+                Ok(circuit(0))
+            })
             .unwrap();
         let (_, hit) = cache
-            .get_or_insert::<()>(&name("x"), MappingPolicy::Native, || Ok(circuit(1)))
+            .get_or_insert::<()>(CacheKey::of(&name("x"), MappingPolicy::Native), || {
+                Ok(circuit(1))
+            })
             .unwrap();
         assert!(!hit, "native form must be built separately");
         assert_eq!(cache.entries(), 2);
@@ -449,25 +358,25 @@ mod tests {
     fn lru_eviction_keeps_recently_used() {
         let cache = CircuitCache::new(2);
         cache
-            .get_or_insert::<()>(&name("a"), POLICY, || Ok(circuit(0)))
+            .get_or_insert::<()>(CacheKey::of(&name("a"), POLICY), || Ok(circuit(0)))
             .unwrap();
         cache
-            .get_or_insert::<()>(&name("b"), POLICY, || Ok(circuit(1)))
+            .get_or_insert::<()>(CacheKey::of(&name("b"), POLICY), || Ok(circuit(1)))
             .unwrap();
         // Touch `a` so `b` is the LRU, then insert `c`.
         cache
-            .get_or_insert::<()>(&name("a"), POLICY, || panic!("hit expected"))
+            .get_or_insert::<()>(CacheKey::of(&name("a"), POLICY), || panic!("hit expected"))
             .unwrap();
         cache
-            .get_or_insert::<()>(&name("c"), POLICY, || Ok(circuit(2)))
+            .get_or_insert::<()>(CacheKey::of(&name("c"), POLICY), || Ok(circuit(2)))
             .unwrap();
         assert_eq!(cache.entries(), 2);
         let (_, hit_a) = cache
-            .get_or_insert::<()>(&name("a"), POLICY, || Ok(circuit(0)))
+            .get_or_insert::<()>(CacheKey::of(&name("a"), POLICY), || Ok(circuit(0)))
             .unwrap();
         assert!(hit_a, "recently used entry survived eviction");
         let (_, hit_b) = cache
-            .get_or_insert::<()>(&name("b"), POLICY, || Ok(circuit(1)))
+            .get_or_insert::<()>(CacheKey::of(&name("b"), POLICY), || Ok(circuit(1)))
             .unwrap();
         assert!(!hit_b, "LRU entry was evicted");
     }
@@ -475,12 +384,12 @@ mod tests {
     #[test]
     fn build_errors_are_not_cached() {
         let cache = CircuitCache::new(2);
-        let r = cache.get_or_insert::<&str>(&name("bad"), POLICY, || Err("nope"));
+        let r = cache.get_or_insert::<&str>(CacheKey::of(&name("bad"), POLICY), || Err("nope"));
         assert_eq!(r.unwrap_err(), "nope");
         assert_eq!(cache.entries(), 0);
         // A later good build for the same key works.
         let (_, hit) = cache
-            .get_or_insert::<()>(&name("bad"), POLICY, || Ok(circuit(0)))
+            .get_or_insert::<()>(CacheKey::of(&name("bad"), POLICY), || Ok(circuit(0)))
             .unwrap();
         assert!(!hit);
     }

@@ -107,14 +107,15 @@ mod service_tests {
         while service.pool_for_tests().queued() > 0 {
             std::thread::yield_now();
         }
+        let table = SessionTable::new(Arc::clone(&service));
         let (sink, respond) = collecting();
         assert_eq!(
-            service.handle_request(sim_request(1), respond),
+            service.handle(sim_request(1), &table, respond),
             Handled::Continue
         );
         // Queue now holds request 1; request 2 must be rejected at once.
         let (sink2, respond2) = collecting();
-        service.handle_request(sim_request(2), respond2);
+        service.handle(sim_request(2), &table, respond2);
         let rejected = sink2.lock().expect("sink").clone();
         assert_eq!(rejected.len(), 1, "rejection must be immediate");
         assert!(
@@ -146,6 +147,7 @@ mod service_tests {
     fn unknown_models_and_circuits_are_structured_errors() {
         let service = Service::new(ServiceConfig::default());
         service.registry().insert(synthetic_set("synth"));
+        let table = SessionTable::new(Arc::clone(&service));
         let (sink, respond) = collecting();
         let respond = Arc::new(respond);
         for (id, circuit, models) in [
@@ -154,7 +156,7 @@ mod service_tests {
             (3, CircuitSource::Inline("y = FROB(a)\n".into()), "synth"),
         ] {
             let respond = Arc::clone(&respond);
-            service.handle_request(
+            service.handle(
                 Request::Sim {
                     id,
                     sim: SimRequest {
@@ -163,6 +165,7 @@ mod service_tests {
                         ..SimRequest::default()
                     },
                 },
+                &table,
                 move |r| respond(r),
             );
         }
@@ -502,7 +505,7 @@ mod service_tests {
         request: Request,
     ) -> Vec<Response> {
         let (sink, respond) = collecting();
-        service.handle_connection_request(request, Some(table), respond);
+        service.handle(request, table, respond);
         service.drain();
         let responses = std::mem::take(&mut *sink.lock().expect("sink"));
         responses
@@ -792,41 +795,202 @@ mod service_tests {
         );
     }
 
+    /// Occupies the single worker of `service` until [`open_gate`].
+    fn hold_the_worker(service: &Arc<Service>) -> Arc<(Mutex<bool>, Condvar)> {
+        let gate = Arc::new((Mutex::new(false), Condvar::new()));
+        let held = Arc::clone(&gate);
+        service.pool_for_tests().execute(move || {
+            let (lock, cv) = &*held;
+            let mut open = lock.lock().expect("gate");
+            while !*open {
+                open = cv.wait(open).expect("gate");
+            }
+        });
+        while service.pool_for_tests().queued() > 0 {
+            std::thread::yield_now();
+        }
+        gate
+    }
+
+    fn open_gate(gate: &(Mutex<bool>, Condvar)) {
+        *gate.0.lock().expect("gate") = true;
+        gate.1.notify_all();
+    }
+
+    fn open_c17(id: u64, session: u64, models: &str) -> Request {
+        Request::SessionOpen {
+            id,
+            session,
+            sim: SimRequest {
+                circuit: CircuitSource::Name("c17".into()),
+                models: models.into(),
+                seed: session,
+                timing: false,
+                ..SimRequest::default()
+            },
+        }
+    }
+
+    /// A delta that re-drives c17 input `1`, so its cone re-evaluates.
+    fn delta_c17(id: u64, session: u64) -> Request {
+        Request::SessionDelta {
+            id,
+            session,
+            edits: vec![SessionEdit {
+                net: "1".into(),
+                initial_high: id.is_multiple_of(2),
+                toggles: vec![1.0e-10, 2.0e-10 + id as f64 * 1.0e-11],
+            }],
+        }
+    }
+
     #[test]
-    fn session_requests_need_a_connection_table() {
-        let service = Service::new(ServiceConfig::default());
+    fn a_refused_delta_gives_its_turn_back() {
+        let service = Service::new(ServiceConfig {
+            workers: 1,
+            queue_capacity: 1,
+            ..ServiceConfig::default()
+        });
+        service.registry().insert(synthetic_set("synth"));
+        let table = SessionTable::new(Arc::clone(&service));
+        let opened = roundtrip(&service, &table, open_c17(1, 7, "synth"));
+        assert!(
+            matches!(opened.as_slice(), [Response::Session { .. }]),
+            "{opened:?}"
+        );
+        let gate = hold_the_worker(&service);
+        // Delta 2 fills the queue of one; delta 3 is refused at once.
+        let (sink, respond) = collecting();
+        let respond = Arc::new(respond);
+        for id in [2, 3] {
+            let respond = Arc::clone(&respond);
+            service.handle(delta_c17(id, 7), &table, move |r| respond(r));
+        }
+        let refused = sink.lock().expect("sink").clone();
+        assert!(
+            matches!(
+                refused.as_slice(),
+                [Response::Error {
+                    id: Some(3),
+                    kind: ErrorKind::Overloaded,
+                    ..
+                }]
+            ),
+            "{refused:?}"
+        );
+        open_gate(&gate);
+        service.drain();
+        // The refused turn went back: a later delta does not wait on it.
+        let (tx, rx) = std::sync::mpsc::channel();
+        service.handle(delta_c17(4, 7), &table, move |r| {
+            tx.send(r).expect("receiver");
+        });
+        let later = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("a later delta must answer");
+        assert!(matches!(later, Response::Sim { id: 4, .. }), "{later:?}");
+        let answered = sink.lock().expect("sink").clone();
+        assert!(
+            matches!(answered.as_slice(), [_, Response::Sim { id: 2, .. }]),
+            "{answered:?}"
+        );
+    }
+
+    #[test]
+    fn closing_a_session_with_queued_deltas_answers_every_frame() {
+        let service = Service::new(ServiceConfig {
+            workers: 1,
+            ..ServiceConfig::default()
+        });
+        service.registry().insert(synthetic_set("synth"));
+        let table = SessionTable::new(Arc::clone(&service));
+        let opened = roundtrip(&service, &table, open_c17(1, 7, "synth"));
+        assert!(
+            matches!(opened.as_slice(), [Response::Session { .. }]),
+            "{opened:?}"
+        );
+        let gate = hold_the_worker(&service);
         let (sink, respond) = collecting();
         let respond = Arc::new(respond);
         for request in [
-            Request::SessionOpen {
-                id: 1,
-                session: 1,
-                sim: SimRequest::default(),
-            },
-            Request::SessionDelta {
-                id: 2,
-                session: 1,
-                edits: vec![],
-            },
-            Request::SessionClose { id: 3, session: 1 },
+            delta_c17(2, 7),
+            delta_c17(3, 7),
+            Request::SessionClose { id: 4, session: 7 },
+            delta_c17(5, 7),
         ] {
             let respond = Arc::clone(&respond);
-            // The table-less back-compat entry point rejects session ops.
-            service.handle_request(request, move |r| respond(r));
+            service.handle(request, &table, move |r| respond(r));
         }
+        assert_eq!(service.stats().sessions_open, 0, "close releases at once");
+        open_gate(&gate);
         service.drain();
-        let got = sink.lock().expect("sink").clone();
-        assert_eq!(got.len(), 3);
+        let mut got = sink.lock().expect("sink").clone();
+        got.sort_by_key(Response::id);
+        // Deltas queued before the close complete against the slot they
+        // hold, like deltas of an evicted session; a delta after it finds
+        // no session.
         assert!(
-            got.iter().all(|r| matches!(
-                r,
-                Response::Error {
-                    kind: ErrorKind::Protocol,
-                    ..
-                }
-            )),
+            matches!(
+                got.as_slice(),
+                [
+                    Response::Sim { id: 2, .. },
+                    Response::Sim { id: 3, .. },
+                    Response::SessionClosed { id: 4, session: 7 },
+                    Response::Error {
+                        id: Some(5),
+                        kind: ErrorKind::UnknownSession,
+                        ..
+                    },
+                ]
+            ),
             "{got:?}"
         );
+        assert_eq!(service.stats().sessions_open, 0);
+    }
+
+    #[test]
+    fn a_delta_that_unwinds_closes_its_session() {
+        let service = Service::new(ServiceConfig {
+            workers: 2,
+            ..ServiceConfig::default()
+        });
+        let armed = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        service
+            .registry()
+            .insert(crate::registry::faulty_set("faulty", Arc::clone(&armed)));
+        let table = SessionTable::new(Arc::clone(&service));
+        let opened = roundtrip(&service, &table, open_c17(1, 7, "faulty"));
+        assert!(
+            matches!(opened.as_slice(), [Response::Session { .. }]),
+            "{opened:?}"
+        );
+        armed.store(true, std::sync::atomic::Ordering::SeqCst);
+        let (sink, respond) = collecting();
+        let respond = Arc::new(respond);
+        for id in [2, 3, 4] {
+            let respond = Arc::clone(&respond);
+            service.handle(delta_c17(id, 7), &table, move |r| respond(r));
+        }
+        service.drain();
+        let mut got = sink.lock().expect("sink").clone();
+        got.sort_by_key(Response::id);
+        let kinds: Vec<_> = got
+            .iter()
+            .map(|r| match r {
+                Response::Error { id, kind, .. } => (*id, *kind),
+                other => panic!("expected an error, got {other:?}"),
+            })
+            .collect();
+        assert_eq!(
+            kinds,
+            vec![
+                (Some(2), ErrorKind::Internal),
+                (Some(3), ErrorKind::UnknownSession),
+                (Some(4), ErrorKind::UnknownSession),
+            ]
+        );
+        assert_eq!(service.stats().sessions_open, 0, "the session closed");
+        assert_eq!(service.pool_for_tests().panicked_jobs(), 1);
     }
 
     #[test]

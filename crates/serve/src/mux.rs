@@ -220,12 +220,18 @@ impl Responder {
 impl Drop for Responder {
     fn drop(&mut self) {
         if !*self.answered.get_mut() {
-            self.respond(&Response::Error {
-                id: self.id,
-                kind: ErrorKind::Internal,
-                message: "the request failed without an answer".to_string(),
-            });
+            self.respond(&unanswered(self.id));
         }
+    }
+}
+
+/// The `internal` error owed to a request whose handler failed without
+/// answering it.
+pub(crate) fn unanswered(id: Option<u64>) -> Response {
+    Response::Error {
+        id,
+        kind: ErrorKind::Internal,
+        message: "the request failed without an answer".to_string(),
     }
 }
 

@@ -338,6 +338,35 @@ pub(crate) fn synthetic_set(name: &str) -> ModelSet {
     }
 }
 
+/// [`synthetic_set`]'s models behind a fault switch: every prediction
+/// panics while `armed` is set (tests of jobs that unwind).
+#[cfg(test)]
+pub(crate) fn faulty_set(name: &str, armed: Arc<std::sync::atomic::AtomicBool>) -> ModelSet {
+    use sigtom::{GateModel, TransferFunction, TransferPrediction, TransferQuery};
+
+    struct Faulty(Arc<std::sync::atomic::AtomicBool>);
+    impl TransferFunction for Faulty {
+        fn predict(&self, q: TransferQuery) -> TransferPrediction {
+            assert!(
+                !self.0.load(std::sync::atomic::Ordering::SeqCst),
+                "injected transfer-function fault"
+            );
+            TransferPrediction {
+                a_out: -q.a_in.signum() * 14.0,
+                delay: 0.05,
+            }
+        }
+        fn backend_name(&self) -> &'static str {
+            "faulty"
+        }
+    }
+
+    ModelSet {
+        cells: Arc::new(nor_only_cells(&GateModel::new(Arc::new(Faulty(armed))))),
+        ..synthetic_set(name)
+    }
+}
+
 /// One model in all four slots of the `nor-only` library (tests).
 #[cfg(test)]
 pub(crate) fn nor_only_cells(model: &sigtom::GateModel) -> CellModels {

@@ -3,10 +3,12 @@
 //! tests.
 //!
 //! Both speak the newline-delimited JSON protocol of
-//! [`crate::protocol`]. TCP answers each connection's frames in request
-//! order. Stdio streams each response back as its request finishes —
-//! possibly out of request order; clients correlate by id. The stdio
-//! writer is mutex-guarded so each frame is written atomically.
+//! [`crate::protocol`] and answer every accepted frame exactly once (a
+//! job that unwinds answers `internal`, see [`Service::handle`]). TCP
+//! answers each connection's frames in request order. Stdio streams
+//! each response back as its request finishes — possibly out of request
+//! order; clients correlate by id. The stdio writer is mutex-guarded so
+//! each frame is written atomically.
 //!
 //! Graceful shutdown: a `shutdown` request stops the reactors (TCP) or
 //! the read loop (stdio), lets every queued and running simulation
@@ -82,10 +84,9 @@ where
         };
         sw.observe_span(&DECODE, "serve.decode");
         let respond_writer = Arc::clone(&writer);
-        let handled =
-            service.handle_connection_request(request, Some(&sessions), move |response| {
-                respond_line(&respond_writer, &response);
-            });
+        let handled = service.handle(request, &sessions, move |response| {
+            respond_line(&respond_writer, &response);
+        });
         if handled == Handled::Shutdown {
             break Handled::Shutdown;
         }
@@ -121,9 +122,9 @@ pub fn serve_tcp(service: &Arc<Service>, listener: TcpListener) -> std::io::Resu
 mod tests {
     use super::*;
     use crate::protocol::{
-        decode_response, encode_request, CircuitSource, ErrorKind, Request, SimRequest,
+        decode_response, encode_request, CircuitSource, ErrorKind, Request, SessionEdit, SimRequest,
     };
-    use crate::registry::synthetic_set;
+    use crate::registry::{faulty_set, synthetic_set};
     use crate::service::ServiceConfig;
     use std::io::{BufReader, Cursor};
     use std::net::TcpStream;
@@ -323,7 +324,7 @@ mod tests {
         });
         // Same connection: the open and a follow-up delta both succeed,
         // even though the delta is read while the baseline may still be
-        // computing (it waits on the slot).
+        // computing (it waits for its turn).
         let responses = drive(&service, &format!("{open}\n{delta}\n"));
         assert!(
             responses.iter().any(|r| matches!(
@@ -452,5 +453,104 @@ mod tests {
             Some(Response::Sim { .. })
         ));
         assert!(responses.contains(&Response::ShuttingDown { id: 8 }));
+    }
+
+    /// `session.open` on c17 plus `deltas` pipelined deltas; delta `k`
+    /// edits the next input in turn, so every reply depends on all
+    /// earlier deltas.
+    fn session_script(deltas: u64) -> String {
+        let open = encode_request(&Request::SessionOpen {
+            id: 0,
+            session: 3,
+            sim: SimRequest {
+                circuit: CircuitSource::Name("c17".into()),
+                models: "synth".into(),
+                seed: 3,
+                timing: false,
+                ..SimRequest::default()
+            },
+        });
+        let inputs = ["1", "2", "3", "6", "7"];
+        let mut script = format!("{open}\n");
+        for k in 1..=deltas {
+            let at = k as f64 * 1.3e-11;
+            let delta = encode_request(&Request::SessionDelta {
+                id: k,
+                session: 3,
+                edits: vec![SessionEdit {
+                    net: inputs[(k as usize - 1) % inputs.len()].into(),
+                    initial_high: k.is_multiple_of(2),
+                    toggles: vec![0.5e-10 + at, 2.0e-10 + at],
+                }],
+            });
+            script.push_str(&format!("{delta}\n"));
+        }
+        script
+    }
+
+    #[test]
+    fn pipelined_deltas_apply_in_frame_order() {
+        let service = |workers| {
+            let service = Service::new(ServiceConfig {
+                workers,
+                queue_capacity: 64,
+                ..ServiceConfig::default()
+            });
+            service.registry().insert(synthetic_set("synth"));
+            service
+        };
+        let by_id = |mut responses: Vec<Response>| {
+            responses.sort_by_key(Response::id);
+            responses
+        };
+        let script = session_script(8);
+        let reference = by_id(drive(&service(1), &script));
+        assert_eq!(reference.len(), 9, "{reference:?}");
+        let outputs: Vec<_> = reference
+            .iter()
+            .map(|r| match r {
+                Response::Session { result, .. } | Response::Sim { result, .. } => &result.outputs,
+                other => panic!("unexpected reply {other:?}"),
+            })
+            .collect();
+        assert!(
+            outputs.windows(2).all(|w| w[0] != w[1]),
+            "every delta must change the outputs, or order could not show"
+        );
+        for run in 0..50 {
+            assert_eq!(by_id(drive(&service(2), &script)), reference, "run {run}");
+        }
+    }
+
+    #[test]
+    fn stdio_answers_a_job_that_unwinds() {
+        let service = test_service();
+        let armed = Arc::new(std::sync::atomic::AtomicBool::new(true));
+        service.registry().insert(faulty_set("faulty", armed));
+        let sim = encode_request(&Request::Sim {
+            id: 1,
+            sim: SimRequest {
+                circuit: CircuitSource::Name("c17".into()),
+                models: "faulty".into(),
+                timing: false,
+                ..SimRequest::default()
+            },
+        });
+        let ping = encode_request(&Request::Ping { id: 2 });
+        let responses = drive(&service, &format!("{sim}\n{ping}\n"));
+        assert_eq!(responses.len(), 2, "{responses:?}");
+        assert!(responses.contains(&Response::Pong { id: 2 }));
+        assert!(
+            responses.iter().any(|r| matches!(
+                r,
+                Response::Error {
+                    id: Some(1),
+                    kind: ErrorKind::Internal,
+                    ..
+                }
+            )),
+            "{responses:?}"
+        );
+        assert_eq!(service.pool_for_tests().panicked_jobs(), 1);
     }
 }

@@ -9,9 +9,10 @@
 //! calls with the same seed (property the integration test enforces).
 
 use std::collections::HashMap;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -24,13 +25,13 @@ use sigwave::parallel::WorkerPool;
 use sigwave::{DigitalTrace, Level, SigmoidTrace};
 
 use crate::cache::{CacheKey, CircuitCache, ProgramCache};
-use crate::mux::{Backend, Responder, TransportCounters};
+use crate::mux::{unanswered, Backend, Responder, TransportCounters};
 use crate::protocol::{
     CacheOutcome, CompareStats, ErrorKind, OutputTrace, PhaseTimings, Request, Response,
     SessionEdit, SimRequest, SimResult, StatsReply, TimingStats, TraceSpan,
 };
 use crate::registry::{ModelRegistry, ModelSet, RegistryError};
-use crate::session::{SessionCore, SessionSlot, SessionTable, SlotState};
+use crate::session::{SessionCore, SessionTable, Turn};
 
 /// Per-operation service latencies (handle-to-response, measured on the
 /// worker thread around the whole execution body). The `op.*` names
@@ -99,7 +100,7 @@ impl Default for ServiceConfig {
     }
 }
 
-/// What [`Service::handle_request`] tells the transport to do next.
+/// What [`Service::handle`] tells the transport to do next.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Handled {
     /// Keep reading frames.
@@ -131,7 +132,9 @@ const MAX_POOLED_SCRATCH: usize = 32;
 const MAX_POOLED_NET_SLOTS: usize = 1 << 20;
 
 impl ScratchPool {
-    fn acquire(&self) -> FleetScratch {
+    /// Runs `f` on a pooled arena and returns its output with the time
+    /// `f` took.
+    fn run<T>(&self, f: impl FnOnce(&mut FleetScratch) -> T) -> (T, Duration) {
         let mut scratch = self
             .pool
             .lock()
@@ -143,17 +146,16 @@ impl ScratchPool {
         // request deltas (and the daemon's fleet counters) double-count
         // the arena's whole history.
         scratch.reset_counters();
-        scratch
-    }
-
-    fn release(&self, scratch: FleetScratch) {
-        if scratch.net_capacity() > MAX_POOLED_NET_SLOTS {
-            return;
+        let start = Instant::now();
+        let out = f(&mut scratch);
+        let wall = start.elapsed();
+        if scratch.net_capacity() <= MAX_POOLED_NET_SLOTS {
+            let mut pool = self.pool.lock().expect("scratch pool poisoned");
+            if pool.len() < MAX_POOLED_SCRATCH {
+                pool.push(scratch);
+            }
         }
-        let mut pool = self.pool.lock().expect("scratch pool poisoned");
-        if pool.len() < MAX_POOLED_SCRATCH {
-            pool.push(scratch);
-        }
+        (out, wall)
     }
 }
 
@@ -316,50 +318,27 @@ impl Service {
         &self.pool
     }
 
-    /// Handles one decoded request without a session table — the
-    /// back-compat entry point for embedders (benches, tests) that only
-    /// issue stateless requests. Session requests answer with a
-    /// `protocol` error; everything else behaves exactly like
-    /// [`Service::handle_connection_request`].
-    pub fn handle_request(
+    /// Handles one decoded request from the connection that owns
+    /// `sessions` (transports open one [`SessionTable`] per connection).
+    /// Cheap requests (ping, stats, trace, shutdown, session close) are
+    /// answered inline via `respond`; sims, batches, session opens and
+    /// deltas run on the pool and answer from a worker thread, so
+    /// `respond` must be callable from any thread, and responses to
+    /// different requests may interleave in any order (clients correlate
+    /// by id). Every request gets exactly one response: `overloaded` when
+    /// the queue is full, `internal` when its job unwinds.
+    pub fn handle(
         self: &Arc<Self>,
         request: Request,
-        respond: impl Fn(Response) + Send + Sync + 'static,
-    ) -> Handled {
-        self.handle_connection_request(request, None, respond)
-    }
-
-    /// Handles one decoded request. Cheap requests (ping, stats,
-    /// shutdown, session close) are answered inline via `respond`; sim,
-    /// session-open and session-delta requests are scheduled on the pool
-    /// and answered from a worker thread, so `respond` must be callable
-    /// from any thread, and responses to different requests may
-    /// interleave in any order (clients correlate by id). When the queue
-    /// is full the request is rejected immediately with an `overloaded`
-    /// error — backpressure is explicit, for session work exactly as for
-    /// full simulations.
-    ///
-    /// `sessions` is the connection-scoped [`SessionTable`] (transports
-    /// create one per connection); `None` means the caller cannot host
-    /// sessions and session requests are rejected.
-    pub fn handle_connection_request(
-        self: &Arc<Self>,
-        request: Request,
-        sessions: Option<&Arc<SessionTable>>,
+        sessions: &Arc<SessionTable>,
         respond: impl Fn(Response) + Send + Sync + 'static,
     ) -> Handled {
         match request {
-            Request::Ping { id } => {
-                respond(Response::Pong { id });
-                Handled::Continue
-            }
-            Request::Stats { id } => {
-                respond(Response::Stats {
-                    id,
-                    stats: self.stats(),
-                });
-                Handled::Continue
-            }
+            Request::Ping { id } => respond(Response::Pong { id }),
+            Request::Stats { id } => respond(Response::Stats {
+                id,
+                stats: self.stats(),
+            }),
             Request::Trace { id } => {
                 // Draining the journal is cheap bookkeeping (it is empty
                 // unless the daemon runs with `SIG_OBS=trace`), so the
@@ -376,431 +355,278 @@ impl Service {
                     })
                     .collect();
                 respond(Response::Trace { id, spans, dropped });
-                Handled::Continue
             }
             Request::Shutdown { id } => {
                 self.draining.store(true, Ordering::SeqCst);
                 self.pool.drain();
                 respond(Response::ShuttingDown { id });
-                Handled::Shutdown
+                return Handled::Shutdown;
             }
+            // Close is pure table bookkeeping: answered inline, and
+            // allowed even while draining (it releases state).
+            Request::SessionClose { id, session } => respond(if sessions.remove(session) {
+                Response::SessionClosed { id, session }
+            } else {
+                unknown_session(id, session)
+            }),
+            // Every request below runs on the pool, which takes no new
+            // work while draining.
+            request if self.draining.load(Ordering::SeqCst) => respond(Response::Error {
+                id: Some(request.id()),
+                kind: ErrorKind::ShuttingDown,
+                message: "daemon is draining".to_string(),
+            }),
             Request::Sim { id, sim } => {
-                if self.draining.load(Ordering::SeqCst) {
-                    respond(draining_error(id));
-                    return Handled::Continue;
-                }
-                let service = Arc::clone(self);
-                let respond = Arc::new(respond);
-                let job_respond = Arc::clone(&respond);
-                let accepted = sim.timings.then(Instant::now);
-                let submitted = self.pool.try_execute(move || {
-                    let queue_s = accepted.map(|t| t.elapsed().as_secs_f64());
-                    let sw = sigobs::stopwatch();
-                    let response = match service.execute_sim(&sim) {
-                        Ok(mut result) => {
-                            sw.observe_span(&OP_SIM, "op.sim");
-                            patch_timings(result.timings.as_mut(), queue_s, accepted);
-                            Response::Sim { id, result }
-                        }
-                        Err((kind, message)) => Response::Error {
-                            id: Some(id),
-                            kind,
-                            message,
-                        },
-                    };
-                    service.completed.fetch_add(1, Ordering::Relaxed);
-                    job_respond(response);
+                self.submit(id, &OP_SIM, sim.timings, None, respond, move |service| {
+                    let result = service.execute_sim(&sim)?;
+                    Ok(Response::Sim { id, result })
                 });
-                if submitted.is_err() {
-                    self.reject_overloaded(id, &*respond);
-                }
-                Handled::Continue
             }
             Request::SimBatch { id, sim, runs } => {
-                if self.draining.load(Ordering::SeqCst) {
-                    respond(draining_error(id));
-                    return Handled::Continue;
-                }
-                let service = Arc::clone(self);
-                let respond = Arc::new(respond);
-                let job_respond = Arc::clone(&respond);
-                let accepted = sim.timings.then(Instant::now);
-                let submitted = self.pool.try_execute(move || {
-                    let queue_s = accepted.map(|t| t.elapsed().as_secs_f64());
-                    let sw = sigobs::stopwatch();
-                    let response = match service.execute_sim_batch(&sim, runs) {
-                        Ok(mut results) => {
-                            sw.observe_span(&OP_BATCH, "op.sim_batch");
-                            // One elapsed reading for the whole fleet:
-                            // every entry echoes the identical shared
-                            // breakdown (the reply is one request).
-                            let total_s = accepted.map(|t| t.elapsed().as_secs_f64());
-                            for result in &mut results {
-                                if let (Some(t), Some(queue_s), Some(total_s)) =
-                                    (result.timings.as_mut(), queue_s, total_s)
-                                {
-                                    t.queue_s = queue_s;
-                                    t.total_s = total_s;
-                                }
-                            }
-                            Response::SimBatch { id, results }
-                        }
-                        Err((kind, message)) => Response::Error {
-                            id: Some(id),
-                            kind,
-                            message,
-                        },
-                    };
-                    service.completed.fetch_add(1, Ordering::Relaxed);
-                    job_respond(response);
+                self.submit(id, &OP_BATCH, sim.timings, None, respond, move |service| {
+                    let results = service.execute_sim_batch(&sim, runs)?;
+                    Ok(Response::SimBatch { id, results })
                 });
-                if submitted.is_err() {
-                    self.reject_overloaded(id, &*respond);
-                }
-                Handled::Continue
             }
-            Request::SessionOpen { id, session, sim } => {
-                self.handle_session_open(id, session, sim, sessions, respond)
-            }
-            Request::SessionDelta { id, session, edits } => {
-                self.handle_session_delta(id, session, edits, sessions, respond)
-            }
-            Request::SessionClose { id, session } => {
-                // Close is pure table bookkeeping: answered inline, and
-                // allowed even while draining (it releases state).
-                let Some(table) = sessions else {
-                    respond(no_session_transport(id));
-                    return Handled::Continue;
-                };
-                if table.remove(session) {
-                    respond(Response::SessionClosed { id, session });
-                } else {
-                    respond(unknown_session(id, session));
-                }
-                Handled::Continue
-            }
-        }
-    }
-
-    /// Schedules a `session.open`: reserves the table slot inline (so the
-    /// very next frame already sees the session), then runs the baseline
-    /// on the pool. Deltas arriving while the baseline computes wait on
-    /// the slot instead of failing — connection frames are dispatched in
-    /// order, and the pool is FIFO, so the open job always runs first.
-    fn handle_session_open(
-        self: &Arc<Self>,
-        id: u64,
-        session: u64,
-        sim: SimRequest,
-        sessions: Option<&Arc<SessionTable>>,
-        respond: impl Fn(Response) + Send + Sync + 'static,
-    ) -> Handled {
-        if self.draining.load(Ordering::SeqCst) {
-            respond(draining_error(id));
-            return Handled::Continue;
-        }
-        let Some(table) = sessions else {
-            respond(no_session_transport(id));
-            return Handled::Continue;
-        };
-        let slot = match table.open_reserve(session) {
-            Ok(slot) => slot,
-            Err((kind, message)) => {
-                self.rejected.fetch_add(1, Ordering::Relaxed);
-                respond(Response::Error {
-                    id: Some(id),
-                    kind,
-                    message,
-                });
-                return Handled::Continue;
-            }
-        };
-        let service = Arc::clone(self);
-        let job_table = Arc::clone(table);
-        let job_slot = Arc::clone(&slot);
-        let respond = Arc::new(respond);
-        let job_respond = Arc::clone(&respond);
-        let accepted = sim.timings.then(Instant::now);
-        let submitted = self.pool.try_execute(move || {
-            let queue_s = accepted.map(|t| t.elapsed().as_secs_f64());
-            let sw = sigobs::stopwatch();
-            let response = match service.open_session_core(&sim) {
-                Ok((core, mut result)) => {
-                    sw.observe_span(&OP_OPEN, "op.session_open");
-                    patch_timings(result.timings.as_mut(), queue_s, accepted);
-                    job_slot.fulfill(core);
-                    Response::Session {
-                        id,
-                        session,
-                        result,
-                    }
+            // The open reserves its slot inline, so the very next frame
+            // already finds the session.
+            Request::SessionOpen { id, session, sim } => match sessions.open(session) {
+                Ok(turn) => {
+                    let refund = Some(turn.clone());
+                    self.submit(id, &OP_OPEN, sim.timings, refund, respond, move |service| {
+                        let result = service.open_session(turn, &sim)?;
+                        Ok(Response::Session {
+                            id,
+                            session,
+                            result,
+                        })
+                    });
                 }
                 Err((kind, message)) => {
-                    job_slot.abandon();
-                    job_table.fail(session, &job_slot);
-                    Response::Error {
+                    self.rejected.fetch_add(1, Ordering::Relaxed);
+                    respond(Response::Error {
                         id: Some(id),
                         kind,
                         message,
-                    }
+                    });
                 }
-            };
-            service.completed.fetch_add(1, Ordering::Relaxed);
-            job_respond(response);
-        });
-        if submitted.is_err() {
-            slot.abandon();
-            table.fail(session, &slot);
-            self.reject_overloaded(id, &*respond);
+            },
+            // A delta inherits the timings opt-in of its session's open,
+            // which only its turn can read, so it always measures.
+            Request::SessionDelta { id, session, edits } => match sessions.next_turn(session) {
+                Some(turn) => {
+                    let refund = Some(turn.clone());
+                    self.submit(id, &OP_DELTA, true, refund, respond, move |service| {
+                        let result = service.execute_delta(turn, session, &edits)?;
+                        Ok(Response::Sim { id, result })
+                    });
+                }
+                None => respond(unknown_session(id, session)),
+            },
         }
         Handled::Continue
     }
 
-    /// Schedules a `session.delta`: the session is resolved (and its LRU
-    /// position refreshed) inline, the edits execute on the pool.
-    fn handle_session_delta(
+    /// The one lifecycle of pooled requests. The worker runs `body`,
+    /// stamps queue wait and total into every result that opted into
+    /// `timings` (one reading for all entries of a batch), records the
+    /// `op` histogram, counts `completed` and answers. A body that
+    /// unwinds answers `internal`, then resumes unwinding so the pool
+    /// counts the panic. When the queue is full, the request's session
+    /// turn (`refund`) is given back and it is answered `overloaded` at
+    /// once: backpressure is explicit, never unbounded buffering.
+    fn submit(
         self: &Arc<Self>,
         id: u64,
-        session: u64,
-        edits: Vec<SessionEdit>,
-        sessions: Option<&Arc<SessionTable>>,
+        op: &'static sigobs::Hist,
+        timed: bool,
+        refund: Option<Turn>,
         respond: impl Fn(Response) + Send + Sync + 'static,
-    ) -> Handled {
-        if self.draining.load(Ordering::SeqCst) {
-            respond(draining_error(id));
-            return Handled::Continue;
-        }
-        let Some(table) = sessions else {
-            respond(no_session_transport(id));
-            return Handled::Continue;
-        };
-        let Some(slot) = table.lookup(session) else {
-            respond(unknown_session(id, session));
-            return Handled::Continue;
-        };
+        body: impl FnOnce(&Self) -> Result<Response, (ErrorKind, String)> + Send + 'static,
+    ) {
+        let accepted = timed.then(Instant::now);
         let service = Arc::clone(self);
         let respond = Arc::new(respond);
         let job_respond = Arc::clone(&respond);
-        // Deltas inherit the timings opt-in from the session's opening
-        // request, so the dispatch layer cannot know it yet; the worker
-        // measures queue wait from here and the body patches it in when
-        // the session asked for timings.
-        let accepted = Instant::now();
         let submitted = self.pool.try_execute(move || {
-            let queue_s = accepted.elapsed().as_secs_f64();
+            let queued = accepted.map(|t| (t, t.elapsed().as_secs_f64()));
             let sw = sigobs::stopwatch();
-            let response = match service.execute_delta_on(&slot, session, &edits) {
-                Ok(mut result) => {
-                    sw.observe_span(&OP_DELTA, "op.session_delta");
-                    patch_timings(result.timings.as_mut(), Some(queue_s), Some(accepted));
-                    Response::Sim { id, result }
+            let response = match catch_unwind(AssertUnwindSafe(|| body(&service))) {
+                Ok(Ok(mut response)) => {
+                    sw.observe_span(op, op.name());
+                    if let Some((accepted, queue_s)) = queued {
+                        let mut total_s = None;
+                        for t in results_mut(&mut response).iter_mut() {
+                            if let Some(t) = t.timings.as_mut() {
+                                t.queue_s = queue_s;
+                                t.total_s = *total_s
+                                    .get_or_insert_with(|| accepted.elapsed().as_secs_f64());
+                            }
+                        }
+                    }
+                    response
                 }
-                Err((kind, message)) => Response::Error {
+                Ok(Err((kind, message))) => Response::Error {
                     id: Some(id),
                     kind,
                     message,
                 },
+                Err(panic) => {
+                    job_respond(unanswered(Some(id)));
+                    resume_unwind(panic)
+                }
             };
             service.completed.fetch_add(1, Ordering::Relaxed);
             job_respond(response);
         });
         if submitted.is_err() {
-            self.reject_overloaded(id, &*respond);
+            if let Some(turn) = refund {
+                turn.refuse();
+            }
+            self.rejected.fetch_add(1, Ordering::Relaxed);
+            respond(Response::Error {
+                id: Some(id),
+                kind: ErrorKind::Overloaded,
+                message: format!(
+                    "scheduler queue is full ({} pending); retry later",
+                    self.config.queue_capacity
+                ),
+            });
         }
-        Handled::Continue
     }
 
-    /// Counts a queue-full rejection and answers with `overloaded`.
-    fn reject_overloaded(&self, id: u64, respond: &(impl Fn(Response) + ?Sized)) {
-        self.rejected.fetch_add(1, Ordering::Relaxed);
-        respond(Response::Error {
-            id: Some(id),
-            kind: ErrorKind::Overloaded,
-            message: format!(
-                "scheduler queue is full ({} pending); retry later",
-                self.config.queue_capacity
-            ),
-        });
-    }
-
-    /// Opens a session (the worker-thread body): resolves artifacts
-    /// exactly like [`Service::execute_sim`]'s sigmoid path, runs the
-    /// baseline through [`CircuitProgram::open_session`], and packages
-    /// the resident [`SessionCore`] plus the baseline response payload
-    /// (field-for-field what a full `sim` request would answer).
-    fn open_session_core(
-        &self,
-        sim: &SimRequest,
-    ) -> Result<(SessionCore, SimResult), (ErrorKind, String)> {
-        let t0 = sim.timings.then(Instant::now);
+    /// Resolves a sim request's model set and circuit. The circuit cache
+    /// key includes the set's mapping policy: the NOR-only and native
+    /// forms of one netlist are distinct cached circuits.
+    fn resolve(&self, sim: &SimRequest) -> Result<Resolved, (ErrorKind, String)> {
         let set = self
             .registry
             .get_or_load(&sim.models, &sim.library)
             .map_err(|e| {
                 let kind = match e {
                     RegistryError::UnknownName(_) => ErrorKind::UnknownModels,
-                    _ => ErrorKind::Simulation,
+                    RegistryError::Pipeline(_) => ErrorKind::Simulation,
                 };
                 (kind, e.to_string())
             })?;
-        let circuit_key = CacheKey::of(&sim.circuit, set.policy);
-        let (circuit, hit) = self.resolve_circuit(circuit_key, sim, set.policy)?;
+        // One full-source hash per request, shared by both caches.
+        let key = CacheKey::of(&sim.circuit, set.policy);
+        let (circuit, hit) = self
+            .cache
+            .get_or_insert(key, || build_circuit(&sim.circuit, set.policy))
+            .map_err(|message| (ErrorKind::Circuit, message))?;
         let cache = if hit {
             CacheOutcome::Hit
         } else {
             CacheOutcome::Miss
         };
-        let program = self.resolve_program(circuit_key, &set, &circuit)?;
-        let resolve_s = t0.map(|t| t.elapsed().as_secs_f64());
-        let exec_start = sim.timings.then(Instant::now);
-        let stimuli = stimuli_for(&circuit, sim);
-        let sigmoid_stimuli = sigmoid_stimuli_from(&stimuli, set.options.vdd);
-        let mut scratch = self.scratch.acquire();
-        let start = Instant::now();
-        let opened = program.open_session(&sigmoid_stimuli, &mut scratch);
-        let wall_sigmoid = start.elapsed();
-        self.scratch.release(scratch);
-        let state = opened.map_err(|e| (ErrorKind::Simulation, e.to_string()))?;
-        let fingerprint = crate::protocol::hex64(circuit.fingerprint());
-        let result = SimResult {
-            fingerprint: fingerprint.clone(),
-            library: set.library.clone(),
+        Ok(Resolved {
+            set,
+            key,
+            circuit,
             cache,
-            outputs: sigmoid_outputs(&circuit, &state.result(), set.options.vdd / 2.0),
-            compare: None,
-            timing: sim.timing.then_some(TimingStats {
-                wall_analog_s: 0.0,
-                wall_digital_s: 0.0,
-                wall_sigmoid_s: wall_sigmoid.as_secs_f64(),
-            }),
-            timings: phase_timings(resolve_s, exec_start),
-        };
-        let core = SessionCore {
-            program,
-            state,
-            fingerprint,
-            library: set.library.clone(),
-            vdd: set.options.vdd,
-            timing: sim.timing,
-            timings: sim.timings,
-        };
-        Ok((core, result))
-    }
-
-    /// Executes one delta batch on a session slot (the worker-thread
-    /// body). Waits on the slot while its baseline is still opening; the
-    /// slot's state lock also serializes deltas per session. Responds in
-    /// the plain `sim` shape with `cache: hit` — a delta by definition
-    /// reuses resident artifacts, and the payload stays byte-comparable
-    /// to a full run of the equivalent final stimuli.
-    fn execute_delta_on(
-        &self,
-        slot: &SessionSlot,
-        session: u64,
-        edits: &[SessionEdit],
-    ) -> Result<SimResult, (ErrorKind, String)> {
-        let t0 = Instant::now();
-        let mut guard = slot.state.lock().expect("session slot poisoned");
-        while matches!(*guard, SlotState::Opening) {
-            guard = slot.ready.wait(guard).expect("session slot poisoned");
-        }
-        let SlotState::Ready(core) = &mut *guard else {
-            return Err((
-                ErrorKind::UnknownSession,
-                format!("session {session} failed to open"),
-            ));
-        };
-        let program = Arc::clone(&core.program);
-        let circuit = Arc::clone(program.circuit());
-        let mut changes = Vec::with_capacity(edits.len());
-        for edit in edits {
-            let net = circuit.find_net(&edit.net).ok_or_else(|| {
-                (
-                    ErrorKind::Simulation,
-                    format!("edit targets unknown net {:?}", edit.net),
-                )
-            })?;
-            let level = if edit.initial_high {
-                Level::High
-            } else {
-                Level::Low
-            };
-            // The toggle invariants were validated at decode;
-            // `DigitalTrace` re-checks them as the library contract.
-            let digital = DigitalTrace::new(level, edit.toggles.clone())
-                .map_err(|e| (ErrorKind::Simulation, e.to_string()))?;
-            changes.push(StimulusEdit {
-                net,
-                trace: Arc::new(digital_to_sigmoid(&digital, core.vdd)),
-            });
-        }
-        // For a delta, "resolve" is slot readiness plus edit-to-trace
-        // conversion; the engine call is the execute phase.
-        let resolve_s = core.timings.then(|| t0.elapsed().as_secs_f64());
-        let exec_start = core.timings.then(Instant::now);
-        let start = Instant::now();
-        let result = program
-            .execute_delta(&mut core.state, &changes)
-            .map_err(|e| (ErrorKind::Simulation, e.to_string()))?;
-        let wall_sigmoid = start.elapsed();
-        self.delta_hits.fetch_add(1, Ordering::Relaxed);
-        self.gates_reeval
-            .fetch_add(core.state.last_reeval(), Ordering::Relaxed);
-        Ok(SimResult {
-            fingerprint: core.fingerprint.clone(),
-            library: core.library.clone(),
-            cache: CacheOutcome::Hit,
-            outputs: sigmoid_outputs(&circuit, &result, core.vdd / 2.0),
-            compare: None,
-            timing: core.timing.then_some(TimingStats {
-                wall_analog_s: 0.0,
-                wall_digital_s: 0.0,
-                wall_sigmoid_s: wall_sigmoid.as_secs_f64(),
-            }),
-            timings: phase_timings(resolve_s, exec_start),
         })
     }
 
-    /// Resolves a sim request's circuit through the cache under an
-    /// already-computed key (keys include the set's mapping policy: the
-    /// NOR-only and native forms of one netlist are distinct cached
-    /// circuits).
-    fn resolve_circuit(
-        &self,
-        key: CacheKey,
-        sim: &SimRequest,
-        policy: MappingPolicy,
-    ) -> Result<(Arc<Circuit>, bool), (ErrorKind, String)> {
-        self.cache
-            .get_or_insert_keyed(key, || build_circuit(&sim.circuit, policy))
-            .map_err(|message| (ErrorKind::Circuit, message))
-    }
-
-    /// Resolves the compiled program of a sim request: a warm key skips
-    /// validation, slot resolution and planning entirely; a miss compiles
-    /// once under the key's build lock (the circuit and cells are already
-    /// resolved `Arc`s — compilation shares them, it never re-parses).
-    /// The program key derives from the circuit key, so the request's
-    /// source text is hashed exactly once regardless of path.
-    fn resolve_program(
-        &self,
-        circuit_key: CacheKey,
-        set: &ModelSet,
-        circuit: &Arc<Circuit>,
-    ) -> Result<Arc<CircuitProgram>, (ErrorKind, String)> {
-        let key = CacheKey::for_program(
-            circuit_key,
-            &set.cells,
-            &set.name,
-            &set.library,
-            set.options,
-        );
+    /// Resolves the compiled program of a resolved request: a warm key
+    /// skips validation, slot resolution and planning entirely; a miss
+    /// compiles once under the key's build lock (the circuit and cells
+    /// are already resolved `Arc`s — compilation shares them, it never
+    /// re-parses). The program key derives from the circuit key, so the
+    /// request's source text is hashed exactly once regardless of path.
+    fn program(&self, r: &Resolved) -> Result<Arc<CircuitProgram>, (ErrorKind, String)> {
+        let set = &r.set;
+        let key = CacheKey::for_program(r.key, &set.cells, &set.name, &set.library, set.options);
         self.programs
             .get_or_insert(key, || {
-                CircuitProgram::compile(Arc::clone(circuit), Arc::clone(&set.cells), set.options)
+                CircuitProgram::compile(Arc::clone(&r.circuit), Arc::clone(&set.cells), set.options)
             })
             .map(|(program, _)| program)
-            .map_err(|e| (ErrorKind::Simulation, e.to_string()))
+            .map_err(simulation_error)
+    }
+
+    /// Opens a session in the open's turn: resolves artifacts exactly
+    /// like [`Service::execute_sim`]'s sigmoid path, runs the baseline
+    /// through [`CircuitProgram::open_session`], leaves the resident
+    /// [`SessionCore`] in the slot, and returns the baseline payload
+    /// (field-for-field what a full `sim` request would answer).
+    fn open_session(&self, turn: Turn, sim: &SimRequest) -> Result<SimResult, (ErrorKind, String)> {
+        turn.run(|core| {
+            let t0 = sim.timings.then(Instant::now);
+            let r = self.resolve(sim)?;
+            let program = self.program(&r)?;
+            let split = resolved(t0);
+            let stimuli =
+                sigmoid_stimuli_from(&stimuli_for(&r.circuit, sim, sim.seed), r.set.options.vdd);
+            let (opened, wall) = self.scratch.run(|s| program.open_session(&stimuli, s));
+            let state = opened.map_err(simulation_error)?;
+            let wall = sim.timing.then_some(wall);
+            let mut result = sigmoid_result(&r.circuit, &r.set, r.cache, wall, &state.result());
+            result.timings = phase_timings(split);
+            *core = Some(Box::new(SessionCore {
+                program,
+                state,
+                set: r.set,
+                timing: sim.timing,
+                timings: sim.timings,
+            }));
+            Ok(result)
+        })
+    }
+
+    /// Applies one delta's edits to its session in the delta's turn.
+    /// Responds in the plain `sim` shape with `cache: hit` — a delta by
+    /// definition reuses resident artifacts, and the payload stays
+    /// byte-comparable to a full run of the equivalent final stimuli.
+    fn execute_delta(
+        &self,
+        turn: Turn,
+        session: u64,
+        edits: &[SessionEdit],
+    ) -> Result<SimResult, (ErrorKind, String)> {
+        // For a delta, "resolve" is the wait for its turn plus
+        // edit-to-trace conversion; the engine call is the execute phase.
+        let t0 = Instant::now();
+        turn.run(|core| {
+            let core = core.as_deref_mut().ok_or_else(|| not_open(session))?;
+            let circuit = Arc::clone(core.program.circuit());
+            let mut changes = Vec::with_capacity(edits.len());
+            for edit in edits {
+                let net = circuit.find_net(&edit.net).ok_or_else(|| {
+                    (
+                        ErrorKind::Simulation,
+                        format!("edit targets unknown net {:?}", edit.net),
+                    )
+                })?;
+                let level = if edit.initial_high {
+                    Level::High
+                } else {
+                    Level::Low
+                };
+                // The toggle invariants were validated at decode;
+                // `DigitalTrace` re-checks them as the library contract.
+                let digital =
+                    DigitalTrace::new(level, edit.toggles.clone()).map_err(simulation_error)?;
+                changes.push(StimulusEdit {
+                    net,
+                    trace: Arc::new(digital_to_sigmoid(&digital, core.set.options.vdd)),
+                });
+            }
+            let split = resolved(core.timings.then_some(t0));
+            let start = Instant::now();
+            let executed = core
+                .program
+                .execute_delta(&mut core.state, &changes)
+                .map_err(simulation_error)?;
+            let wall = core.timing.then(|| start.elapsed());
+            self.delta_hits.fetch_add(1, Ordering::Relaxed);
+            self.gates_reeval
+                .fetch_add(core.state.last_reeval(), Ordering::Relaxed);
+            let mut result =
+                sigmoid_result(&circuit, &core.set, CacheOutcome::Hit, wall, &executed);
+            result.timings = phase_timings(split);
+            Ok(result)
+        })
     }
 
     /// Executes one simulation synchronously (the worker-thread body).
@@ -810,48 +636,31 @@ impl Service {
     /// [`FleetScratch`] — no parsing, mapping, validation, planning or
     /// buffer allocation. Compare-mode requests keep the fused harness
     /// path (they are analog-dominated); both paths are bit-identical to
-    /// the direct library calls.
+    /// the direct library calls, and CI diffs a daemon (program path)
+    /// against `sigctl golden` (fused path) to enforce it.
     ///
     /// # Errors
     ///
     /// Returns the protocol error kind and message on any failure.
     pub fn execute_sim(&self, sim: &SimRequest) -> Result<SimResult, (ErrorKind, String)> {
         let t0 = sim.timings.then(Instant::now);
-        let set = self
-            .registry
-            .get_or_load(&sim.models, &sim.library)
-            .map_err(|e| {
-                let kind = match e {
-                    RegistryError::UnknownName(_) => ErrorKind::UnknownModels,
-                    _ => ErrorKind::Simulation,
-                };
-                (kind, e.to_string())
-            })?;
-        // One full-source hash per request, shared by both caches.
-        let circuit_key = CacheKey::of(&sim.circuit, set.policy);
-        let (circuit, hit) = self.resolve_circuit(circuit_key, sim, set.policy)?;
-        let cache = if hit {
-            CacheOutcome::Hit
-        } else {
-            CacheOutcome::Miss
-        };
+        let r = self.resolve(sim)?;
         if sim.compare {
-            let resolve_s = t0.map(|t| t.elapsed().as_secs_f64());
-            let exec_start = sim.timings.then(Instant::now);
-            let mut result = run_sim(&circuit, &set, sim, cache)?;
-            result.timings = phase_timings(resolve_s, exec_start);
+            let split = resolved(t0);
+            let mut result = run_sim(&r.circuit, &r.set, sim, r.cache)?;
+            result.timings = phase_timings(split);
             return Ok(result);
         }
-        let program = self.resolve_program(circuit_key, &set, &circuit)?;
-        let resolve_s = t0.map(|t| t.elapsed().as_secs_f64());
-        let exec_start = sim.timings.then(Instant::now);
-        let mut scratch = self.scratch.acquire();
-        let result = run_program(&program, &set, sim, cache, &mut scratch);
-        self.scratch.release(scratch);
-        result.map(|mut r| {
-            r.timings = phase_timings(resolve_s, exec_start);
-            r
-        })
+        let program = self.program(&r)?;
+        let split = resolved(t0);
+        let stimuli =
+            sigmoid_stimuli_from(&stimuli_for(&r.circuit, sim, sim.seed), r.set.options.vdd);
+        let (executed, wall) = self.scratch.run(|s| program.execute(&stimuli, s));
+        let executed = executed.map_err(simulation_error)?;
+        let wall = sim.timing.then_some(wall);
+        let mut result = sigmoid_result(&r.circuit, &r.set, r.cache, wall, &executed);
+        result.timings = phase_timings(split);
+        Ok(result)
     }
 
     /// Executes one fleet simulation synchronously (the worker-thread
@@ -874,77 +683,63 @@ impl Service {
         runs: usize,
     ) -> Result<Vec<SimResult>, (ErrorKind, String)> {
         let t0 = sim.timings.then(Instant::now);
-        let set = self
-            .registry
-            .get_or_load(&sim.models, &sim.library)
-            .map_err(|e| {
-                let kind = match e {
-                    RegistryError::UnknownName(_) => ErrorKind::UnknownModels,
-                    _ => ErrorKind::Simulation,
-                };
-                (kind, e.to_string())
-            })?;
-        let circuit_key = CacheKey::of(&sim.circuit, set.policy);
-        let (circuit, hit) = self.resolve_circuit(circuit_key, sim, set.policy)?;
-        let cache = if hit {
-            CacheOutcome::Hit
-        } else {
-            CacheOutcome::Miss
-        };
-        let program = self.resolve_program(circuit_key, &set, &circuit)?;
-        let resolve_s = t0.map(|t| t.elapsed().as_secs_f64());
-        let exec_start = sim.timings.then(Instant::now);
-        let sets: Vec<HashMap<NetId, Arc<SigmoidTrace>>> = (0..runs)
-            .map(|r| {
-                let run = SimRequest {
-                    seed: sim.seed + r as u64,
-                    ..sim.clone()
-                };
-                sigmoid_stimuli_from(&stimuli_for(&circuit, &run), set.options.vdd)
+        let r = self.resolve(sim)?;
+        let program = self.program(&r)?;
+        let split = resolved(t0);
+        let sets: Vec<_> = (0..runs as u64)
+            .map(|k| {
+                sigmoid_stimuli_from(
+                    &stimuli_for(&r.circuit, sim, sim.seed + k),
+                    r.set.options.vdd,
+                )
             })
             .collect();
         // Pooled arenas are counter-reset on acquire, so the arena's
         // counters after the run are exactly this request's totals.
-        let mut scratch = self.scratch.acquire();
-        let start = Instant::now();
-        let executed = program.execute_fleet(&sets, &mut scratch);
-        let wall = start.elapsed();
-        let rows = scratch.rows_merged();
-        self.scratch.release(scratch);
-        let results = executed.map_err(|e| (ErrorKind::Simulation, e.to_string()))?;
+        let ((executed, rows), wall) = self
+            .scratch
+            .run(|s| (program.execute_fleet(&sets, s), s.rows_merged()));
+        let executed = executed.map_err(simulation_error)?;
         self.fleet_runs.fetch_add(runs as u64, Ordering::Relaxed);
         self.fleet_rows.fetch_add(rows, Ordering::Relaxed);
-        let fingerprint = crate::protocol::hex64(circuit.fingerprint());
-        let threshold = set.options.vdd / 2.0;
         #[allow(clippy::cast_possible_truncation)]
         let wall_share = wall.checked_div(runs.max(1) as u32).unwrap_or_default();
+        let wall_share = sim.timing.then_some(wall_share);
         // Every fleet entry echoes the breakdown of the one shared
         // request (stimulus derivation counts as execute time).
-        let timings = phase_timings(resolve_s, exec_start);
-        Ok(results
-            .into_iter()
+        let timings = phase_timings(split);
+        Ok(executed
+            .iter()
             .map(|result| SimResult {
-                fingerprint: fingerprint.clone(),
-                library: set.library.clone(),
-                cache,
-                outputs: sigmoid_outputs(&circuit, &result, threshold),
-                compare: None,
-                timing: sim.timing.then_some(TimingStats {
-                    wall_analog_s: 0.0,
-                    wall_digital_s: 0.0,
-                    wall_sigmoid_s: wall_share.as_secs_f64(),
-                }),
                 timings: timings.clone(),
+                ..sigmoid_result(&r.circuit, &r.set, r.cache, wall_share, result)
             })
             .collect())
     }
 }
 
-/// Builds the execution half of an opt-in [`PhaseTimings`] breakdown:
-/// `None` unless the request asked for timings. Queue wait and the total
-/// stay zero until [`patch_timings`] fills them at the worker boundary.
-fn phase_timings(resolve_s: Option<f64>, exec_start: Option<Instant>) -> Option<PhaseTimings> {
-    let (resolve_s, exec_start) = resolve_s.zip(exec_start)?;
+/// A sim request's resolved artifacts (see [`Service::resolve`]).
+struct Resolved {
+    set: Arc<ModelSet>,
+    /// The circuit's cache key, from which the program key derives.
+    key: CacheKey,
+    circuit: Arc<Circuit>,
+    cache: CacheOutcome,
+}
+
+/// Ends the resolve phase of an opt-in [`PhaseTimings`] breakdown
+/// started at `t0`: the resolve seconds and the execute phase's start.
+fn resolved(t0: Option<Instant>) -> Option<(f64, Instant)> {
+    let t0 = t0?;
+    let now = Instant::now();
+    Some(((now - t0).as_secs_f64(), now))
+}
+
+/// Builds the execution half of an opt-in [`PhaseTimings`] breakdown
+/// from the [`resolved`] split. Queue wait and the total stay zero until
+/// [`Service::submit`] stamps them at the worker boundary.
+fn phase_timings(split: Option<(f64, Instant)>) -> Option<PhaseTimings> {
+    let (resolve_s, exec_start) = split?;
     Some(PhaseTimings {
         queue_s: 0.0,
         resolve_s,
@@ -953,19 +748,20 @@ fn phase_timings(resolve_s: Option<f64>, exec_start: Option<Instant>) -> Option<
     })
 }
 
-/// Fills the scheduling half of an opt-in [`PhaseTimings`] breakdown.
-/// The execution body measured `resolve_s`/`execute_s`; queue wait and
-/// the request total are only known at the dispatch/worker boundary, so
-/// the worker closure patches them in just before responding.
-fn patch_timings(
-    timings: Option<&mut PhaseTimings>,
-    queue_s: Option<f64>,
-    accepted: Option<Instant>,
-) {
-    if let (Some(t), Some(queue_s), Some(accepted)) = (timings, queue_s, accepted) {
-        t.queue_s = queue_s;
-        t.total_s = accepted.elapsed().as_secs_f64();
+/// The results a pooled reply carries (none for an error).
+fn results_mut(response: &mut Response) -> &mut [SimResult] {
+    match response {
+        Response::Sim { result, .. } | Response::Session { result, .. } => {
+            std::slice::from_mut(result)
+        }
+        Response::SimBatch { results, .. } => results,
+        _ => &mut [],
     }
+}
+
+/// Maps an engine failure to a `simulation` error.
+fn simulation_error(e: impl std::fmt::Display) -> (ErrorKind, String) {
+    (ErrorKind::Simulation, e.to_string())
 }
 
 /// The daemon on the TCP transport: one session table per connection.
@@ -991,7 +787,7 @@ impl Backend for Service {
         request: Request,
         responder: Responder,
     ) -> Handled {
-        self.handle_connection_request(request, Some(sessions), move |response| {
+        self.handle(request, sessions, move |response| {
             responder.respond(&response);
         })
     }
@@ -1001,32 +797,21 @@ impl Backend for Service {
     }
 }
 
-/// The error answered to any simulation-carrying request while draining.
-fn draining_error(id: u64) -> Response {
-    Response::Error {
-        id: Some(id),
-        kind: ErrorKind::ShuttingDown,
-        message: "daemon is draining".to_string(),
-    }
-}
-
-/// The error answered to session requests from a caller without a
-/// connection-scoped [`SessionTable`] (the back-compat
-/// [`Service::handle_request`] entry point).
-fn no_session_transport(id: u64) -> Response {
-    Response::Error {
-        id: Some(id),
-        kind: ErrorKind::Protocol,
-        message: "session requests need a connection-scoped transport".to_string(),
-    }
+/// The error of a session id that is not open on this connection.
+fn not_open(session: u64) -> (ErrorKind, String) {
+    (
+        ErrorKind::UnknownSession,
+        format!("session {session} is not open on this connection"),
+    )
 }
 
 /// The error answered when a session id is not open on this connection.
 pub(crate) fn unknown_session(id: u64, session: u64) -> Response {
+    let (kind, message) = not_open(session);
     Response::Error {
         id: Some(id),
-        kind: ErrorKind::UnknownSession,
-        message: format!("session {session} is not open on this connection"),
+        kind,
+        message,
     }
 }
 
@@ -1072,12 +857,12 @@ pub fn map_for_simulation(circuit: Circuit, policy: MappingPolicy) -> Circuit {
     }
 }
 
-/// Derives the per-request digital stimuli exactly like the direct
-/// harness path: a [`StimulusSpec`] plus a seed-derived RNG.
-fn stimuli_for(circuit: &Circuit, sim: &SimRequest) -> HashMap<NetId, DigitalTrace> {
+/// Derives the digital stimuli of a request run under `seed` exactly
+/// like the direct harness path: a [`StimulusSpec`] plus a seed-derived
+/// RNG.
+fn stimuli_for(circuit: &Circuit, sim: &SimRequest, seed: u64) -> HashMap<NetId, DigitalTrace> {
     let spec = StimulusSpec::new(sim.mu, sim.sigma, sim.transitions);
-    let mut rng = StdRng::seed_from_u64(sim.seed);
-    random_stimuli(circuit, &spec, &mut rng)
+    random_stimuli(circuit, &spec, &mut StdRng::seed_from_u64(seed))
 }
 
 /// Replaces the seeded stimulus of every edited net, rejecting edits
@@ -1151,52 +936,9 @@ pub fn run_sim_edited(
     edits: &[SessionEdit],
     cache: CacheOutcome,
 ) -> Result<SimResult, (ErrorKind, String)> {
-    let mut stimuli = stimuli_for(circuit, sim);
+    let mut stimuli = stimuli_for(circuit, sim, sim.seed);
     apply_edits(circuit, &mut stimuli, edits)?;
-    let threshold = set.options.vdd / 2.0;
-    let fingerprint = crate::protocol::hex64(circuit.fingerprint());
-    let library = set.library.clone();
-    if sim.compare {
-        let delays = set.delays.get().map_err(|e| {
-            (
-                ErrorKind::Simulation,
-                format!("delay extraction failed: {e}"),
-            )
-        })?;
-        let Some(delays) = delays else {
-            return Err((
-                ErrorKind::Simulation,
-                format!(
-                    "model set {:?} has no delay table; compare mode unavailable",
-                    set.name
-                ),
-            ));
-        };
-        let config = HarnessConfig::default();
-        let outcome = compare_circuit_cells(circuit, &stimuli, &set.cells, &delays, &config)
-            .map_err(|e| (ErrorKind::Simulation, e.to_string()))?;
-        let outputs = digitize_outputs(
-            outcome.bundles.iter().map(|b| (b.net.as_str(), &b.sigmoid)),
-            threshold,
-        );
-        Ok(SimResult {
-            fingerprint,
-            library,
-            cache,
-            outputs,
-            compare: Some(CompareStats {
-                t_err_digital: outcome.t_err_digital,
-                t_err_sigmoid: outcome.t_err_sigmoid,
-                error_ratio: outcome.error_ratio(),
-            }),
-            timing: sim.timing.then_some(TimingStats {
-                wall_analog_s: outcome.wall_analog.as_secs_f64(),
-                wall_digital_s: outcome.wall_digital.as_secs_f64(),
-                wall_sigmoid_s: outcome.wall_sigmoid.as_secs_f64(),
-            }),
-            timings: None,
-        })
-    } else {
+    if !sim.compare {
         // Sigmoid-only: inputs are the digital stimuli converted at the
         // fixed same-stimulus slope (no analog run involved) — the
         // deterministic cheap path for throughput workloads.
@@ -1209,55 +951,49 @@ pub fn run_sim_edited(
             set.options,
             &SigmoidSimConfig::default(),
         )
-        .map_err(|e| (ErrorKind::Simulation, e.to_string()))?;
-        let wall_sigmoid = start.elapsed();
-        Ok(SimResult {
-            fingerprint,
-            library,
-            cache,
-            outputs: sigmoid_outputs(circuit, &result, threshold),
-            compare: None,
-            timing: sim.timing.then_some(TimingStats {
-                wall_analog_s: 0.0,
-                wall_digital_s: 0.0,
-                wall_sigmoid_s: wall_sigmoid.as_secs_f64(),
-            }),
-            timings: None,
-        })
+        .map_err(simulation_error)?;
+        let wall = sim.timing.then(|| start.elapsed());
+        return Ok(sigmoid_result(circuit, set, cache, wall, &result));
     }
-}
-
-/// The compiled-program twin of [`run_sim`]'s sigmoid-only branch: binds
-/// the request's stimuli to a resident program with a reusable scratch
-/// arena. Response fields are constructed identically, so a program-path
-/// response is byte-for-byte the response the fused path would produce —
-/// the CI smoke job diffs a daemon (program path) against `sigctl golden`
-/// (fused path) to enforce exactly that.
-fn run_program(
-    program: &CircuitProgram,
-    set: &ModelSet,
-    sim: &SimRequest,
-    cache: CacheOutcome,
-    scratch: &mut FleetScratch,
-) -> Result<SimResult, (ErrorKind, String)> {
-    let circuit = program.circuit();
-    let stimuli = stimuli_for(circuit, sim);
-    let sigmoid_stimuli = sigmoid_stimuli_from(&stimuli, set.options.vdd);
-    let start = Instant::now();
-    let result = program
-        .execute(&sigmoid_stimuli, scratch)
-        .map_err(|e| (ErrorKind::Simulation, e.to_string()))?;
-    let wall_sigmoid = start.elapsed();
+    let delays = set
+        .delays
+        .get()
+        .map_err(|e| {
+            (
+                ErrorKind::Simulation,
+                format!("delay extraction failed: {e}"),
+            )
+        })?
+        .ok_or_else(|| {
+            (
+                ErrorKind::Simulation,
+                format!(
+                    "model set {:?} has no delay table; compare mode unavailable",
+                    set.name
+                ),
+            )
+        })?;
+    let config = HarnessConfig::default();
+    let outcome = compare_circuit_cells(circuit, &stimuli, &set.cells, &delays, &config)
+        .map_err(simulation_error)?;
+    let outputs = digitize_outputs(
+        outcome.bundles.iter().map(|b| (b.net.as_str(), &b.sigmoid)),
+        set.options.vdd / 2.0,
+    );
     Ok(SimResult {
         fingerprint: crate::protocol::hex64(circuit.fingerprint()),
         library: set.library.clone(),
         cache,
-        outputs: sigmoid_outputs(circuit, &result, set.options.vdd / 2.0),
-        compare: None,
+        outputs,
+        compare: Some(CompareStats {
+            t_err_digital: outcome.t_err_digital,
+            t_err_sigmoid: outcome.t_err_sigmoid,
+            error_ratio: outcome.error_ratio(),
+        }),
         timing: sim.timing.then_some(TimingStats {
-            wall_analog_s: 0.0,
-            wall_digital_s: 0.0,
-            wall_sigmoid_s: wall_sigmoid.as_secs_f64(),
+            wall_analog_s: outcome.wall_analog.as_secs_f64(),
+            wall_digital_s: outcome.wall_digital.as_secs_f64(),
+            wall_sigmoid_s: outcome.wall_sigmoid.as_secs_f64(),
         }),
         timings: None,
     })
@@ -1276,20 +1012,35 @@ fn sigmoid_stimuli_from(
         .collect()
 }
 
-/// Digitizes a sigmoid simulation's primary outputs into wire traces
-/// (shared by the fused and program paths).
-fn sigmoid_outputs(
+/// The one constructor of sigmoid-only results — `sim`, each
+/// `sim.batch` entry, `session.open`, `session.delta` and `sigctl
+/// golden`'s fused reference — so their bytes cannot drift apart: the
+/// primary outputs digitized at half the set's supply, plus the echoes.
+/// `timings` stays `None`; callers that measured phases attach them.
+fn sigmoid_result(
     circuit: &Circuit,
+    set: &ModelSet,
+    cache: CacheOutcome,
+    wall_sigmoid: Option<Duration>,
     result: &SigmoidSimResult,
-    threshold: f64,
-) -> Vec<OutputTrace> {
-    digitize_outputs(
-        circuit
-            .outputs()
-            .iter()
-            .map(|&o| (circuit.net_name(o), result.trace(o))),
-        threshold,
-    )
+) -> SimResult {
+    let outputs = circuit
+        .outputs()
+        .iter()
+        .map(|&o| (circuit.net_name(o), result.trace(o)));
+    SimResult {
+        fingerprint: crate::protocol::hex64(circuit.fingerprint()),
+        library: set.library.clone(),
+        cache,
+        outputs: digitize_outputs(outputs, set.options.vdd / 2.0),
+        compare: None,
+        timing: wall_sigmoid.map(|wall| TimingStats {
+            wall_analog_s: 0.0,
+            wall_digital_s: 0.0,
+            wall_sigmoid_s: wall.as_secs_f64(),
+        }),
+        timings: None,
+    }
 }
 
 /// Digitizes `(net, trace)` pairs at `threshold` into wire traces, under

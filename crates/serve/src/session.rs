@@ -13,36 +13,34 @@
 //! connection's session.
 //!
 //! Each session pins its compiled [`CircuitProgram`] and the
-//! [`IncrementalState`] of the event-driven engine; `session.delta`
-//! requests ride the same worker pool as full simulations and are
-//! serialized per session by the slot's state lock (see
-//! `docs/architecture.md` § Incremental engine).
+//! [`IncrementalState`] of the event-driven engine. Its frames ride the
+//! same worker pool as full simulations in numbered turns: the open
+//! holds turn 0, and each delta draws the next turn on the connection's
+//! dispatch thread, where frames are still in arrival order. A worker
+//! runs a frame only in its turn, so a connection's frames on one session
+//! apply in the order sent, whichever worker picks them up (see
+//! `docs/architecture.md` § Sessions).
 
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 use sigsim::{CircuitProgram, IncrementalState};
 
 use crate::protocol::ErrorKind;
+use crate::registry::ModelSet;
 use crate::service::Service;
 
-/// The resident core of one ready session: the pinned program, the
-/// committed incremental state, and the response fields captured at open
-/// so every delta response is constructed exactly like a full `sim`
-/// response for the same artifacts.
+/// The resident core of one open session: the pinned program, the
+/// committed incremental state, and what the opening request fixed for
+/// every delta response.
 pub(crate) struct SessionCore {
     /// The compiled program deltas execute against.
     pub(crate) program: Arc<CircuitProgram>,
     /// Committed traces plus the dirty-set bookkeeping.
     pub(crate) state: IncrementalState,
-    /// Fingerprint of the session's (mapped) circuit, precomputed.
-    pub(crate) fingerprint: String,
-    /// Cell-library echo of the opening request.
-    pub(crate) library: String,
-    /// Supply voltage of the session's model set (digitization threshold
-    /// is `vdd / 2`, edit conversion uses the full value).
-    pub(crate) vdd: f64,
+    /// The model set of the opening request (library echo, supply).
+    pub(crate) set: Arc<ModelSet>,
     /// Whether delta responses carry wall-clock timing.
     pub(crate) timing: bool,
     /// Whether delta responses carry the per-phase `timings` breakdown
@@ -50,45 +48,92 @@ pub(crate) struct SessionCore {
     pub(crate) timings: bool,
 }
 
-/// Lifecycle of one session slot. Deltas that arrive while the baseline
-/// is still computing wait on the slot's condvar instead of failing.
-pub(crate) enum SlotState {
-    /// The open job has not finished the baseline yet.
-    Opening,
-    /// The session is resident and accepts deltas.
-    Ready(Box<SessionCore>),
-    /// The open job failed; waiting deltas report the session unknown.
-    Failed,
+/// One session's turn keeper.
+struct SessionSlot {
+    turns: Mutex<Turns>,
+    /// Signalled whenever a turn ends.
+    turn_ended: Condvar,
 }
 
-/// One session's synchronization cell. The state mutex doubles as the
-/// per-session execution lock: concurrent deltas on one session apply
-/// one at a time, in pool order.
-pub(crate) struct SessionSlot {
-    /// The slot's lifecycle state (and per-session delta lock).
-    pub(crate) state: Mutex<SlotState>,
-    /// Signalled when the slot leaves [`SlotState::Opening`].
-    pub(crate) ready: Condvar,
+struct Turns {
+    /// The resident core. `None` while a turn holds it, and for good once
+    /// the open failed or a delta unwound.
+    core: Option<Box<SessionCore>>,
+    /// Turns drawn so far (the open holds turn 0).
+    drawn: u64,
+    /// The turn that may run now.
+    serving: u64,
 }
 
-impl SessionSlot {
-    fn new() -> Arc<Self> {
-        Arc::new(Self {
-            state: Mutex::new(SlotState::Opening),
-            ready: Condvar::new(),
-        })
+/// A frame's place in its session's order (see the module docs).
+#[derive(Clone)]
+pub(crate) struct Turn {
+    table: Arc<SessionTable>,
+    session: u64,
+    slot: Arc<SessionSlot>,
+    number: u64,
+}
+
+impl Turn {
+    /// Gives back a turn the pool refused. A refused open releases its
+    /// reservation; a refused delta's number goes to the next delta,
+    /// which is sound because the connection draws no other turn before
+    /// this frame's dispatch returns.
+    pub(crate) fn refuse(self) {
+        if self.number == 0 {
+            self.table.fail(self.session, &self.slot);
+        } else {
+            self.slot.turns.lock().expect("session slot poisoned").drawn -= 1;
+        }
     }
 
-    /// Publishes the opened core and wakes waiting deltas.
-    pub(crate) fn fulfill(&self, core: SessionCore) {
-        *self.state.lock().expect("session slot poisoned") = SlotState::Ready(Box::new(core));
-        self.ready.notify_all();
+    /// Waits for this turn, then runs `frame` on the session's core
+    /// (`None` for the open, and once the open failed or a delta
+    /// unwound; the open's `frame` fills it in). The turn ends
+    /// on every exit path. If `frame` unwinds, the core it held is
+    /// dropped and the session closed, so later frames answer
+    /// `unknown-session` instead of running on half-applied state.
+    pub(crate) fn run<T>(self, frame: impl FnOnce(&mut Option<Box<SessionCore>>) -> T) -> T {
+        let mut turns = self.slot.turns.lock().expect("session slot poisoned");
+        while turns.serving != self.number {
+            turns = self
+                .slot
+                .turn_ended
+                .wait(turns)
+                .expect("session slot poisoned");
+        }
+        let core = turns.core.take();
+        drop(turns);
+        let mut held = Held { turn: self, core };
+        frame(&mut held.core)
     }
+}
 
-    /// Marks the open as failed and wakes waiting deltas.
-    pub(crate) fn abandon(&self) {
-        *self.state.lock().expect("session slot poisoned") = SlotState::Failed;
-        self.ready.notify_all();
+/// The core a running turn holds, handed back when the turn ends.
+struct Held {
+    turn: Turn,
+    core: Option<Box<SessionCore>>,
+}
+
+impl Drop for Held {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.core = None;
+        }
+        let Turn {
+            table,
+            session,
+            slot,
+            ..
+        } = &self.turn;
+        if self.core.is_none() {
+            table.fail(*session, slot);
+        }
+        let mut turns = slot.turns.lock().unwrap_or_else(PoisonError::into_inner);
+        turns.core = self.core.take();
+        turns.serving += 1;
+        drop(turns);
+        slot.turn_ended.notify_all();
     }
 }
 
@@ -133,7 +178,7 @@ impl SessionTable {
         })
     }
 
-    /// Reserves a slot for `session` in the [`SlotState::Opening`] state.
+    /// Reserves a slot for `session` and returns the open's turn 0.
     /// Re-opening an id that is already open replaces the previous
     /// session. At the daemon-wide capacity this connection's
     /// least-recently-used session is evicted to make room.
@@ -142,10 +187,7 @@ impl SessionTable {
     ///
     /// Returns `overloaded` when the daemon-wide budget is exhausted and
     /// this connection has no session of its own to evict.
-    pub(crate) fn open_reserve(
-        &self,
-        session: u64,
-    ) -> Result<Arc<SessionSlot>, (ErrorKind, String)> {
+    pub(crate) fn open(self: &Arc<Self>, session: u64) -> Result<Turn, (ErrorKind, String)> {
         let mut inner = self.inner.lock().expect("session table poisoned");
         if inner.slots.remove(&session).is_some() {
             self.release_count(1);
@@ -184,7 +226,14 @@ impl SessionTable {
             inner.slots.remove(&lru);
             self.release_count(1);
         }
-        let slot = SessionSlot::new();
+        let slot = Arc::new(SessionSlot {
+            turns: Mutex::new(Turns {
+                core: None,
+                drawn: 1,
+                serving: 0,
+            }),
+            turn_ended: Condvar::new(),
+        });
         let tick = inner.tick;
         inner.tick += 1;
         inner.slots.insert(
@@ -194,17 +243,35 @@ impl SessionTable {
                 slot: Arc::clone(&slot),
             },
         );
-        Ok(slot)
+        Ok(self.turn(session, slot, 0))
     }
 
-    /// Looks up an open session, refreshing its LRU position.
-    pub(crate) fn lookup(&self, session: u64) -> Option<Arc<SessionSlot>> {
-        let mut inner = self.inner.lock().expect("session table poisoned");
-        let tick = inner.tick;
-        inner.tick += 1;
-        let entry = inner.slots.get_mut(&session)?;
-        entry.last_use = tick;
-        Some(Arc::clone(&entry.slot))
+    /// Looks up an open session, refreshing its LRU position, and draws
+    /// the next turn on it.
+    pub(crate) fn next_turn(self: &Arc<Self>, session: u64) -> Option<Turn> {
+        let slot = {
+            let mut inner = self.inner.lock().expect("session table poisoned");
+            let tick = inner.tick;
+            inner.tick += 1;
+            let entry = inner.slots.get_mut(&session)?;
+            entry.last_use = tick;
+            Arc::clone(&entry.slot)
+        };
+        let number = {
+            let mut turns = slot.turns.lock().expect("session slot poisoned");
+            turns.drawn += 1;
+            turns.drawn - 1
+        };
+        Some(self.turn(session, slot, number))
+    }
+
+    fn turn(self: &Arc<Self>, session: u64, slot: Arc<SessionSlot>, number: u64) -> Turn {
+        Turn {
+            table: Arc::clone(self),
+            session,
+            slot,
+            number,
+        }
     }
 
     /// Removes a session (the `session.close` path). Returns whether it
@@ -223,11 +290,14 @@ impl SessionTable {
         removed
     }
 
-    /// Releases a slot whose open failed — but only while `session` still
-    /// maps to this very slot, so a concurrent re-open (which replaced
-    /// the entry) never loses its fresh slot or its budget count.
-    pub(crate) fn fail(&self, session: u64, slot: &Arc<SessionSlot>) {
-        let mut inner = self.inner.lock().expect("session table poisoned");
+    /// Releases a slot whose open failed or was refused, or whose delta
+    /// unwound — but only while `session` still maps to this very slot,
+    /// so a concurrent re-open (which replaced the entry) never loses its
+    /// fresh slot or its budget count.
+    fn fail(&self, session: u64, slot: &Arc<SessionSlot>) {
+        // Runs from `Held::drop` too, so it must not panic: every update
+        // of the table is one map operation, valid after any panic.
+        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         if inner
             .slots
             .get(&session)
