@@ -4,15 +4,15 @@
 //! ```text
 //! sigserve [--addr 127.0.0.1:4715 | --stdio]
 //!          [--workers N] [--queue N] [--cache N] [--sessions N]
-//!          [--models-dir PATH] [--max-frame BYTES] [--io-threads N]
+//!          [--models-dir PATH] [--max-frame BYTES]
 //!          [--max-inflight N] [--admission N]
 //!          [--preload NAME[/LIBRARY][,NAME...]] [--trace PATH]
 //! ```
 //!
-//! TCP is served by the epoll readiness loop (pipelined requests,
-//! in-order responses, admission control; `--io-threads` reactors).
-//! `--max-inflight` bounds the per-connection pipelining window and
-//! `--admission` the daemon-wide heavy requests in flight.
+//! TCP is served by one epoll reactor on the main thread (pipelined
+//! requests, in-order responses, admission control). `--max-inflight`
+//! bounds the per-connection pipelining window and `--admission` the
+//! daemon-wide heavy requests in flight.
 //!
 //! `--trace PATH` forces `SIG_OBS=trace` (span journaling on) and writes
 //! whatever the journal still holds at exit as a Chrome trace-event JSON
@@ -37,8 +37,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: sigserve [--addr HOST:PORT | --stdio] [--workers N] [--queue N] \
          [--cache N] [--sessions N] [--models-dir PATH] [--max-frame BYTES] \
-         [--io-threads N] [--max-inflight N] [--admission N] \
-         [--preload NAME,...] [--trace PATH]"
+         [--max-inflight N] [--admission N] [--preload NAME,...] [--trace PATH]"
     );
     std::process::exit(2);
 }
@@ -61,7 +60,6 @@ fn main() {
             "--cache" => config.cache_capacity = parse(args.parse()),
             "--sessions" => config.session_capacity = parse(args.parse()),
             "--max-frame" => config.max_frame = parse(args.parse()),
-            "--io-threads" => config.io_threads = parse(args.parse()),
             "--max-inflight" => config.max_inflight = parse(args.parse()),
             "--admission" => config.admission_budget = parse(args.parse()),
             "--models-dir" => config.models_dir = require(args.value()).into(),

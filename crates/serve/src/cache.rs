@@ -103,8 +103,8 @@ impl CacheKey {
 /// Streams a circuit source's key material into a hasher: a tag prefix
 /// plus the source text, so a name and an inline body spelling the same
 /// bytes never collide. This is the single definition of the source key
-/// encoding.
-fn hash_source(h: &mut ContentHasher, source: &CircuitSource) {
+/// encoding; the router's shard key hashes it too.
+pub(crate) fn hash_source(h: &mut ContentHasher, source: &CircuitSource) {
     match source {
         CircuitSource::Name(n) => {
             h.update(b"name:");

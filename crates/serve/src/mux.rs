@@ -1,5 +1,4 @@
-//! The multiplexed TCP transport: an epoll readiness loop (one reactor
-//! thread by default, `io_threads` to shard connections) serving every
+//! The multiplexed TCP transport: one epoll reactor thread serving every
 //! connection without per-connection threads, with request pipelining,
 //! strict in-order response write-back, and two layers of explicit
 //! backpressure.
@@ -9,22 +8,29 @@
 //!
 //! # Shape
 //!
-//! Each reactor owns a [`crate::reactor::Poller`], a wake channel, and
-//! the connections assigned to it. Reactor 0 additionally owns the
-//! listener; accepted sockets are handed out round-robin. A connection
-//! is a non-blocking socket, a [`FrameReader`] over its read side, the
-//! backend's per-connection state, an output byte buffer, and two
-//! sequence cursors:
+//! The reactor runs on the thread that calls [`serve_mux`] and owns the
+//! listener, a [`crate::reactor::Poller`], a wake channel and every
+//! connection. A connection is a non-blocking socket, a [`FrameReader`]
+//! over its read side, the backend's per-connection state, a reorder map
+//! of answered lines, an output byte buffer, and two sequence cursors:
 //!
 //! * `next_seq` — assigned to each frame as it is dispatched,
 //! * `next_write` — the next sequence whose response may be written.
 //!
-//! Workers (and inline handlers) never touch the socket: a frame's
-//! [`Responder`] deposits the encoded line under its sequence number in
-//! the connection's completion map, then wakes the owning reactor. The
-//! reactor drains completions **in sequence order** into the output
-//! buffer, so pipelined responses always come back in request order no
-//! matter how the backend interleaves execution.
+//! Workers (and inline handlers) never touch a connection: a frame's
+//! [`Responder`] posts `(connection token, sequence, line)` to the
+//! mailbox and wakes the reactor, which files each line in its
+//! connection's reorder map and writes the map out **in sequence
+//! order**, so pipelined responses always come back in request order no
+//! matter how the backend interleaves execution. Lines for a connection
+//! that has closed are dropped (tokens are never reused). The admission
+//! counter, the waker and the mailbox are all the transport shares
+//! across threads.
+//!
+//! A peer that resets its connection, or a socket error, closes the
+//! connection at once: nothing written could reach the peer, so its
+//! frames in flight answer into the void. A peer that only half-closes
+//! still reads every answer to the frames it sent.
 //!
 //! # Backpressure and admission control
 //!
@@ -42,8 +48,7 @@
 //!   executing requests with decode/reject churn.
 //!
 //! An idle daemon does **zero periodic work**: `epoll_wait` blocks
-//! without a timeout, and shutdown reaches every reactor through its
-//! wake channel (regression-tested below via the wakeup counter).
+//! without a timeout (regression-tested below via the wakeup counter).
 
 use std::collections::HashMap;
 use std::io::{BufReader, Write};
@@ -53,17 +58,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
-use crate::protocol::{
-    decode_request, encode_response, salvage_id, ErrorKind, FrameReader, Request, Response,
-};
+use crate::protocol::{ErrorKind, FrameReader, Request, Response};
 use crate::reactor::{wake_channel, Event, Interest, Poller, WakeReceiver, Waker};
+use crate::server::{decode_frame, encode_frame};
 use crate::service::{Handled, ServiceConfig};
-
-/// Wire-edge phases on the reactor/worker threads; the same span names
-/// as the stdio transport, so traces and the `stats` quantiles read the
-/// same regardless of transport.
-static DECODE: sigobs::Hist = sigobs::Hist::new("serve.decode");
-static ENCODE: sigobs::Hist = sigobs::Hist::new("serve.encode");
 
 const TOKEN_LISTENER: u64 = 0;
 const TOKEN_WAKER: u64 = 1;
@@ -79,8 +77,8 @@ pub trait Backend: Send + Sync + 'static {
     /// Per-connection state, opened on accept and dropped on close.
     type Conn: Send + 'static;
 
-    /// The transport limits: the mux reads `max_frame`, `io_threads`,
-    /// `max_inflight` and `admission_budget`.
+    /// The transport limits: the mux reads `max_frame`, `max_inflight`
+    /// and `admission_budget`.
     fn config(&self) -> &ServiceConfig;
 
     /// The transport counters the mux maintains for this backend.
@@ -116,55 +114,27 @@ pub struct TransportCounters {
     pub reactor_wakeups: AtomicU64,
 }
 
-/// State a connection shares with its in-flight responders.
-struct ConnShared {
-    /// The connection's epoll token (unique per accepted socket).
-    token: u64,
-    /// Index of the owning reactor.
-    reactor: usize,
-    /// Set when the connection is gone; late responders drop their line.
-    dead: AtomicBool,
-    /// The token is already on the owning reactor's dirty list.
-    queued: AtomicBool,
-    /// Encoded response lines waiting for their turn, keyed by sequence.
-    completions: Mutex<HashMap<u64, String>>,
-}
+/// An answered line on its way to the reactor: the connection's token,
+/// the frame's sequence number, and the line.
+type Answer = (u64, u64, String);
 
-/// Per-reactor handle visible to every thread: how to reach the reactor.
-struct ReactorHandle {
-    waker: Arc<Waker>,
-    /// Sockets accepted by reactor 0 awaiting adoption here.
-    inbox: Mutex<Vec<TcpStream>>,
-    /// Connections with fresh completions to drain.
-    dirty: Mutex<Vec<u64>>,
-}
-
-/// State shared by all reactors and responders.
+/// What the reactor shares with the responders of in-flight frames.
 struct MuxShared {
-    /// Mux-wide shutdown flag (a `shutdown` frame on any connection).
-    stop: AtomicBool,
-    /// Heavy requests admitted and not yet answered, mux-wide.
+    /// Heavy requests admitted and not yet answered.
     admission: AtomicUsize,
-    /// Round-robin cursor for assigning accepted sockets to reactors.
-    next_reactor: AtomicUsize,
-    reactors: Vec<ReactorHandle>,
+    /// Wakes the reactor once the mailbox holds answers.
+    waker: Arc<Waker>,
+    /// Answers the reactor has not filed yet.
+    mailbox: Mutex<Vec<Answer>>,
 }
 
-impl MuxShared {
-    fn wake_all(&self) {
-        for r in &self.reactors {
-            r.waker.wake();
-        }
-    }
-}
-
-/// The one answer owed to a dispatched frame: it deposits the line at
-/// the frame's sequence number and releases its admission slot, once.
-/// Dropped unanswered (say, by a job that panicked), it answers
+/// The one answer owed to a dispatched frame: it releases the frame's
+/// admission slot and posts the line at the frame's sequence number,
+/// once. Dropped unanswered (say, by a job that panicked), it answers
 /// `internal`, so later responses never stall and no slot leaks.
 pub struct Responder {
     shared: Arc<MuxShared>,
-    conn: Arc<ConnShared>,
+    token: u64,
     seq: u64,
     id: Option<u64>,
     admitted: bool,
@@ -180,10 +150,7 @@ impl Responder {
 
     /// Answers with `response`.
     pub fn respond(&self, response: &Response) {
-        let sw = sigobs::stopwatch();
-        let line = encode_response(response);
-        sw.observe_span(&ENCODE, "serve.encode");
-        self.respond_line(line);
+        self.respond_line(encode_frame(response));
     }
 
     /// Answers with an encoded response line (no trailing newline),
@@ -195,25 +162,14 @@ impl Responder {
         if self.admitted {
             self.shared.admission.fetch_sub(1, Ordering::AcqRel);
         }
-        let conn = &self.conn;
-        if conn.dead.load(Ordering::Acquire) {
-            return;
-        }
-        // Runs from `Drop` too, so it must not panic: one insert or push
-        // under each lock leaves the data valid even after a panic.
-        conn.completions
+        // Runs from `Drop` too, so it must not panic: one push under the
+        // lock leaves the mailbox valid even after a panic.
+        self.shared
+            .mailbox
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .insert(self.seq, line);
-        let handle = &self.shared.reactors[conn.reactor];
-        if !conn.queued.swap(true, Ordering::AcqRel) {
-            handle
-                .dirty
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .push(conn.token);
-        }
-        handle.waker.wake();
+            .push((self.token, self.seq, line));
+        self.shared.waker.wake();
     }
 }
 
@@ -235,13 +191,14 @@ pub(crate) fn unanswered(id: Option<u64>) -> Response {
     }
 }
 
-/// One multiplexed connection, owned by its reactor thread.
+/// One multiplexed connection, owned by the reactor.
 struct Conn<S> {
     stream: TcpStream,
     frames: FrameReader<BufReader<TcpStream>>,
-    shared: Arc<ConnShared>,
     /// The backend's per-connection state.
     state: S,
+    /// Answered lines waiting for their turn, keyed by sequence.
+    answers: HashMap<u64, String>,
     /// Pending output bytes; `out[out_pos..]` is unwritten.
     out: Vec<u8>,
     out_pos: usize,
@@ -251,7 +208,7 @@ struct Conn<S> {
     next_write: u64,
     /// Stop reading: EOF, read failure, or mux shutdown.
     eof: bool,
-    /// Write side failed; the connection is torn down at next settle.
+    /// A write failed; the connection is torn down at the next settle.
     broken: bool,
     /// Current epoll interest (to skip redundant `EPOLL_CTL_MOD`s).
     interest: Interest,
@@ -271,12 +228,18 @@ impl<S> Conn<S> {
     }
 
     /// The responder of the next frame, at the next sequence number.
-    fn responder(&mut self, shared: &Arc<MuxShared>, id: Option<u64>, admitted: bool) -> Responder {
+    fn responder(
+        &mut self,
+        shared: &Arc<MuxShared>,
+        token: u64,
+        id: Option<u64>,
+        admitted: bool,
+    ) -> Responder {
         let seq = self.next_seq;
         self.next_seq += 1;
         Responder {
             shared: Arc::clone(shared),
-            conn: Arc::clone(&self.shared),
+            token,
             seq,
             id,
             admitted,
@@ -284,116 +247,105 @@ impl<S> Conn<S> {
         }
     }
 
-    /// Moves every response whose turn has come from the completion map
-    /// into the output buffer.
-    fn collect_completions(&mut self) {
-        loop {
-            let line = self
-                .shared
-                .completions
-                .lock()
-                .expect("completions poisoned")
-                .remove(&self.next_write);
-            match line {
-                Some(l) => {
-                    self.out.extend_from_slice(l.as_bytes());
-                    self.out.push(b'\n');
-                    self.next_write += 1;
-                }
-                None => break,
-            }
+    /// Moves every answered line whose turn has come into the output
+    /// buffer.
+    fn collect_answers(&mut self) {
+        while let Some(line) = self.answers.remove(&self.next_write) {
+            self.out.extend_from_slice(line.as_bytes());
+            self.out.push(b'\n');
+            self.next_write += 1;
         }
     }
+
+    /// Writes pending output until the socket would block.
+    fn flush(&mut self) {
+        while self.out_pos < self.out.len() {
+            match self.stream.write(&self.out[self.out_pos..]) {
+                Ok(0) => {
+                    self.broken = true;
+                    break;
+                }
+                Ok(n) => self.out_pos += n,
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(_) => {
+                    self.broken = true;
+                    break;
+                }
+            }
+        }
+        if self.out_pos == self.out.len() {
+            self.out.clear();
+            self.out_pos = 0;
+        } else if self.out_pos >= OUT_HIGH_WATER {
+            // Reclaim the written prefix before it dwarfs the backlog.
+            self.out.drain(..self.out_pos);
+            self.out_pos = 0;
+        }
+    }
+}
+
+/// Files the mailed answers in their connections' reorder maps and
+/// returns the tokens that received any. A connection closed since its
+/// frame was read drops the answer: tokens are never reused.
+fn file_answers<S>(conns: &mut HashMap<u64, Conn<S>>, mailbox: &Mutex<Vec<Answer>>) -> Vec<u64> {
+    let mail = std::mem::take(&mut *mailbox.lock().expect("mailbox poisoned"));
+    let mut tokens = Vec::new();
+    for (token, seq, line) in mail {
+        if let Some(conn) = conns.get_mut(&token) {
+            conn.answers.insert(seq, line);
+            tokens.push(token);
+        }
+    }
+    tokens.sort_unstable();
+    tokens.dedup();
+    tokens
 }
 
 struct Reactor<B: Backend> {
     backend: Arc<B>,
     shared: Arc<MuxShared>,
-    idx: usize,
     poller: Poller,
     wake_rx: WakeReceiver,
-    listener: Option<TcpListener>,
+    listener: TcpListener,
     conns: HashMap<u64, Conn<B::Conn>>,
     next_token: u64,
+    /// A `shutdown` frame was dispatched: the loop ends after this batch.
+    stop: bool,
 }
 
 impl<B: Backend> Reactor<B> {
     fn run(mut self) {
         let mut events: Vec<Event> = Vec::new();
-        loop {
-            events.clear();
-            if self.poller.wait(&mut events, None).is_err() {
-                break;
-            }
+        // A fatal poller failure ends the loop too: the daemon still
+        // drains, and the connections drop (clients see resets).
+        while !self.stop && self.poller.wait(&mut events, None).is_ok() {
             self.backend
                 .counters()
                 .reactor_wakeups
                 .fetch_add(1, Ordering::Relaxed);
-            for &ev in &events {
+            for ev in events.drain(..) {
                 match ev.token {
-                    TOKEN_WAKER => {
-                        let waker = Arc::clone(&self.shared.reactors[self.idx].waker);
-                        self.wake_rx.rearm(&waker);
-                    }
+                    TOKEN_WAKER => self.wake_rx.rearm(&self.shared.waker),
                     TOKEN_LISTENER => self.accept_ready(),
                     token => self.conn_event(token, ev),
                 }
             }
-            self.adopt_inbox();
-            self.drain_dirty();
-            if self.shared.stop.load(Ordering::SeqCst) {
-                self.finalize();
-                return;
-            }
+            self.deliver();
         }
-        // Fatal poller failure: release what we hold so the daemon can
-        // at least drain (connections drop; clients see resets).
         self.finalize();
     }
 
     fn accept_ready(&mut self) {
         loop {
-            let accepted = match &self.listener {
-                Some(l) => l.accept(),
-                None => return,
-            };
-            match accepted {
-                Ok((stream, _peer)) => {
-                    let n = self.shared.reactors.len();
-                    let target = if n == 1 {
-                        self.idx
-                    } else {
-                        self.shared.next_reactor.fetch_add(1, Ordering::Relaxed) % n
-                    };
-                    if target == self.idx {
-                        self.adopt(stream);
-                    } else {
-                        self.shared.reactors[target]
-                            .inbox
-                            .lock()
-                            .expect("inbox poisoned")
-                            .push(stream);
-                        self.shared.reactors[target].waker.wake();
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
+            match self.listener.accept() {
+                Ok((stream, _peer)) => self.adopt(stream),
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                // Transient accept failures (per-connection resets,
-                // fd-limit pressure) must not kill the daemon.
+                // `WouldBlock` ends the backlog; transient accept failures
+                // (per-connection resets, fd-limit pressure) must not kill
+                // the daemon.
                 Err(_) => return,
             }
-        }
-    }
-
-    fn adopt_inbox(&mut self) {
-        let streams = std::mem::take(
-            &mut *self.shared.reactors[self.idx]
-                .inbox
-                .lock()
-                .expect("inbox poisoned"),
-        );
-        for stream in streams {
-            self.adopt(stream);
         }
     }
 
@@ -419,14 +371,8 @@ impl<B: Backend> Reactor<B> {
         let conn = Conn {
             frames: FrameReader::new(BufReader::new(read_half), max_frame),
             stream,
-            shared: Arc::new(ConnShared {
-                token,
-                reactor: self.idx,
-                dead: AtomicBool::new(false),
-                queued: AtomicBool::new(false),
-                completions: Mutex::new(HashMap::new()),
-            }),
             state: self.backend.connect(),
+            answers: HashMap::new(),
             out: Vec::new(),
             out_pos: 0,
             next_seq: 0,
@@ -443,22 +389,32 @@ impl<B: Backend> Reactor<B> {
     }
 
     fn conn_event(&mut self, token: u64, ev: Event) {
-        if !self.conns.contains_key(&token) {
+        if ev.hangup {
+            // Reset or errored: no answer can reach the peer any more,
+            // and the level-triggered report would repeat until close.
+            self.close_conn(token);
+        } else {
+            self.progress(token, ev.readable, |conn| {
+                if ev.writable {
+                    conn.flush();
+                }
+            });
+        }
+    }
+
+    /// Applies `update` to a connection's output, reads on when the
+    /// socket is readable or `update` lifted a backpressure pause, then
+    /// settles. Frames may wait in the user-space read buffer after a
+    /// pause, and no epoll event announces them.
+    fn progress(&mut self, token: u64, readable: bool, update: impl FnOnce(&mut Conn<B::Conn>)) {
+        let max_inflight = self.backend.config().max_inflight.max(1);
+        let Some(conn) = self.conns.get_mut(&token) else {
             return; // stale event for a connection closed this batch
-        }
-        if ev.readable {
+        };
+        let was_paused = conn.paused(max_inflight);
+        update(conn);
+        if readable || (was_paused && !conn.paused(max_inflight)) {
             self.read_dispatch(token);
-        }
-        if ev.writable {
-            self.flush(token);
-        }
-        if ev.closed && !ev.readable && !ev.writable {
-            // Pure hang-up (EPOLLERR/EPOLLHUP with no data): the socket
-            // is dead in both directions.
-            if let Some(conn) = self.conns.get_mut(&token) {
-                conn.eof = true;
-                conn.broken = true;
-            }
         }
         self.settle(token);
     }
@@ -466,10 +422,8 @@ impl<B: Backend> Reactor<B> {
     /// Reads and dispatches frames until the socket would block, the
     /// connection pauses (backpressure), ends, or the daemon stops.
     fn read_dispatch(&mut self, token: u64) {
-        let shared = Arc::clone(&self.shared);
-        let backend = Arc::clone(&self.backend);
-        let max_inflight = backend.config().max_inflight.max(1);
-        let admission_budget = backend.config().admission_budget.max(1);
+        let max_inflight = self.backend.config().max_inflight.max(1);
+        let admission_budget = self.backend.config().admission_budget.max(1);
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
@@ -477,7 +431,7 @@ impl<B: Backend> Reactor<B> {
             if conn.eof || conn.broken || conn.paused(max_inflight) {
                 return;
             }
-            if shared.stop.load(Ordering::SeqCst) {
+            if self.stop {
                 // A client that keeps sending frames must not keep the
                 // daemon alive after a shutdown was acknowledged.
                 conn.eof = true;
@@ -485,10 +439,6 @@ impl<B: Backend> Reactor<B> {
             }
             let frame = match conn.frames.next_frame() {
                 Ok(Some(frame)) => frame,
-                Ok(None) => {
-                    conn.eof = true;
-                    return;
-                }
                 Err(e)
                     if matches!(
                         e.kind(),
@@ -497,42 +447,27 @@ impl<B: Backend> Reactor<B> {
                 {
                     return;
                 }
-                Err(_) => {
-                    // Transport read failure: stop reading, but keep the
-                    // write side so already-accepted requests answer.
+                // EOF or a transport read failure: stop reading, but keep
+                // the write side so already-accepted requests answer.
+                Ok(None) | Err(_) => {
                     conn.eof = true;
                     return;
                 }
             };
-            let line = match frame {
-                Ok(line) => line,
-                Err(e) => {
-                    // Per-frame protocol violation: answers in order like
-                    // any other request.
-                    conn.responder(&shared, None, false)
-                        .respond(&e.to_response(None));
+            let (line, request) = match decode_frame(frame) {
+                None => continue,
+                Some(Ok(decoded)) => decoded,
+                // Per-frame protocol violation: answers in order like any
+                // other request.
+                Some(Err(error)) => {
+                    conn.responder(&self.shared, token, None, false)
+                        .respond(&error);
                     continue;
                 }
             };
-            if line.trim().is_empty() {
-                continue;
-            }
-            let sw = sigobs::stopwatch();
-            let request = match decode_request(&line) {
-                Ok(r) => r,
-                Err(e) => {
-                    sw.observe_span(&DECODE, "serve.decode");
-                    conn.responder(&shared, None, false)
-                        .respond(&e.to_response(salvage_id(&line)));
-                    continue;
-                }
-            };
-            sw.observe_span(&DECODE, "serve.decode");
+            let counters = self.backend.counters();
             if conn.inflight() >= 1 {
-                backend
-                    .counters()
-                    .frames_pipelined
-                    .fetch_add(1, Ordering::Relaxed);
+                counters.frames_pipelined.fetch_add(1, Ordering::Relaxed);
             }
             let id = request.id();
             let heavy = matches!(
@@ -542,13 +477,11 @@ impl<B: Backend> Reactor<B> {
                     | Request::SessionOpen { .. }
                     | Request::SessionDelta { .. }
             );
-            if heavy && shared.admission.fetch_add(1, Ordering::AcqRel) >= admission_budget {
-                shared.admission.fetch_sub(1, Ordering::AcqRel);
-                backend
-                    .counters()
-                    .admission_rejects
-                    .fetch_add(1, Ordering::Relaxed);
-                conn.responder(&shared, None, false)
+            let admission = &self.shared.admission;
+            if heavy && admission.fetch_add(1, Ordering::AcqRel) >= admission_budget {
+                admission.fetch_sub(1, Ordering::AcqRel);
+                counters.admission_rejects.fetch_add(1, Ordering::Relaxed);
+                conn.responder(&self.shared, token, None, false)
                     .respond(&Response::Error {
                         id: Some(id),
                         kind: ErrorKind::Overloaded,
@@ -556,44 +489,16 @@ impl<B: Backend> Reactor<B> {
                     });
                 continue;
             }
-            let responder = conn.responder(&shared, Some(id), heavy);
-            let handled = backend.dispatch(&mut conn.state, &line, request, responder);
-            if handled == Handled::Shutdown {
-                shared.stop.store(true, Ordering::SeqCst);
-                shared.wake_all();
+            let responder = conn.responder(&self.shared, token, Some(id), heavy);
+            if self
+                .backend
+                .dispatch(&mut conn.state, &line, request, responder)
+                == Handled::Shutdown
+            {
+                self.stop = true;
                 conn.eof = true;
                 return;
             }
-        }
-    }
-
-    /// Writes pending output until the socket would block.
-    fn flush(&mut self, token: u64) {
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return;
-        };
-        while conn.out_pos < conn.out.len() {
-            match conn.stream.write(&conn.out[conn.out_pos..]) {
-                Ok(0) => {
-                    conn.broken = true;
-                    break;
-                }
-                Ok(n) => conn.out_pos += n,
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(_) => {
-                    conn.broken = true;
-                    break;
-                }
-            }
-        }
-        if conn.out_pos == conn.out.len() {
-            conn.out.clear();
-            conn.out_pos = 0;
-        } else if conn.out_pos >= OUT_HIGH_WATER {
-            // Reclaim the written prefix before it dwarfs the backlog.
-            conn.out.drain(..conn.out_pos);
-            conn.out_pos = 0;
         }
     }
 
@@ -627,8 +532,7 @@ impl<B: Backend> Reactor<B> {
     }
 
     fn close_conn(&mut self, token: u64) {
-        if let Some(conn) = self.conns.remove(&token) {
-            conn.shared.dead.store(true, Ordering::Release);
+        if self.conns.remove(&token).is_some() {
             self.backend
                 .counters()
                 .connections_open
@@ -640,57 +544,39 @@ impl<B: Backend> Reactor<B> {
         }
     }
 
-    /// Drains freshly completed responses: in-order collection into the
-    /// output buffers, an opportunistic flush, and a read resume when
-    /// the flush lifted a backpressure pause.
-    fn drain_dirty(&mut self) {
-        let max_inflight = self.backend.config().max_inflight.max(1);
-        let tokens = std::mem::take(
-            &mut *self.shared.reactors[self.idx]
-                .dirty
-                .lock()
-                .expect("dirty list poisoned"),
-        );
-        for token in tokens {
-            let Some(conn) = self.conns.get_mut(&token) else {
-                continue; // closed since it was queued
-            };
-            // Clear the flag before draining so a racing deposit either
-            // lands before the drain or re-queues the token.
-            conn.shared.queued.store(false, Ordering::Release);
-            let was_paused = conn.paused(max_inflight);
-            conn.collect_completions();
-            self.flush(token);
-            let unpaused = self
-                .conns
-                .get(&token)
-                .is_some_and(|c| was_paused && !c.paused(max_inflight));
-            if unpaused {
-                // Frames may be sitting in the connection's user-space
-                // read buffer; no epoll event will ever announce them.
-                self.read_dispatch(token);
-            }
-            self.settle(token);
+    /// Delivers mailed answers: in-order collection into the output
+    /// buffers and an opportunistic flush.
+    fn deliver(&mut self) {
+        for token in file_answers(&mut self.conns, &self.shared.mailbox) {
+            self.progress(token, false, |conn| {
+                conn.collect_answers();
+                conn.flush();
+            });
         }
     }
 
     /// Shutdown epilogue: stop accepting, wait for every in-flight job
-    /// to deposit, then write every connection's remaining responses
+    /// to answer, then write every connection's remaining responses
     /// with a bounded blocking flush.
-    fn finalize(&mut self) {
-        if let Some(listener) = self.listener.take() {
-            let _ = self.poller.deregister(listener.as_raw_fd());
-        }
-        // Frames dispatched by this reactor deposit their completions
-        // before drain returns.
-        self.backend.drain();
-        for (_token, mut conn) in self.conns.drain() {
-            conn.shared.dead.store(true, Ordering::Release);
-            self.backend
+    fn finalize(self) {
+        let Reactor {
+            backend,
+            shared,
+            listener,
+            mut conns,
+            ..
+        } = self;
+        // Clients that connect from here on are refused.
+        drop(listener);
+        // Every dispatched frame has posted its answer once drain returns.
+        backend.drain();
+        file_answers(&mut conns, &shared.mailbox);
+        for mut conn in conns.into_values() {
+            backend
                 .counters()
                 .connections_open
                 .fetch_sub(1, Ordering::SeqCst);
-            conn.collect_completions();
+            conn.collect_answers();
             if conn.broken || conn.pending_out() == 0 {
                 continue;
             }
@@ -705,60 +591,36 @@ impl<B: Backend> Reactor<B> {
 }
 
 /// Serves `backend` on a bound TCP listener with the epoll transport
-/// until a client requests shutdown. `config().io_threads` reactors
-/// multiplex all connections; see the module docs for the pipelining,
-/// ordering, and admission-control semantics.
+/// until a client requests shutdown. The reactor runs on the calling
+/// thread and multiplexes every connection; see the module docs for the
+/// pipelining, ordering, and admission-control semantics.
 ///
 /// # Errors
 ///
 /// Returns the I/O error that prevented the transport from starting
-/// (epoll instance, wake channels, registrations). Runtime per-
-/// connection failures never kill the daemon.
+/// (epoll instance, wake channel, registrations). Runtime
+/// per-connection failures never kill the daemon.
 pub fn serve_mux<B: Backend>(backend: &Arc<B>, listener: TcpListener) -> std::io::Result<()> {
     listener.set_nonblocking(true)?;
-    let io_threads = backend.config().io_threads.max(1);
-    let mut receivers = Vec::with_capacity(io_threads);
-    let mut handles = Vec::with_capacity(io_threads);
-    for _ in 0..io_threads {
-        let (waker, rx) = wake_channel()?;
-        receivers.push(rx);
-        handles.push(ReactorHandle {
+    let (waker, wake_rx) = wake_channel()?;
+    let poller = Poller::new()?;
+    poller.register(wake_rx.raw_fd(), TOKEN_WAKER, Interest::READ)?;
+    poller.register(listener.as_raw_fd(), TOKEN_LISTENER, Interest::READ)?;
+    Reactor {
+        backend: Arc::clone(backend),
+        shared: Arc::new(MuxShared {
+            admission: AtomicUsize::new(0),
             waker,
-            inbox: Mutex::new(Vec::new()),
-            dirty: Mutex::new(Vec::new()),
-        });
+            mailbox: Mutex::new(Vec::new()),
+        }),
+        poller,
+        wake_rx,
+        listener,
+        conns: HashMap::new(),
+        next_token: TOKEN_CONN_BASE,
+        stop: false,
     }
-    let shared = Arc::new(MuxShared {
-        stop: AtomicBool::new(false),
-        admission: AtomicUsize::new(0),
-        next_reactor: AtomicUsize::new(0),
-        reactors: handles,
-    });
-    let mut listener = Some(listener);
-    let mut threads = Vec::with_capacity(io_threads);
-    for (idx, wake_rx) in receivers.into_iter().enumerate() {
-        let poller = Poller::new()?;
-        poller.register(wake_rx.raw_fd(), TOKEN_WAKER, Interest::READ)?;
-        let own_listener = if idx == 0 { listener.take() } else { None };
-        if let Some(l) = &own_listener {
-            poller.register(l.as_raw_fd(), TOKEN_LISTENER, Interest::READ)?;
-        }
-        let reactor = Reactor {
-            backend: Arc::clone(backend),
-            shared: Arc::clone(&shared),
-            idx,
-            poller,
-            wake_rx,
-            listener: own_listener,
-            conns: HashMap::new(),
-            next_token: TOKEN_CONN_BASE,
-        };
-        threads.push(std::thread::spawn(move || reactor.run()));
-    }
-    for t in threads {
-        let _ = t.join();
-    }
-    backend.drain();
+    .run();
     Ok(())
 }
 
@@ -820,6 +682,40 @@ mod tests {
                 ..SimRequest::default()
             },
         })
+    }
+
+    fn open_line(id: u64, session: u64) -> String {
+        encode_request(&Request::SessionOpen {
+            id,
+            session,
+            sim: SimRequest {
+                circuit: CircuitSource::Name("c17".into()),
+                models: "synth".into(),
+                seed: id,
+                timing: false,
+                ..SimRequest::default()
+            },
+        })
+    }
+
+    /// Polls `done` until it holds, failing after a 5 s deadline.
+    fn wait_until(what: &str, done: impl Fn() -> bool) {
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while !done() {
+            assert!(std::time::Instant::now() < deadline, "timed out: {what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// Reads `n` response lines.
+    fn read_responses(reader: &mut StdBufReader<TcpStream>, n: usize) -> Vec<Response> {
+        (0..n)
+            .map(|_| {
+                let mut line = String::new();
+                reader.read_line(&mut line).expect("response in time");
+                decode_response(line.trim()).expect("response")
+            })
+            .collect()
     }
 
     /// Blocks the service's single worker until the returned guard is
@@ -1058,6 +954,219 @@ mod tests {
         // Shutdown through the router stops the daemon too.
         shutdown_daemon(router_addr, router_server);
         server.join().expect("daemon exits");
+    }
+
+    #[test]
+    fn vanishing_client_closes_at_once_and_releases_its_budgets() {
+        let service = mux_service(ServiceConfig {
+            workers: 1,
+            session_capacity: 2,
+            admission_budget: 8,
+            ..ServiceConfig::default()
+        });
+        let gate = Gate::block_pool(&service);
+        let (addr, server) = spawn_daemon(&service);
+        // A pipelines a ping and six heavy frames, which wait behind the
+        // gate; both session opens reserve their slots at dispatch.
+        let mut a = TcpStream::connect(addr).expect("connect A");
+        let mut script = format!("{}\n", encode_request(&Request::Ping { id: 1 }));
+        for line in [
+            open_line(2, 1),
+            open_line(3, 2),
+            encode_request(&Request::SessionDelta {
+                id: 4,
+                session: 1,
+                edits: vec![],
+            }),
+            sim_line(5),
+            sim_line(6),
+            sim_line(7),
+        ] {
+            script.push_str(&line);
+            script.push('\n');
+        }
+        a.write_all(script.as_bytes()).expect("send A");
+        wait_until("A's six frames queue behind the gate", || {
+            service.pool_for_tests().queued() == 6
+        });
+        // While A holds both session slots, B's open is refused.
+        let b = TcpStream::connect(addr).expect("connect B");
+        b.set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("read timeout");
+        let mut b_reader = StdBufReader::new(b.try_clone().expect("clone"));
+        writeln!(&b, "{}", open_line(10, 1)).expect("send B");
+        assert!(
+            matches!(
+                read_responses(&mut b_reader, 1)[0],
+                Response::Error {
+                    id: Some(10),
+                    kind: ErrorKind::Overloaded,
+                    ..
+                }
+            ),
+            "the session budget is held by A"
+        );
+        // A leaves with its pong unread, which resets the connection:
+        // it must close while its six frames still wait, and the reset
+        // must not wake the reactor over and over.
+        a.set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("read timeout");
+        a.peek(&mut [0u8; 1]).expect("the pong arrives");
+        drop(a);
+        wait_until("A's connection closes", || {
+            service.stats().connections_open == 1
+        });
+        assert_eq!(service.stats().completed, 0, "A's frames still wait");
+        let wakeups = || service.counters().reactor_wakeups.load(Ordering::Relaxed);
+        let before = wakeups();
+        std::thread::sleep(Duration::from_millis(200));
+        let spun = wakeups() - before;
+        assert!(spun < 100, "the reactor woke {spun} times in 200 ms");
+        // A's frames still run, and every session and admission slot
+        // they held comes back.
+        gate.open();
+        wait_until("A's frames complete and its sessions close", || {
+            let stats = service.stats();
+            stats.completed == 6 && stats.sessions_open == 0
+        });
+        // B now fills both budgets: two opens and six sims, all admitted
+        // at once behind the held worker.
+        let gate = Gate::block_pool(&service);
+        let mut burst = format!("{}\n{}\n", open_line(11, 1), open_line(12, 2));
+        for id in 13..=18 {
+            burst.push_str(&sim_line(id));
+            burst.push('\n');
+        }
+        (&b).write_all(burst.as_bytes()).expect("send B burst");
+        wait_until("B's eight frames queue behind the gate", || {
+            service.pool_for_tests().queued() == 8
+        });
+        gate.open();
+        let responses = read_responses(&mut b_reader, 8);
+        let ids: Vec<Option<u64>> = responses.iter().map(Response::id).collect();
+        assert_eq!(ids, (11..=18).map(Some).collect::<Vec<_>>());
+        assert!(
+            responses
+                .iter()
+                .all(|r| !matches!(r, Response::Error { .. })),
+            "{responses:?}"
+        );
+        assert_eq!(service.stats().admission_rejects, 0);
+        shutdown_daemon(addr, server);
+    }
+
+    #[test]
+    fn slowloris_partial_frame_stalls_only_its_own_connection() {
+        let service = mux_service(ServiceConfig {
+            workers: 1,
+            ..ServiceConfig::default()
+        });
+        let (addr, server) = spawn_daemon(&service);
+        let ping = format!("{}\n", encode_request(&Request::Ping { id: 1 }));
+        let (head, tail) = ping.split_at(ping.len() / 2);
+        // A writes half a frame and stalls.
+        let mut a = TcpStream::connect(addr).expect("connect A");
+        a.set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("read timeout");
+        a.write_all(head.as_bytes()).expect("send half");
+        wait_until("A is accepted", || service.stats().connections_open == 1);
+        std::thread::sleep(Duration::from_millis(50));
+        // B is served meanwhile.
+        let mut b = TcpStream::connect(addr).expect("connect B");
+        b.set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("read timeout");
+        write!(
+            b,
+            "{}\n{}\n",
+            encode_request(&Request::Ping { id: 2 }),
+            sim_line(3)
+        )
+        .expect("send B");
+        let responses = read_responses(&mut StdBufReader::new(b), 2);
+        assert_eq!(responses[0], Response::Pong { id: 2 });
+        assert!(
+            matches!(responses[1], Response::Sim { id: 3, .. }),
+            "{responses:?}"
+        );
+        // A's frame completes with its second half.
+        a.write_all(tail.as_bytes()).expect("send tail");
+        let mut a_reader = StdBufReader::new(a.try_clone().expect("clone"));
+        assert_eq!(
+            read_responses(&mut a_reader, 1),
+            vec![Response::Pong { id: 1 }]
+        );
+        // A stalls mid-frame again; shutdown still exits.
+        a.write_all(head.as_bytes()).expect("send half");
+        shutdown_daemon(addr, server);
+    }
+
+    /// Answers every frame inline with a line of `width` bytes.
+    struct Wide {
+        config: ServiceConfig,
+        counters: TransportCounters,
+        width: usize,
+    }
+
+    impl Backend for Wide {
+        type Conn = ();
+        fn config(&self) -> &ServiceConfig {
+            &self.config
+        }
+        fn counters(&self) -> &TransportCounters {
+            &self.counters
+        }
+        fn connect(self: &Arc<Self>) {}
+        fn dispatch(
+            self: &Arc<Self>,
+            (): &mut (),
+            _: &str,
+            request: Request,
+            responder: Responder,
+        ) -> Handled {
+            if let Request::Shutdown { id } = request {
+                responder.respond(&Response::ShuttingDown { id });
+                return Handled::Shutdown;
+            }
+            responder.respond_line("x".repeat(self.width));
+            Handled::Continue
+        }
+        fn drain(&self) {}
+    }
+
+    #[test]
+    fn output_pause_resumes_frames_already_read() {
+        // Sixty-four pings arrive in one read. With the client not
+        // reading, the 256 KiB answers fill the kernel buffers and pass
+        // the output high-water mark while most pings still wait in the
+        // connection's read buffer, where no epoll event will announce
+        // them: the flush that lifts the pause must resume reading.
+        let backend = Arc::new(Wide {
+            config: ServiceConfig {
+                max_inflight: 4,
+                ..ServiceConfig::default()
+            },
+            counters: TransportCounters::default(),
+            width: 256 << 10,
+        });
+        let (addr, server) = spawn_daemon(&backend);
+        let mut client = TcpStream::connect(addr).expect("connect");
+        client
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("read timeout");
+        let pings: String = (1..=64)
+            .map(|id| format!("{}\n", encode_request(&Request::Ping { id })))
+            .collect();
+        client.write_all(pings.as_bytes()).expect("send pings");
+        std::thread::sleep(Duration::from_millis(200));
+        let mut reader = StdBufReader::new(client.try_clone().expect("clone"));
+        for answered in 0..64 {
+            let mut line = String::new();
+            reader
+                .read_line(&mut line)
+                .unwrap_or_else(|e| panic!("{answered} of 64 answered: {e}"));
+            assert_eq!(line.len(), backend.width + 1);
+        }
+        shutdown_daemon(addr, server);
     }
 
     #[test]

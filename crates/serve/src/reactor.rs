@@ -86,8 +86,8 @@ impl Interest {
     fn bits(self) -> u32 {
         // RDHUP rides the read interest: a paused (NONE) or write-only
         // registration must not be woken level-triggered forever by a
-        // peer that half-closed — the hang-up is discovered when reads
-        // resume (or as EPOLLHUP once both directions are down).
+        // peer that half-closed — the half-close is discovered when
+        // reads resume (a reset still reports, as EPOLLHUP).
         let mut bits = 0;
         if self.readable {
             bits |= EPOLLIN | EPOLLRDHUP;
@@ -104,13 +104,18 @@ impl Interest {
 pub struct Event {
     /// The token the fd was registered under.
     pub token: u64,
-    /// The fd is readable (data, accept, or EOF).
+    /// The fd is readable: data, a pending accept, or the peer's
+    /// half-close (`EPOLLRDHUP`), which reads as end of stream while the
+    /// write side stays usable.
     pub readable: bool,
     /// The fd is writable.
     pub writable: bool,
-    /// The peer hung up or the fd errored; the owner should drain and
-    /// close. (Reads still succeed until the buffered data runs out.)
-    pub closed: bool,
+    /// The connection is down in both directions (`EPOLLHUP`: a reset,
+    /// or both sides closed) or the fd errored (`EPOLLERR`): nothing
+    /// written can reach the peer. Reported whatever the interest, and
+    /// level-triggered, so the owner must close the fd or be woken
+    /// again at once.
+    pub hangup: bool,
 }
 
 /// A safe wrapper over one epoll instance.
@@ -229,9 +234,9 @@ impl Poller {
                 let token = ev.data;
                 out.push(Event {
                     token,
-                    readable: bits & (EPOLLIN | EPOLLRDHUP | EPOLLHUP) != 0,
+                    readable: bits & (EPOLLIN | EPOLLRDHUP) != 0,
                     writable: bits & EPOLLOUT != 0,
-                    closed: bits & (EPOLLERR | EPOLLHUP | EPOLLRDHUP) != 0,
+                    hangup: bits & (EPOLLERR | EPOLLHUP) != 0,
                 });
             }
             return Ok(n);
@@ -330,7 +335,50 @@ mod tests {
         assert_eq!(n, 1);
         assert_eq!(events[0].token, 7);
         assert!(events[0].readable);
-        assert!(!events[0].closed);
+        assert!(!events[0].hangup);
+    }
+
+    #[test]
+    fn half_close_reads_as_eof_and_a_reset_hangs_up() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let poller = Poller::new().expect("epoll instance");
+        let mut events = Vec::new();
+        let mut wait_for = |token: u64| {
+            events.clear();
+            poller
+                .wait(&mut events, Some(Duration::from_secs(5)))
+                .expect("wait");
+            *events
+                .iter()
+                .find(|e| e.token == token)
+                .unwrap_or_else(|| panic!("no event for {token}: {events:?}"))
+        };
+        // A half-close reads as end of stream; the write side still works.
+        let half = TcpStream::connect(addr).expect("connect");
+        let (served_half, _) = listener.accept().expect("accept");
+        poller
+            .register(served_half.as_raw_fd(), 1, Interest::READ)
+            .expect("register");
+        half.shutdown(std::net::Shutdown::Write)
+            .expect("half-close");
+        let ev = wait_for(1);
+        assert!(ev.readable && !ev.hangup, "{ev:?}");
+        poller
+            .deregister(served_half.as_raw_fd())
+            .expect("deregister");
+        // Closing with an answer unread resets the connection: a hang-up,
+        // reported even with no interest armed.
+        let reset = TcpStream::connect(addr).expect("connect");
+        let (served_reset, _) = listener.accept().expect("accept");
+        poller
+            .register(served_reset.as_raw_fd(), 2, Interest::NONE)
+            .expect("register");
+        (&served_reset).write_all(b"answer\n").expect("write");
+        reset.peek(&mut [0u8; 1]).expect("answer arrived");
+        drop(reset);
+        let ev = wait_for(2);
+        assert!(ev.hangup, "{ev:?}");
     }
 
     #[test]

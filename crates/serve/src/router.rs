@@ -36,6 +36,9 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use sigcircuit::ContentHasher;
+
+use crate::cache::hash_source;
 use crate::mux::{Backend, Responder, TransportCounters};
 use crate::protocol::{
     decode_response, encode_request, CircuitSource, ErrorKind, Request, Response, StatsReply,
@@ -43,31 +46,14 @@ use crate::protocol::{
 };
 use crate::service::{unknown_session, Handled, ServiceConfig};
 
-/// FNV-1a 64-bit over the circuit source: the routing key. Named and
-/// inline sources hash their distinguishing bytes, so the same inline
-/// netlist always routes to the same shard.
+/// The routing key: the content hash of the circuit source under the
+/// caches' one source-key encoding, so the same inline netlist always
+/// routes to the same shard.
 #[must_use]
 pub fn circuit_key(source: &CircuitSource) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut hash = OFFSET;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            hash ^= u64::from(b);
-            hash = hash.wrapping_mul(PRIME);
-        }
-    };
-    match source {
-        CircuitSource::Name(n) => {
-            eat(b"name:");
-            eat(n.as_bytes());
-        }
-        CircuitSource::Inline(t) => {
-            eat(b"inline:");
-            eat(t.as_bytes());
-        }
-    }
-    hash
+    let mut h = ContentHasher::new();
+    hash_source(&mut h, source);
+    h.finish()
 }
 
 /// Lamport's jump consistent hash: maps `key` to a bucket in
@@ -551,6 +537,21 @@ mod tests {
         let b = CircuitSource::Inline("INPUT(b)\nOUTPUT(y)\ny = NOR(b)\n".into());
         assert_eq!(route(&a, 7), route(&a, 7));
         assert_ne!(circuit_key(&a), circuit_key(&b));
+    }
+
+    #[test]
+    fn circuit_keys_and_routes_are_pinned() {
+        // The key is the caches' source hash; changing either would move
+        // circuits between shards, so the values are pinned.
+        for (name, key, shard) in [
+            ("c17", 0x5fdc_94ef_8c50_73e1, 1),
+            ("c499", 0x1ad0_7c0b_5e70_7905, 0),
+            ("c1355", 0xa870_c569_cac8_c467, 1),
+        ] {
+            let source = CircuitSource::Name(name.into());
+            assert_eq!(circuit_key(&source), key, "{name}");
+            assert_eq!(route(&source, 2), shard, "{name}");
+        }
     }
 
     #[test]

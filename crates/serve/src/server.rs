@@ -10,7 +10,11 @@
 //! order; clients correlate by id. The stdio writer is mutex-guarded so
 //! each frame is written atomically.
 //!
-//! Graceful shutdown: a `shutdown` request stops the reactors (TCP) or
+//! Both read frames through one decode step and serialize answers
+//! through one encode step, so the `serve.decode` and `serve.encode`
+//! spans measure the same work on either transport.
+//!
+//! Graceful shutdown: a `shutdown` request stops the reactor (TCP) or
 //! the read loop (stdio), lets every queued and running simulation
 //! drain, then acknowledges. On stdio, end-of-input likewise drains
 //! before exit, so piping a request file through the daemon always
@@ -22,25 +26,55 @@ use std::io::{BufRead, Write};
 use std::net::TcpListener;
 use std::sync::{Arc, Mutex};
 
-use crate::protocol::{decode_request, encode_response, salvage_id, FrameReader, Response};
+use crate::protocol::{
+    decode_request, encode_response, salvage_id, FrameReader, ProtocolError, Request, Response,
+};
 use crate::service::{Handled, Service};
 use crate::session::SessionTable;
 
-/// Wire-edge phases: time spent decoding request frames and encoding
-/// (plus writing) response frames. With the engine's `program.*` spans
-/// these complete the per-request breakdown end to end.
+/// Wire-edge phases of both transports: decoding a request frame
+/// (failed decodes included) and serializing a response line. With the
+/// engine's `program.*` spans these complete the per-request breakdown
+/// end to end.
 static DECODE: sigobs::Hist = sigobs::Hist::new("serve.decode");
 static ENCODE: sigobs::Hist = sigobs::Hist::new("serve.encode");
+
+/// Decodes one frame as a transport read it: `None` for a blank line,
+/// otherwise the line with its request, or the `protocol` error owed to
+/// the frame — without an id when the frame itself was refused, with the
+/// id salvaged from its text when it failed to decode.
+pub(crate) fn decode_frame(
+    frame: Result<String, ProtocolError>,
+) -> Option<Result<(String, Request), Response>> {
+    let line = match frame {
+        Ok(line) if line.trim().is_empty() => return None,
+        Ok(line) => line,
+        Err(e) => return Some(Err(e.to_response(None))),
+    };
+    let sw = sigobs::stopwatch();
+    let decoded = decode_request(&line);
+    sw.observe_span(&DECODE, "serve.decode");
+    Some(match decoded {
+        Ok(request) => Ok((line, request)),
+        Err(e) => Err(e.to_response(salvage_id(&line))),
+    })
+}
+
+/// Serializes one response line (no terminator) under `serve.encode`.
+pub(crate) fn encode_frame(response: &Response) -> String {
+    let sw = sigobs::stopwatch();
+    let line = encode_response(response);
+    sw.observe_span(&ENCODE, "serve.encode");
+    line
+}
 
 /// Writes one response frame; errors are ignored (the peer may have left
 /// without waiting — its work is not worth crashing a worker over).
 fn respond_line<W: Write>(writer: &Mutex<W>, response: &Response) {
-    let sw = sigobs::stopwatch();
-    let line = encode_response(response);
+    let line = encode_frame(response);
     let mut w = writer.lock().expect("writer poisoned");
     let _ = writeln!(w, "{line}");
     let _ = w.flush();
-    sw.observe_span(&ENCODE, "serve.encode");
 }
 
 /// Drives one connection (any `BufRead`/`Write` pair) to completion:
@@ -64,25 +98,14 @@ where
             // EOF or transport failure.
             Ok(None) | Err(_) => break Handled::Continue,
         };
-        let line = match frame {
-            Ok(line) => line,
-            Err(e) => {
-                respond_line(&writer, &e.to_response(None));
+        let request = match decode_frame(frame) {
+            None => continue,
+            Some(Ok((_line, request))) => request,
+            Some(Err(error)) => {
+                respond_line(&writer, &error);
                 continue;
             }
         };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let sw = sigobs::stopwatch();
-        let request = match decode_request(&line) {
-            Ok(r) => r,
-            Err(e) => {
-                respond_line(&writer, &e.to_response(salvage_id(&line)));
-                continue;
-            }
-        };
-        sw.observe_span(&DECODE, "serve.decode");
         let respond_writer = Arc::clone(&writer);
         let handled = service.handle(request, &sessions, move |response| {
             respond_line(&respond_writer, &response);
@@ -106,10 +129,10 @@ pub fn serve_stdio(service: &Arc<Service>) {
 }
 
 /// Serves the protocol on a bound TCP listener until a client requests
-/// shutdown: the epoll readiness loop of [`crate::mux`], which
-/// multiplexes every connection on `config().io_threads` reactor
-/// threads with request pipelining, in-order responses, and admission
-/// control (see `docs/protocol.md` § Pipelining).
+/// shutdown: the epoll reactor of [`crate::mux`], which multiplexes
+/// every connection on the calling thread with request pipelining,
+/// in-order responses, and admission control (see `docs/protocol.md`
+/// § Pipelining).
 ///
 /// # Errors
 ///
@@ -121,11 +144,12 @@ pub fn serve_tcp(service: &Arc<Service>, listener: TcpListener) -> std::io::Resu
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::CacheOutcome;
     use crate::protocol::{
         decode_response, encode_request, CircuitSource, ErrorKind, Request, SessionEdit, SimRequest,
     };
     use crate::registry::{faulty_set, synthetic_set};
-    use crate::service::ServiceConfig;
+    use crate::service::{run_sim_edited, ServiceConfig};
     use std::io::{BufReader, Cursor};
     use std::net::TcpStream;
     use std::time::Duration;
@@ -519,6 +543,64 @@ mod tests {
         );
         for run in 0..50 {
             assert_eq!(by_id(drive(&service(2), &script)), reference, "run {run}");
+        }
+    }
+
+    #[test]
+    fn invalid_delta_edits_answer_what_golden_answers() {
+        let service = test_service();
+        let sim = SimRequest {
+            circuit: CircuitSource::Name("c17".into()),
+            models: "synth".into(),
+            seed: 4,
+            timing: false,
+            ..SimRequest::default()
+        };
+        let set = synthetic_set("synth");
+        let circuit = sigcircuit::Benchmark::by_name("c17")
+            .expect("c17")
+            .circuit_for(set.policy)
+            .clone();
+        let internal = circuit
+            .gates()
+            .iter()
+            .map(|g| g.output)
+            .find(|net| !circuit.outputs().contains(net))
+            .expect("c17 has internal nets");
+        let edits = |net: &str| {
+            vec![SessionEdit {
+                net: net.into(),
+                initial_high: true,
+                toggles: vec![2e-10, 3.5e-10],
+            }]
+        };
+        let cases = [edits("no-such-net"), edits(circuit.net_name(internal))];
+        let mut script = format!(
+            "{}\n",
+            encode_request(&Request::SessionOpen {
+                id: 0,
+                session: 4,
+                sim: sim.clone(),
+            })
+        );
+        for (id, edits) in (1..).zip(&cases) {
+            let delta = Request::SessionDelta {
+                id,
+                session: 4,
+                edits: edits.clone(),
+            };
+            script.push_str(&format!("{}\n", encode_request(&delta)));
+        }
+        let responses = drive(&service, &script);
+        for (id, edits) in (1..).zip(&cases) {
+            let (kind, message) = run_sim_edited(&circuit, &set, &sim, edits, CacheOutcome::Miss)
+                .expect_err("golden refuses the edit");
+            let golden = Response::Error {
+                id: Some(id),
+                kind,
+                message,
+            };
+            assert!(responses.contains(&golden), "{golden:?} in {responses:?}");
         }
     }
 

@@ -69,10 +69,6 @@ pub struct ServiceConfig {
     /// is explicit; a connection opening past it evicts its own
     /// least-recently-used session (see [`crate::session::SessionTable`]).
     pub session_capacity: usize,
-    /// Reactor threads for the epoll transport (`0` treated as 1). One
-    /// reactor comfortably multiplexes thousands of connections; extra
-    /// threads shard accepted connections round-robin.
-    pub io_threads: usize,
     /// Per-connection pipelining window: frames dispatched but not yet
     /// written back. Past it the reactor pauses the connection's reads
     /// (kernel-buffer backpressure) instead of buffering unboundedly.
@@ -93,7 +89,6 @@ impl Default for ServiceConfig {
             models_dir: std::path::PathBuf::from("target/sigmodels"),
             max_frame: crate::protocol::MAX_FRAME_BYTES,
             session_capacity: 32,
-            io_threads: 1,
             max_inflight: 64,
             admission_budget: 512,
         }
@@ -590,28 +585,13 @@ impl Service {
         turn.run(|core| {
             let core = core.as_deref_mut().ok_or_else(|| not_open(session))?;
             let circuit = Arc::clone(core.program.circuit());
-            let mut changes = Vec::with_capacity(edits.len());
-            for edit in edits {
-                let net = circuit.find_net(&edit.net).ok_or_else(|| {
-                    (
-                        ErrorKind::Simulation,
-                        format!("edit targets unknown net {:?}", edit.net),
-                    )
-                })?;
-                let level = if edit.initial_high {
-                    Level::High
-                } else {
-                    Level::Low
-                };
-                // The toggle invariants were validated at decode;
-                // `DigitalTrace` re-checks them as the library contract.
-                let digital =
-                    DigitalTrace::new(level, edit.toggles.clone()).map_err(simulation_error)?;
-                changes.push(StimulusEdit {
+            let changes: Vec<_> = edit_traces(&circuit, edits)?
+                .into_iter()
+                .map(|(net, digital)| StimulusEdit {
                     net,
                     trace: Arc::new(digital_to_sigmoid(&digital, core.set.options.vdd)),
-                });
-            }
+                })
+                .collect();
             let split = resolved(core.timings.then_some(t0));
             let start = Instant::now();
             let executed = core
@@ -865,41 +845,37 @@ fn stimuli_for(circuit: &Circuit, sim: &SimRequest, seed: u64) -> HashMap<NetId,
     random_stimuli(circuit, &spec, &mut StdRng::seed_from_u64(seed))
 }
 
-/// Replaces the seeded stimulus of every edited net, rejecting edits
-/// that do not target a primary input (mirroring the validation the
-/// incremental engine applies to `session.delta`).
-fn apply_edits(
+/// Resolves, checks and converts edits to digital traces: the one
+/// conversion behind `session.delta` and [`run_sim_edited`], so an
+/// invalid edit gets the same answer on both paths. Each edit must name
+/// a primary input and carry a trace [`DigitalTrace::new`] accepts (the
+/// toggle invariants were validated at decode; this re-checks them as
+/// the library contract).
+fn edit_traces(
     circuit: &Circuit,
-    stimuli: &mut HashMap<NetId, DigitalTrace>,
     edits: &[SessionEdit],
-) -> Result<(), (ErrorKind, String)> {
-    for edit in edits {
-        let Some(net) = circuit.find_net(&edit.net) else {
-            return Err((
-                ErrorKind::Simulation,
-                format!("edit targets unknown net {:?}", edit.net),
-            ));
-        };
-        if !circuit.inputs().contains(&net) {
-            return Err((
-                ErrorKind::Simulation,
-                format!("edit target {:?} is not a primary input", edit.net),
-            ));
-        }
-        let level = if edit.initial_high {
-            Level::High
-        } else {
-            Level::Low
-        };
-        let trace = DigitalTrace::new(level, edit.toggles.clone()).map_err(|e| {
-            (
-                ErrorKind::Simulation,
-                format!("edit for net {:?}: {e}", edit.net),
-            )
-        })?;
-        stimuli.insert(net, trace);
-    }
-    Ok(())
+) -> Result<Vec<(NetId, DigitalTrace)>, (ErrorKind, String)> {
+    let invalid = |message| Err((ErrorKind::Simulation, message));
+    edits
+        .iter()
+        .map(|edit| {
+            let Some(net) = circuit.find_net(&edit.net) else {
+                return invalid(format!("edit targets unknown net {:?}", edit.net));
+            };
+            if !circuit.inputs().contains(&net) {
+                return invalid(format!("edit target {:?} is not a primary input", edit.net));
+            }
+            let level = if edit.initial_high {
+                Level::High
+            } else {
+                Level::Low
+            };
+            match DigitalTrace::new(level, edit.toggles.clone()) {
+                Ok(trace) => Ok((net, trace)),
+                Err(e) => invalid(format!("edit for net {:?}: {e}", edit.net)),
+            }
+        })
+        .collect()
 }
 
 /// Runs the requested simulation on already-resolved artifacts. This is
@@ -937,7 +913,7 @@ pub fn run_sim_edited(
     cache: CacheOutcome,
 ) -> Result<SimResult, (ErrorKind, String)> {
     let mut stimuli = stimuli_for(circuit, sim, sim.seed);
-    apply_edits(circuit, &mut stimuli, edits)?;
+    stimuli.extend(edit_traces(circuit, edits)?);
     if !sim.compare {
         // Sigmoid-only: inputs are the digital stimuli converted at the
         // fixed same-stimulus slope (no analog run involved) — the
