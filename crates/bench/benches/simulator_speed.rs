@@ -343,7 +343,7 @@ fn bench_program(c: &mut Criterion) {
 /// The served c1355 request: NOR-mapped c1355 compiled on the trained
 /// `ci` library (trained once and cached under `target/sigmodels`, as the
 /// daemon caches it), plus 16 stimulus sets drawn like the daemon's
-/// (µ 60 ps, σ 25 ps, 4 transitions).
+/// (µ 60 ps, σ 25 ps, 4 transitions; seeds 1000–1015).
 fn served_c1355() -> (Arc<sigcircuit::Circuit>, CircuitProgram, Vec<NetTraces>) {
     let path = concat!(
         env!("CARGO_MANIFEST_DIR"),
@@ -364,25 +364,54 @@ fn served_c1355() -> (Arc<sigcircuit::Circuit>, CircuitProgram, Vec<NetTraces>) 
         options,
     )
     .expect("compiles");
-    let spec = StimulusSpec::new(60e-12, 25e-12, 4);
-    let sets = (0..16)
-        .map(|seed| {
-            let mut rng = StdRng::seed_from_u64(1000 + seed);
-            random_stimuli(&circuit, &spec, &mut rng)
-                .iter()
-                .map(|(&net, t)| (net, Arc::new(digital_to_sigmoid(t, options.vdd))))
-                .collect()
-        })
-        .collect();
+    let sets = served_sets(&circuit, 1000, 16);
     (circuit, program, sets)
 }
 
+/// `count` served stimulus sets of c1355, from seeds `first..`.
+fn served_sets(circuit: &sigcircuit::Circuit, first: u64, count: u64) -> Vec<NetTraces> {
+    let spec = StimulusSpec::new(60e-12, 25e-12, 4);
+    let vdd = TomOptions::default().vdd;
+    (first..first + count)
+        .map(|seed| {
+            let mut rng = StdRng::seed_from_u64(seed);
+            random_stimuli(circuit, &spec, &mut rng)
+                .iter()
+                .map(|(&net, t)| (net, Arc::new(digital_to_sigmoid(t, vdd))))
+                .collect()
+        })
+        .collect()
+}
+
+/// Stimulus sets the trained rows execute before timing, so the model
+/// set's snap-search line memos are warm, as in a daemon that has served
+/// a few hundred requests (seeds 20,000 on).
+const WARM_SETS: u64 = 256;
+/// The fresh stimulus stream of the trained rows (seeds 30,000 on): each
+/// iteration takes the next set, so no timed input repeats one the memo
+/// has seen until the stream wraps. A default run (0.3 s warm-up plus 60
+/// samples of ≈ 5 ms) takes ~600 of them.
+const FRESH_SETS: u64 = 2048;
+
+/// The served c1355 program after [`WARM_SETS`] executes, and the
+/// [`FRESH_SETS`] stream the timed iterations draw from.
+fn warm_served_c1355() -> (Arc<sigcircuit::Circuit>, CircuitProgram, Vec<NetTraces>) {
+    let (circuit, program, _) = served_c1355();
+    let mut scratch = FleetScratch::new();
+    for set in served_sets(&circuit, 20_000, WARM_SETS) {
+        program.execute(&set, &mut scratch).expect("sim");
+    }
+    let stream = served_sets(&circuit, 30_000, FRESH_SETS);
+    (circuit, program, stream)
+}
+
 /// The served workload's engine: warm executes of the served c1355
-/// request, each iteration on the next of the 16 stimulus sets. Most rows
-/// snap onto the valid region, so this row covers projection and the
-/// snap table.
+/// request, each iteration on the next stimulus set of a fresh stream.
+/// Most rows snap onto the valid region, so this row covers the snap
+/// search, its line memo and the snap table. Fresh sets matter: a memo
+/// answers every row of a set it has seen.
 fn bench_trained_program(c: &mut Criterion) {
-    let (_, program, sets) = served_c1355();
+    let (_, program, stream) = warm_served_c1355();
     let config = SigmoidSimConfig::default();
     let mut scratch = FleetScratch::new();
     let mut next = 0;
@@ -390,9 +419,9 @@ fn bench_trained_program(c: &mut Criterion) {
     group.sample_size(60);
     group.bench_function("ci_nor_only_execute", |b| {
         b.iter(|| {
-            next = (next + 1) % sets.len();
+            next = (next + 1) % stream.len();
             program
-                .execute_with(black_box(&sets[next]), &config, &mut scratch)
+                .execute_with(black_box(&stream[next]), &config, &mut scratch)
                 .expect("sim")
         })
     });
@@ -511,14 +540,15 @@ fn bench_delta(c: &mut Criterion) {
 }
 
 /// A single-input delta on the served c1355 request: a session opened on
-/// the first of the 16 served stimulus sets, and each iteration edits the
-/// next primary input to its trace in the next of the other 15 sets (41
-/// inputs against 15 sets, so every edit changes its input). The warm
+/// warm models, and each iteration edits the next primary input to its
+/// trace in the next set of the fresh stream (the stream's sets differ
+/// from the committed ones, so every edit changes its input). The warm
 /// full execute a delta saves is `program_c1355/ci_nor_only_execute`.
 fn bench_trained_delta(c: &mut Criterion) {
-    let (circuit, program, sets) = served_c1355();
+    let (circuit, program, stream) = warm_served_c1355();
+    let opened = served_sets(&circuit, 1000, 1);
     let mut state = program
-        .open_session(&sets[0], &mut FleetScratch::new())
+        .open_session(&opened[0], &mut FleetScratch::new())
         .expect("opens");
     let inputs = circuit.inputs();
     let mut next = 0;
@@ -530,7 +560,7 @@ fn bench_trained_delta(c: &mut Criterion) {
             let net = inputs[next % inputs.len()];
             let edit = StimulusEdit {
                 net,
-                trace: Arc::clone(&sets[1 + next % (sets.len() - 1)][&net]),
+                trace: Arc::clone(&stream[next % stream.len()][&net]),
             };
             program
                 .execute_delta(black_box(&mut state), &[edit])

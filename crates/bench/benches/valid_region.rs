@@ -97,6 +97,9 @@ impl TransferFunction for Recorder {
 /// four warm c1355 executes on the daemon's stimulus (µ 60 ps, σ 25 ps,
 /// 4 transitions, seeds 1000–1003). One iteration projects one
 /// execute's queries (7,300–8,000), rotating through the four.
+/// [`ValidRegion::project`] never reads the line memo a [`GateModel`]
+/// keeps, so this row stays the memo-free search cost even though it
+/// repeats four query sets.
 fn bench_served_queries(c: &mut Criterion) {
     let path = concat!(
         env!("CARGO_MANIFEST_DIR"),

@@ -3,12 +3,13 @@
 //! described in Sec. III.
 
 use std::borrow::Cow;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError, TryLockError};
 
 use sigwave::{Level, Sigmoid, SigmoidTrace};
 
 use sigchar::{DUMMY_SLOPE, T_FAR};
 
+use crate::memo::{LineMemo, MEMO_BYTES};
 use crate::region::ValidRegion;
 use crate::transfer::{TransferFunction, TransferPrediction, TransferQuery};
 
@@ -17,8 +18,10 @@ use crate::transfer::{TransferFunction, TransferPrediction, TransferQuery};
 /// With a region attached the model also holds a *snap table*: the
 /// transfer's prediction for every training point at both `a_in` signs,
 /// so a batched query that snaps onto a training point is a lookup (see
-/// [`GateModel::with_region`]). The fields are private because the table
-/// must stay in step with them.
+/// [`GateModel::with_region`]), and a *line memo* of certified nearest
+/// points, which lets most batched rows skip the nearest search (see
+/// [`GateModel::predict_batch_with`]). The fields are private because the
+/// table and the memo must stay in step with the region.
 #[derive(Clone)]
 pub struct GateModel {
     transfer: Arc<dyn TransferFunction + Send + Sync>,
@@ -27,6 +30,8 @@ pub struct GateModel {
     /// region's training point `node` with a non-negative `a_in`, row
     /// `2·node + 1` for a negative one. Empty without a region.
     snapped: Arc<[TransferPrediction]>,
+    /// The region's line memo, shared by every clone of the model.
+    memo: Arc<Mutex<LineMemo>>,
 }
 
 impl std::fmt::Debug for GateModel {
@@ -39,14 +44,43 @@ impl std::fmt::Debug for GateModel {
 }
 
 /// Reusable buffers of [`GateModel::predict_batch_with`]: the row index
-/// and the prediction of each in-region query of a batch.
+/// and the prediction of each in-region query of a batch, and two monotone
+/// counters of the rows that went through a valid region.
 #[derive(Debug, Default)]
 pub struct SnapScratch {
     rows: Vec<usize>,
     predictions: Vec<TransferPrediction>,
+    memo_hits: u64,
+    memo_searches: u64,
+}
+
+impl SnapScratch {
+    /// Rows the line memo answered without a nearest search.
+    #[must_use]
+    pub fn memo_hits(&self) -> u64 {
+        self.memo_hits
+    }
+
+    /// Rows that ran the nearest search: memo misses, and every row of a
+    /// batch that found the memo busy.
+    #[must_use]
+    pub fn memo_searches(&self) -> u64 {
+        self.memo_searches
+    }
+
+    /// Resets both counters to zero; the buffers stay.
+    pub fn reset_counters(&mut self) {
+        self.memo_hits = 0;
+        self.memo_searches = 0;
+    }
 }
 
 impl GateModel {
+    /// The most heap bytes one line memo holds (62 KiB): it learns at most
+    /// 512 lines and 2,048 intervals, then only widens the intervals it
+    /// has. A model set holds at most one memo per slot.
+    pub const SNAP_MEMO_BUDGET: usize = MEMO_BYTES;
+
     /// A model without valid-region projection.
     #[must_use]
     pub fn new(transfer: Arc<dyn TransferFunction + Send + Sync>) -> Self {
@@ -54,6 +88,7 @@ impl GateModel {
             transfer,
             region: None,
             snapped: Arc::new([]),
+            memo: Arc::default(),
         }
     }
 
@@ -82,6 +117,7 @@ impl GateModel {
         self.transfer.predict_batch(&rows, &mut table);
         self.snapped = table.into();
         self.region = Some(region);
+        self.memo = Arc::default();
         self
     }
 
@@ -96,6 +132,22 @@ impl GateModel {
     #[must_use]
     pub fn region(&self) -> Option<&Arc<ValidRegion>> {
         self.region.as_ref()
+    }
+
+    /// The heap bytes of the line memo, which clones share; at most
+    /// [`GateModel::SNAP_MEMO_BUDGET`].
+    #[must_use]
+    pub fn snap_memo_bytes(&self) -> usize {
+        self.memo
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .bytes()
+    }
+
+    /// `true` when `self` and `other` share one line memo (clones do).
+    #[must_use]
+    pub fn shares_snap_memo(&self, other: &GateModel) -> bool {
+        Arc::ptr_eq(&self.memo, &other.memo)
     }
 
     /// Clamps a raw query to the trained domain and (when a region is
@@ -140,6 +192,13 @@ impl GateModel {
     /// table; the in-region queries are compacted to the front of
     /// `queries` and go to the transfer as one batch. `queries` is
     /// scratch: its contents afterwards are unspecified.
+    ///
+    /// The nearest training point of each clamped query comes from the
+    /// model's line memo when the memo holds a certified interval around
+    /// it, and from the search otherwise, which may widen the memo; both
+    /// give the same node and membership bit for bit. The memo is locked
+    /// once per call with `try_lock`: a batch that finds it busy searches
+    /// every row.
     pub fn predict_batch_with(
         &self,
         queries: &mut [TransferQuery],
@@ -153,12 +212,33 @@ impl GateModel {
             self.transfer.predict_batch(queries, out);
             return;
         };
-        let SnapScratch { rows, predictions } = scratch;
+        let SnapScratch {
+            rows,
+            predictions,
+            memo_hits,
+            memo_searches,
+        } = scratch;
         rows.clear();
         out.clear();
+        // A row that panicked (a non-finite query) left the memo whole:
+        // panics come before or after a lookup or an update, not within.
+        let mut memo = match self.memo.try_lock() {
+            Ok(memo) => Some(memo),
+            Err(TryLockError::Poisoned(poisoned)) => Some(poisoned.into_inner()),
+            Err(TryLockError::WouldBlock) => None,
+        };
         for i in 0..queries.len() {
             let q = queries[i].clamped();
-            match region.snap_node(&q) {
+            let (node, hit) = match memo.as_deref_mut() {
+                Some(memo) => region.snap_node_memo(&q, memo),
+                None => (region.snap_node(&q), false),
+            };
+            if hit {
+                *memo_hits += 1;
+            } else {
+                *memo_searches += 1;
+            }
+            match node {
                 // The scalar path's snapped query takes `a_in`'s sign from
                 // `signum`, which is -1 exactly for the negative sign bit.
                 Some(node) => {
@@ -176,6 +256,8 @@ impl GateModel {
                 }
             }
         }
+        // Other batches may use the memo while the transfer runs.
+        drop(memo);
         if rows.is_empty() {
             return;
         }
@@ -1247,6 +1329,290 @@ mod tests {
         m.predict_batch(&mut rows, &mut convenience);
         m.predict_batch_with(&mut queries, &mut out, &mut scratch);
         assert_eq!(convenience, out);
+    }
+
+    /// Runs `rows` through `m` in batches of random sizes (cut by `rng`)
+    /// and checks every row against the scalar prediction, bit for bit.
+    fn assert_batches_match_scalar(
+        m: &GateModel,
+        rows: &[TransferQuery],
+        scratch: &mut SnapScratch,
+        rng: &mut rand::rngs::StdRng,
+    ) {
+        use rand::Rng;
+        let mut out = Vec::new();
+        let mut at = 0;
+        while at < rows.len() {
+            let end = (at + rng.gen_range(1..64usize)).min(rows.len());
+            let mut batch = rows[at..end].to_vec();
+            m.predict_batch_with(&mut batch, &mut out, scratch);
+            for (q, p) in rows[at..end].iter().zip(&out) {
+                let scalar = m.predict(*q);
+                assert_eq!(
+                    [p.a_out.to_bits(), p.delay.to_bits()],
+                    [scalar.a_out.to_bits(), scalar.delay.to_bits()],
+                    "{q:?}: memo {p:?} vs scalar {scalar:?}"
+                );
+            }
+            at = end;
+        }
+    }
+
+    /// The normalization of the regions the memo tests build: anchors at
+    /// `[0, -4, -4]` and `[4, 4, 4]` make every axis scale a power of two,
+    /// so normalized coordinates are exact and ties stay ties.
+    const MEMO_SCALES: [f64; 3] = [4.0, 8.0, 8.0];
+    const MEMO_ANCHORS: [[f64; 3]; 2] = [[0.0, -4.0, -4.0], [4.0, 4.0, 4.0]];
+
+    fn memo_dist2(p: [f64; 3], q: TransferQuery) -> f64 {
+        let q = q.clamped();
+        let d = [q.t, q.a_in, q.a_prev_out]
+            .iter()
+            .zip(p)
+            .zip(MEMO_SCALES)
+            .map(|((&c, p), s)| p / s - c / s)
+            .collect::<Vec<_>>();
+        d[0] * d[0] + d[1] * d[1] + d[2] * d[2]
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn memo_rows_match_scalar_on_cold_and_warm_memos(seed in 0u64..u64::MAX) {
+            use crate::region::ValidRegion;
+            use rand::seq::SliceRandom;
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            // Grid points, so repeated points and exact ties are common;
+            // t covers 0..=T_FAR.
+            let steps = [4u32, 8, 16][rng.gen_range(0..3usize)];
+            let grid = |rng: &mut rand::rngs::StdRng| -> [f64; 3] {
+                [
+                    f64::from(rng.gen_range(0..13u32)) * 0.25,
+                    f64::from(rng.gen_range(0..steps)) * 8.0 / f64::from(steps) - 4.0,
+                    f64::from(rng.gen_range(0..steps)) * 8.0 / f64::from(steps) - 4.0,
+                ]
+            };
+            let count = [20, 200, 900][rng.gen_range(0..3usize)];
+            let mut pts: Vec<[f64; 3]> = MEMO_ANCHORS.to_vec();
+            pts.extend((0..rng.gen_range(1..count)).map(|_| grid(&mut rng)));
+            for _ in 0..rng.gen_range(0..8usize) {
+                let again = pts[rng.gen_range(0..pts.len())];
+                pts.push(again);
+            }
+            let region = Arc::new(ValidRegion::build(&pts, rng.gen_range(0.3..4.0f64)));
+            let m = GateModel::new(Arc::new(Probe::default())).with_region(region);
+
+            // Lines through grid values, midway between them and off the
+            // grid; each `a_in` also on a second `a_prev_out`.
+            let mut lines = Vec::new();
+            for _ in 0..12 {
+                let base = grid(&mut rng);
+                let other = grid(&mut rng);
+                let (a_in, a_prev) = match rng.gen_range(0..3u32) {
+                    0 => (base[1], base[2]),
+                    1 => ((base[1] + other[1]) / 2.0, (base[2] + other[2]) / 2.0),
+                    _ => (rng.gen_range(-5.0..5.0), rng.gen_range(-5.0..5.0)),
+                };
+                lines.push((a_in, a_prev));
+                lines.push((a_in, other[2]));
+            }
+            lines.push((0.0, -0.0));
+            lines.push((-0.0, 1.0));
+            let mut rows = Vec::new();
+            for &(a_in, a_prev_out) in &lines {
+                let row = |t: f64| TransferQuery { t, a_in, a_prev_out };
+                // Samples along the line, clamped rows past T_FAR, and
+                // the breakpoints between consecutive nearest points with
+                // one ulp either side.
+                let mut ts: Vec<f64> = (0..24).map(|_| rng.gen_range(-0.5..3.5)).collect();
+                ts.extend([T_FAR, T_FAR.next_up(), 7.0]);
+                ts.sort_by(f64::total_cmp);
+                let nearest = |t: f64| {
+                    (0..pts.len())
+                        .min_by(|&i, &j| memo_dist2(pts[i], row(t)).total_cmp(&memo_dist2(pts[j], row(t))))
+                        .expect("points")
+                };
+                for pair in ts.clone().windows(2) {
+                    let (p, r) = (pts[nearest(pair[0])], pts[nearest(pair[1])]);
+                    let x = |c: [f64; 3]| c[0] / MEMO_SCALES[0];
+                    if x(p) == x(r) {
+                        continue;
+                    }
+                    let yz = |c: [f64; 3]| {
+                        let q = row(0.0);
+                        let dy = c[1] / MEMO_SCALES[1] - q.a_in / MEMO_SCALES[1];
+                        let dz = c[2] / MEMO_SCALES[2] - q.a_prev_out / MEMO_SCALES[2];
+                        dy * dy + dz * dz
+                    };
+                    let cut = (x(r) * x(r) - x(p) * x(p) + yz(r) - yz(p)) / (2.0 * (x(r) - x(p)));
+                    let t = cut * MEMO_SCALES[0];
+                    ts.extend([t.next_down(), t, t.next_up()]);
+                }
+                rows.extend(ts.into_iter().map(row));
+            }
+            let mut scratch = SnapScratch::default();
+            for _pass in 0..3 {
+                rows.shuffle(&mut rng);
+                assert_batches_match_scalar(&m, &rows, &mut scratch, &mut rng);
+            }
+            proptest::prop_assert_eq!(
+                scratch.memo_hits() + scratch.memo_searches(),
+                3 * rows.len() as u64
+            );
+        }
+    }
+
+    #[test]
+    fn warm_memo_answers_rows_without_searching() {
+        use crate::region::ValidRegion;
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        let mut pts: Vec<[f64; 3]> = MEMO_ANCHORS.to_vec();
+        pts.extend((0..300).map(|_| {
+            [
+                rng.gen_range(0.0..3.0),
+                rng.gen_range(-4.0..4.0),
+                rng.gen_range(-4.0..4.0),
+            ]
+        }));
+        let region = Arc::new(ValidRegion::build(&pts, 1.0));
+        let m = GateModel::new(Arc::new(Probe::default())).with_region(region);
+        let rows: Vec<TransferQuery> = (0..2000)
+            .map(|i| TransferQuery {
+                t: rng.gen_range(-0.2..3.4),
+                a_in: [-3.0, 1.5, 2.25][i % 3],
+                a_prev_out: [0.5, -1.0][i % 2],
+            })
+            .collect();
+        let mut scratch = SnapScratch::default();
+        assert_batches_match_scalar(&m, &rows, &mut scratch, &mut rng);
+        let cold = (scratch.memo_hits(), scratch.memo_searches());
+        scratch.reset_counters();
+        assert_batches_match_scalar(&m, &rows, &mut scratch, &mut rng);
+        // Six lines: after one pass every row but those near a cell
+        // boundary or beyond the extent of the training t is certified.
+        assert!(cold.0 > 0 && cold.1 > 0, "{cold:?}");
+        assert!(
+            scratch.memo_hits() > 20 * scratch.memo_searches(),
+            "{} hits, {} searches",
+            scratch.memo_hits(),
+            scratch.memo_searches()
+        );
+        // Clones share the memo.
+        let clone = m.clone();
+        assert!(clone.shares_snap_memo(&m));
+        scratch.reset_counters();
+        assert_batches_match_scalar(&clone, &rows[..100], &mut scratch, &mut rng);
+        assert!(scratch.memo_hits() > 90, "{}", scratch.memo_hits());
+        // A busy memo leaves every row of the batch to the search.
+        let held = m.memo.lock().unwrap();
+        scratch.reset_counters();
+        assert_batches_match_scalar(&clone, &rows[..100], &mut scratch, &mut rng);
+        assert_eq!((scratch.memo_hits(), scratch.memo_searches()), (0, 100));
+        drop(held);
+    }
+
+    #[test]
+    fn a_line_equidistant_from_two_points_is_never_certified() {
+        use crate::region::ValidRegion;
+        use rand::{Rng, SeedableRng};
+        // Along the line (a_in, a_prev_out) = (1, 1), points p and r are
+        // exactly equally far in every normalized coordinate sum:
+        // 0.1875² + 0.25² = 0.3125². Their rounded distances differ by an
+        // ulp either way or tie, depending on t, so only the rounding
+        // margin keeps the memo from bracketing rows where the other
+        // point is the nearest.
+        let (p, r) = ([1.0, 2.5, 3.0], [1.0, 3.5, 1.0]);
+        let mut pts: Vec<[f64; 3]> = MEMO_ANCHORS.to_vec();
+        pts.extend([p, r]);
+        let region = Arc::new(ValidRegion::build(&pts, 0.01));
+        let m = GateModel::new(Arc::new(Probe::default())).with_region(region);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+        // Up to t = 2.5 no anchor comes nearer than p or r.
+        let rows: Vec<TransferQuery> = (0..4000)
+            .map(|_| TransferQuery {
+                t: rng.gen_range(0.0..2.5),
+                a_in: 1.0,
+                a_prev_out: 1.0,
+            })
+            .collect();
+        let nearer = |t: f64| {
+            let q = TransferQuery {
+                t,
+                a_in: 1.0,
+                a_prev_out: 1.0,
+            };
+            memo_dist2(p, q).total_cmp(&memo_dist2(r, q))
+        };
+        let sides: Vec<_> = rows.iter().map(|q| nearer(q.t)).collect();
+        for side in [
+            std::cmp::Ordering::Less,
+            std::cmp::Ordering::Equal,
+            std::cmp::Ordering::Greater,
+        ] {
+            assert!(sides.contains(&side), "no row with p {side:?} r");
+        }
+        let mut scratch = SnapScratch::default();
+        for _pass in 0..2 {
+            assert_batches_match_scalar(&m, &rows, &mut scratch, &mut rng);
+        }
+        assert_eq!(scratch.memo_hits(), 0);
+    }
+
+    #[test]
+    fn a_flood_of_lines_stays_within_the_budget() {
+        use crate::region::ValidRegion;
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        let mut pts: Vec<[f64; 3]> = MEMO_ANCHORS.to_vec();
+        pts.extend((0..400).map(|_| {
+            [
+                rng.gen_range(0.0..3.0),
+                rng.gen_range(-4.0..4.0),
+                rng.gen_range(-4.0..4.0),
+            ]
+        }));
+        let region = Arc::new(ValidRegion::build(&pts, 1.0));
+        let m = GateModel::new(Arc::new(Probe::default())).with_region(region);
+        let line =
+            |rng: &mut rand::rngs::StdRng| (rng.gen_range(-4.0..4.0), rng.gen_range(-4.0..4.0));
+        let rows_of = |(a_in, a_prev_out): (f64, f64), rng: &mut rand::rngs::StdRng| {
+            (0..6)
+                .map(|_| TransferQuery {
+                    t: rng.gen_range(0.0..3.0),
+                    a_in,
+                    a_prev_out,
+                })
+                .collect::<Vec<_>>()
+        };
+        let first = line(&mut rng);
+        let mut scratch = SnapScratch::default();
+        assert_batches_match_scalar(&m, &rows_of(first, &mut rng), &mut scratch, &mut rng);
+        // Every row of a distinct line: far more lines than the memo
+        // learns, and many more intervals than it holds.
+        for _ in 0..40 {
+            let rows: Vec<TransferQuery> = (0..200)
+                .flat_map(|_| rows_of(line(&mut rng), &mut rng))
+                .collect();
+            assert_batches_match_scalar(&m, &rows, &mut scratch, &mut rng);
+            assert!(m.snap_memo_bytes() <= GateModel::SNAP_MEMO_BUDGET);
+        }
+        assert!(m.snap_memo_bytes() > GateModel::SNAP_MEMO_BUDGET / 4);
+        // Full: a new line is searched every time, and rows stay exact.
+        let late = rows_of(line(&mut rng), &mut rng);
+        for _pass in 0..2 {
+            scratch.reset_counters();
+            assert_batches_match_scalar(&m, &late, &mut scratch, &mut rng);
+            assert_eq!(scratch.memo_hits(), 0);
+        }
+        // A line learned before the memo filled still answers its rows.
+        let first_rows = rows_of(first, &mut rng);
+        scratch.reset_counters();
+        for _pass in 0..3 {
+            assert_batches_match_scalar(&m, &first_rows, &mut scratch, &mut rng);
+        }
+        assert!(scratch.memo_hits() > 0);
+        assert!(m.snap_memo_bytes() <= GateModel::SNAP_MEMO_BUDGET);
     }
 
     #[test]

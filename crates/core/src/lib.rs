@@ -70,6 +70,7 @@
 mod algorithm;
 mod ann;
 mod baselines;
+mod memo;
 mod region;
 mod transfer;
 

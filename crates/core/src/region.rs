@@ -15,6 +15,7 @@
 use serde::{Deserialize, Error, Serialize, Value};
 use signn::simd::{self, SimdLevel, LEAF_POINTS};
 
+use crate::memo::{LineMemo, Lookup};
 use crate::transfer::TransferQuery;
 
 /// A 3-D point in (normalized) transfer-feature space.
@@ -101,11 +102,26 @@ impl Inner {
 }
 
 /// The outcome of a bucket search: the minimum squared distance, how many
-/// points reach it, and the node of the first one found.
+/// points reach it, the node of the first one found, and a lower bound on
+/// the squared distance of every other point.
 struct Scan {
     d2: f64,
     ties: usize,
     node: u32,
+    /// No point but the ones at `d2` is nearer: the least of the other
+    /// distances computed and the box distances of the pruned buckets.
+    runner_up: f64,
+}
+
+/// The answer of a nearest search.
+struct Nearest {
+    /// The minimum squared distance.
+    d2: f64,
+    /// The node at `d2`; `None` only when no distance is finite.
+    node: Option<usize>,
+    /// If asked for, a lower bound on the squared distance of every other
+    /// node; `d2` when several nodes are at `d2`.
+    runner_up: f64,
 }
 
 /// The valid input region of a trained transfer function.
@@ -115,6 +131,10 @@ pub struct ValidRegion {
     /// The tree's points in search buckets. Derived from the tree when a
     /// region is built or loaded, never serialized.
     buckets: Buckets,
+    /// The largest magnitude of each normalized coordinate over the
+    /// points, which bounds the rounding of a distance (see
+    /// [`ValidRegion::snap_node_memo`]). Derived like `buckets`.
+    extent: Point,
 }
 
 impl ValidRegion {
@@ -214,25 +234,44 @@ impl ValidRegion {
             )));
         }
         let buckets = Buckets::build(&tree.nodes);
-        Ok(Self { tree, buckets })
+        let mut extent = [0.0f64; 3];
+        for node in &tree.nodes {
+            for (e, c) in extent.iter_mut().zip(node.point) {
+                *e = e.max(c.abs());
+            }
+        }
+        Ok(Self {
+            tree,
+            buckets,
+            extent,
+        })
     }
 
-    /// The node nearest to `q` (normalized space) and its squared
-    /// distance; `None` only when no distance is finite (a query with a
-    /// NaN or infinite coordinate).
+    /// The node nearest to `q` (normalized space), its squared distance
+    /// and, if `runner_up` asks for it, a runner-up bound (without it the
+    /// bound means nothing); no node only when no distance is finite (a
+    /// query with a NaN or infinite coordinate).
     ///
     /// Exact, and the node [`KdTree::search`] finds: the bucket search
     /// computes every distance with the same bits and misses no point at
     /// the minimum, so a minimum reached by one point names that point.
     /// When several points reach it, the reference search breaks the tie.
-    fn closest(&self, q: Point) -> (f64, Option<usize>) {
-        let scan = self.buckets.scan(q, simd::active_level());
+    fn closest(&self, q: Point, runner_up: bool) -> Nearest {
+        let scan = self.buckets.scan(q, simd::active_level(), runner_up);
         if scan.ties == 1 && scan.d2 < f64::INFINITY {
-            return (scan.d2, Some(scan.node as usize));
+            return Nearest {
+                d2: scan.d2,
+                node: Some(scan.node as usize),
+                runner_up: scan.runner_up,
+            };
         }
         let mut best = (f64::INFINITY, f64::INFINITY, None);
         self.tree.search(self.tree.root, q, &mut best);
-        (best.0, best.2)
+        Nearest {
+            d2: best.0,
+            node: best.2,
+            runner_up: best.0,
+        }
     }
 
     fn normalize(&self, q: &TransferQuery) -> Point {
@@ -243,8 +282,7 @@ impl ValidRegion {
     /// `true` if the query lies inside the valid region.
     #[must_use]
     pub fn contains(&self, query: &TransferQuery) -> bool {
-        let (d2, _) = self.closest(self.normalize(query));
-        d2.sqrt() <= self.tree.threshold
+        self.closest(self.normalize(query), false).d2.sqrt() <= self.tree.threshold
     }
 
     /// The node a query outside the region snaps to, or `None` for a
@@ -255,11 +293,80 @@ impl ValidRegion {
     ///
     /// Panics on a query with a NaN or infinite coordinate.
     pub(crate) fn snap_node(&self, query: &TransferQuery) -> Option<usize> {
-        let (d2, node) = self.closest(self.normalize(query));
+        let nearest = self.closest(self.normalize(query), false);
+        self.snap_of(nearest.d2, nearest.node)
+    }
+
+    /// The membership test and snap target of a nearest node at squared
+    /// distance `d2`.
+    fn snap_of(&self, d2: f64, node: Option<usize>) -> Option<usize> {
         if d2.sqrt() <= self.tree.threshold {
             return None;
         }
         Some(node.expect("query coordinates are finite"))
+    }
+
+    /// [`ValidRegion::snap_node`] through a line memo, bit for bit. The
+    /// second value is `true` when the memo answered and no search ran.
+    ///
+    /// A line is the query's (`a_in`, `a_prev_out`) bits: y and z are
+    /// fixed and x grows with `t`. For points p and r, the exact
+    /// `D(r) − D(p)` of squared distances is linear in x along a line.
+    /// The rounded distance of [`dist2`] is within `err` of the exact one,
+    /// with `err` < 0.63·[`ValidRegion::margin`] for every point and
+    /// every x with |x| ≤ `extent[0]`. A search is *certified* when one
+    /// node p is at the minimum and every other point is more than
+    /// 4·margin farther: then `D(r) − D(p) > 2.7·margin` there. Between
+    /// two certified searches on one line that both name p, linearity
+    /// keeps `D(r) − D(p) > 2.7·margin`, so every rounded distance keeps
+    /// p the unique minimum and the search would name p with the bits of
+    /// `dist2(p, q)`. The memo stores such brackets; a row inside one
+    /// recomputes that distance and the threshold test, nothing else.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a query with a NaN or infinite coordinate, as
+    /// [`ValidRegion::snap_node`] does.
+    pub(crate) fn snap_node_memo(
+        &self,
+        query: &TransferQuery,
+        memo: &mut LineMemo,
+    ) -> (Option<usize>, bool) {
+        let q = self.normalize(query);
+        if !q.iter().all(|c| c.is_finite()) {
+            return (self.snap_node(query), false);
+        }
+        let key = [query.a_in.to_bits(), query.a_prev_out.to_bits()];
+        let gap = match memo.lookup(key, q[0]) {
+            Lookup::Hit(node) => {
+                let d2 = dist2(self.tree.nodes[node].point, q);
+                return (self.snap_of(d2, Some(node)), true);
+            }
+            Lookup::Miss(gap) => gap,
+        };
+        // The runner-up costs the search a little; skip it when the
+        // memo could not use it.
+        let learn = q[0].abs() <= self.extent[0] && memo.can_learn(gap.as_ref());
+        let nearest = self.closest(q, learn);
+        if let Some(node) = nearest.node {
+            if learn && nearest.runner_up - nearest.d2 > 4.0 * self.margin(q) {
+                memo.learn(key, gap, q[0], node);
+            }
+        }
+        (self.snap_of(nearest.d2, nearest.node), false)
+    }
+
+    /// 8·2⁻⁵³ times a bound on any squared distance from a point to `q`'s
+    /// line while |x| ≤ `extent[0]` (each axis difference is at most the
+    /// point's and the query's magnitudes together), plus a term for
+    /// underflow. The five roundings a squared axis gap meets in [`dist2`]
+    /// cost under 5.01·2⁻⁵³ of the distance, so this bounds its rounding
+    /// with slack.
+    fn margin(&self, q: Point) -> f64 {
+        let e = self.extent;
+        let reach = [2.0 * e[0], e[1] + q[1].abs(), e[2] + q[2].abs()];
+        4.0 * f64::EPSILON * (reach[0] * reach[0] + reach[1] * reach[1] + reach[2] * reach[2])
+            + f64::MIN_POSITIVE
     }
 
     /// The training point stored at `node`, as a query in unnormalized
@@ -447,18 +554,22 @@ impl Buckets {
     /// at it, scanning leaves at `level`. Visits the children of a bucket
     /// nearest box first, and skips a child only when its box is strictly
     /// farther than the best distance so far, so every point at the
-    /// minimum is counted.
-    fn scan(&self, q: Point, level: SimdLevel) -> Scan {
+    /// minimum is counted. With `runner_up`, the runner-up bound comes at
+    /// no extra visit: a point not scanned lies in a skipped box, whose
+    /// distance never exceeds the point's ([`box_dist2`]). Without it, the
+    /// leaves report no runner-up and the bound is meaningless.
+    fn scan(&self, q: Point, level: SimdLevel, runner_up: bool) -> Scan {
         let mut best = Scan {
             d2: f64::INFINITY,
             ties: 0,
             node: 0,
+            runner_up: f64::INFINITY,
         };
-        self.visit(self.root, q, level, &mut best);
+        self.visit(self.root, q, level, runner_up, &mut best);
         best
     }
 
-    fn visit(&self, bucket: Bucket, q: Point, level: SimdLevel, best: &mut Scan) {
+    fn visit(&self, bucket: Bucket, q: Point, level: SimdLevel, runner_up: bool, best: &mut Scan) {
         match bucket {
             Bucket::Leaf(leaf) => {
                 let (start, end) = self.leaves[leaf];
@@ -467,15 +578,18 @@ impl Buckets {
                     &self.ys[start..end],
                     &self.zs[start..end],
                 );
-                let leaf = simd::leaf_nearest_soa(level, xs, ys, zs, q, best.d2);
+                let leaf = simd::leaf_nearest_soa(level, xs, ys, zs, q, best.d2, runner_up);
                 if leaf.d2 < best.d2 {
                     *best = Scan {
                         d2: leaf.d2,
                         ties: leaf.ties,
                         node: self.ids[start + leaf.index],
+                        runner_up: best.d2.min(best.runner_up).min(leaf.above),
                     };
-                } else {
+                } else if leaf.d2 == best.d2 {
                     best.ties += leaf.ties;
+                } else {
+                    best.runner_up = best.runner_up.min(leaf.d2);
                 }
             }
             Bucket::Inner(inner) => {
@@ -492,10 +606,11 @@ impl Buckets {
                     }
                     // The rest are no nearer than `next`.
                     let Some(k) = next.filter(|_| next_d2 <= best.d2) else {
+                        best.runner_up = best.runner_up.min(next_d2);
                         return;
                     };
                     d2[k] = f64::NAN;
-                    self.visit(inner.children[k], q, level, best);
+                    self.visit(inner.children[k], q, level, runner_up, best);
                 }
             }
         }
@@ -794,9 +909,9 @@ mod tests {
         for i in 0..256 {
             let query = q(f64::from(i) + 0.5, 0.0, 0.0);
             let norm = r.normalize(&query);
-            let scan = r.buckets.scan(norm, SimdLevel::Scalar);
+            let scan = r.buckets.scan(norm, SimdLevel::Scalar, false);
             assert_eq!(scan.ties, 2, "{query:?}");
-            let (d2, node) = r.closest(norm);
+            let Nearest { d2, node, .. } = r.closest(norm, false);
             assert_eq!(d2.to_bits(), scan.d2.to_bits());
             assert_eq!((d2, node), reference(&r, &query), "{query:?}");
             let pair = [i, i + 1].map(|p| {
@@ -853,10 +968,35 @@ mod tests {
                     }
                 };
                 let query = q(t, a, p);
-                let (d2, node) = r.closest(r.normalize(&query));
+                let Nearest { d2, node, .. } = r.closest(r.normalize(&query), false);
                 let (ref_d2, ref_node) = reference(&r, &query);
                 prop_assert_eq!(d2.to_bits(), ref_d2.to_bits(), "{:?}", query);
                 prop_assert_eq!(node, ref_node, "{:?}", query);
+                // With one point at the minimum, the runner-up bound
+                // never exceeds another point's distance, at every level.
+                let norm = r.normalize(&query);
+                for level in SimdLevel::available() {
+                    let scan = r.buckets.scan(norm, level, true);
+                    if scan.ties != 1 {
+                        continue;
+                    }
+                    let others = r
+                        .tree
+                        .nodes
+                        .iter()
+                        .enumerate()
+                        .filter(|&(i, _)| i != scan.node as usize)
+                        .map(|(_, n)| dist2(n.point, norm))
+                        .fold(f64::INFINITY, f64::min);
+                    prop_assert!(
+                        scan.runner_up <= others,
+                        "{:?} at {:?}: runner-up {} over {}",
+                        query,
+                        level,
+                        scan.runner_up,
+                        others
+                    );
+                }
                 let projected = r.project(query);
                 let expected = reference_project(&r, query);
                 prop_assert!(
@@ -882,7 +1022,7 @@ mod tests {
             let query = q(probe[0], probe[1], probe[2]);
             let norm = r.normalize(&query);
             let (d, _) = r.tree.two_nearest(norm);
-            let (d2, _) = r.closest(norm);
+            let d2 = r.closest(norm, false).d2;
             // Brute force in the same normalized space.
             let s = r.tree.scales;
             let brute = pts

@@ -640,6 +640,10 @@ pub struct LeafNearest {
     pub ties: usize,
     /// The first point at `d2` (`usize::MAX` when `ties` is 0).
     pub index: usize,
+    /// The smallest distance above `d2`, NaN skipped: the leaf's
+    /// runner-up when `ties` is 1. `+∞` when not asked for, when `ties`
+    /// is 0, or when no point lies farther.
+    pub above: f64,
 }
 
 impl LeafNearest {
@@ -647,23 +651,27 @@ impl LeafNearest {
         d2: f64::INFINITY,
         ties: 0,
         index: usize::MAX,
+        above: f64::INFINITY,
     };
 }
 
 /// Finds the points of a leaf `(xs[r], ys[r], zs[r])` nearest to
 /// `query`: the minimum squared distance and, unless it exceeds
-/// `bound`, how many points reach it and the first of them. Each
+/// `bound`, how many points reach it, the first of them and, if
+/// `runner_up` asks for it, the smallest distance above it. Each
 /// distance is `dx * dx + dy * dy + dz * dz` with `dx = xs[r] - query[0]`
 /// (and so on), rounded after every operation in that order — the
 /// scalar sequence of `sigtom`'s valid-region search. The minimum skips
 /// NaN distances (`if d < min` from `+∞`).
 ///
 /// The scalar level scans once; AVX2 keeps a minimum per lane, merges
-/// the lanes, then counts the distances equal to the minimum in a second
-/// pass. Both give the same result: a minimum is order-free once NaN is
-/// skipped (and a squared distance is never `-0.0`), and the count and
-/// first position of a value are exact. SSE2 runs the scalar scan: its
-/// two-lane version measured no reliable gain over it.
+/// the lanes, then counts the distances equal to the minimum (and takes
+/// the minimum of the others) in a second pass. Both give the same
+/// result: a minimum is order-free once NaN is skipped (and a squared
+/// distance is never `-0.0`), and the count and first position of a
+/// value are exact. SSE2 runs the scalar scan: its two-lane version
+/// measured no reliable gain over it. The runner-up costs the AVX2 pass
+/// about a sixth of a served search, hence the switch.
 ///
 /// # Panics
 ///
@@ -675,17 +683,31 @@ pub fn leaf_nearest_soa(
     zs: &[f64],
     query: [f64; 3],
     bound: f64,
+    runner_up: bool,
 ) -> LeafNearest {
     let n = xs.len();
     assert!(
         ys.len() == n && zs.len() == n && n <= LEAF_POINTS,
         "point leaf shape mismatch"
     );
-    match level {
+    let found = match level {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: level provenance as in `dense_forward_soa`.
-        SimdLevel::Avx2 => unsafe { leaf_nearest_avx2(xs, ys, zs, query, bound) },
+        SimdLevel::Avx2 if runner_up => unsafe {
+            leaf_nearest_avx2::<true>(xs, ys, zs, query, bound)
+        },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as above.
+        SimdLevel::Avx2 => unsafe { leaf_nearest_avx2::<false>(xs, ys, zs, query, bound) },
         _ => leaf_nearest_scalar(xs, ys, zs, query, bound),
+    };
+    if runner_up {
+        found
+    } else {
+        LeafNearest {
+            above: f64::INFINITY,
+            ..found
+        }
     }
 }
 
@@ -707,10 +729,13 @@ fn leaf_nearest_scalar(
                 d2,
                 ties: 1,
                 index: r,
+                above: found.d2,
             };
         } else if d2 == found.d2 {
             found.ties += 1;
             found.index = found.index.min(r);
+        } else if d2 < found.above {
+            found.above = d2;
         }
     }
     if found.d2 > bound {
@@ -725,7 +750,7 @@ fn leaf_nearest_scalar(
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn leaf_nearest_avx2(
+unsafe fn leaf_nearest_avx2<const RUNNER_UP: bool>(
     xs: &[f64],
     ys: &[f64],
     zs: &[f64],
@@ -733,8 +758,9 @@ unsafe fn leaf_nearest_avx2(
     bound: f64,
 ) -> LeafNearest {
     use std::arch::x86_64::{
-        _mm256_add_pd, _mm256_cmp_pd, _mm256_loadu_pd, _mm256_min_pd, _mm256_movemask_pd,
-        _mm256_mul_pd, _mm256_set1_pd, _mm256_storeu_pd, _mm256_sub_pd, _CMP_EQ_OQ,
+        __m256d, _mm256_add_pd, _mm256_blendv_pd, _mm256_cmp_pd, _mm256_loadu_pd, _mm256_min_pd,
+        _mm256_movemask_pd, _mm256_mul_pd, _mm256_set1_pd, _mm256_storeu_pd, _mm256_sub_pd,
+        _CMP_EQ_OQ,
     };
     let n = xs.len();
     let main = n - n % 4;
@@ -795,11 +821,15 @@ unsafe fn leaf_nearest_avx2(
         return found;
     }
     // Count the distances equal to the minimum: bit `l` of a vector's
-    // mask is lane `l`.
+    // mask is lane `l`. The others (none is below the minimum) feed lane
+    // minima of their own, into which a tie enters as +∞ and NaN not at
+    // all; four of them, so consecutive vectors do not wait on one
+    // another.
     let target = _mm256_set1_pd(d2);
-    let mut r = 0;
-    while r < main {
-        let equal = _mm256_cmp_pd::<_CMP_EQ_OQ>(_mm256_loadu_pd(out.as_ptr().add(r)), target);
+    let infinity = _mm256_set1_pd(f64::INFINITY);
+    let mut count = |r: usize, above: __m256d| {
+        let d = _mm256_loadu_pd(out.as_ptr().add(r));
+        let equal = _mm256_cmp_pd::<_CMP_EQ_OQ>(d, target);
         let hits = _mm256_movemask_pd(equal) as u32;
         let first = if hits == 0 {
             usize::MAX
@@ -808,12 +838,39 @@ unsafe fn leaf_nearest_avx2(
         };
         found.ties += hits.count_ones() as usize;
         found.index = found.index.min(first);
+        if RUNNER_UP {
+            _mm256_min_pd(_mm256_blendv_pd(d, infinity, equal), above)
+        } else {
+            above
+        }
+    };
+    let mut above = [infinity; 4];
+    let mut r = 0;
+    while r + 16 <= main {
+        for (k, above) in above.iter_mut().enumerate() {
+            *above = count(r + 4 * k, *above);
+        }
+        r += 16;
+    }
+    while r < main {
+        above[0] = count(r, above[0]);
         r += 4;
+    }
+    let mut lanes = [0.0; 16];
+    for (k, &above) in above.iter().enumerate() {
+        _mm256_storeu_pd(lanes.as_mut_ptr().add(4 * k), above);
+    }
+    for &lane in &lanes {
+        if lane < found.above {
+            found.above = lane;
+        }
     }
     for (r, &d) in out.iter().enumerate().skip(main) {
         if d == d2 {
             found.ties += 1;
             found.index = found.index.min(r);
+        } else if d < found.above {
+            found.above = d;
         }
     }
     found
@@ -1001,11 +1058,29 @@ mod tests {
                     d2: min,
                     ties: d2.iter().filter(|&&d| d == min).count(),
                     index: d2.iter().position(|&d| d == min).unwrap_or(usize::MAX),
+                    above: d2
+                        .iter()
+                        .filter(|&&d| d > min)
+                        .fold(f64::INFINITY, |m, &d| m.min(d)),
                 }
             };
-            for level in SimdLevel::available() {
-                let got = leaf_nearest_soa(level, xs, ys, zs, query, bound);
+            for (level, runner_up) in SimdLevel::available()
+                .into_iter()
+                .flat_map(|level| [(level, true), (level, false)])
+            {
+                let got = leaf_nearest_soa(level, xs, ys, zs, query, bound, runner_up);
+                let expected = if runner_up {
+                    expected
+                } else {
+                    LeafNearest { above: f64::INFINITY, ..expected }
+                };
                 prop_assert_eq!(got.d2.to_bits(), expected.d2.to_bits(), "{}", level.as_str());
+                prop_assert_eq!(
+                    got.above.to_bits(),
+                    expected.above.to_bits(),
+                    "{}",
+                    level.as_str()
+                );
                 prop_assert_eq!(
                     (got.ties, got.index),
                     (expected.ties, expected.index),

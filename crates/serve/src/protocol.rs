@@ -471,6 +471,17 @@ pub struct StatsReply {
     /// Cumulative inference rows merged across fleet runs (how much
     /// batching the fleet path actually bought).
     pub fleet_rows: u64,
+    /// Cumulative rows of `sim`, `sim.batch` and session executions whose
+    /// nearest training point came from a model's line memo, with no
+    /// search (`0` from daemons without the memo).
+    pub snap_memo_hits: u64,
+    /// Cumulative rows of those executions that ran the nearest search:
+    /// memo misses, and rows of batches that found the memo busy.
+    pub snap_memo_searches: u64,
+    /// Heap bytes of the line memos of every resident model set; each
+    /// memo holds at most a fixed budget (`0` from daemons without the
+    /// memo).
+    pub snap_memo_bytes: u64,
     /// The daemon's observability mode (`off`/`counters`/`trace`); empty
     /// when talking to a pre-observability daemon.
     pub obs_mode: String,
@@ -1107,6 +1118,9 @@ impl Serialize for StatsReply {
             ("simd_level", self.simd_level.to_value()),
             ("fleet_runs", self.fleet_runs.to_value()),
             ("fleet_rows", self.fleet_rows.to_value()),
+            ("snap_memo_hits", self.snap_memo_hits.to_value()),
+            ("snap_memo_searches", self.snap_memo_searches.to_value()),
+            ("snap_memo_bytes", self.snap_memo_bytes.to_value()),
             ("obs_mode", self.obs_mode.to_value()),
             ("connections_open", self.connections_open.to_value()),
             ("frames_pipelined", self.frames_pipelined.to_value()),
@@ -1157,6 +1171,10 @@ impl Deserialize for StatsReply {
             },
             fleet_runs: get_u64_or(v, "fleet_runs", 0)?,
             fleet_rows: get_u64_or(v, "fleet_rows", 0)?,
+            // Absent in daemons without the snap memo: zero, as above.
+            snap_memo_hits: get_u64_or(v, "snap_memo_hits", 0)?,
+            snap_memo_searches: get_u64_or(v, "snap_memo_searches", 0)?,
+            snap_memo_bytes: get_u64_or(v, "snap_memo_bytes", 0)?,
             // Absent in pre-observability daemons: empty mode, zero
             // quantiles — the same decode-defaults discipline as above.
             obs_mode: match v.get_field("obs_mode") {
@@ -1653,6 +1671,9 @@ mod tests {
                     simd_level: "avx2".into(),
                     fleet_runs: 32,
                     fleet_rows: 4096,
+                    snap_memo_hits: 75_000,
+                    snap_memo_searches: 1_200,
+                    snap_memo_bytes: 229_376,
                     obs_mode: "counters".into(),
                     connections_open: 17,
                     frames_pipelined: 4096,
@@ -1966,6 +1987,14 @@ mod tests {
         };
         assert_eq!(stats.simd_level, "");
         assert_eq!((stats.fleet_runs, stats.fleet_rows), (0, 0));
+        assert_eq!(
+            (
+                stats.snap_memo_hits,
+                stats.snap_memo_searches,
+                stats.snap_memo_bytes
+            ),
+            (0, 0, 0)
+        );
     }
 
     #[test]

@@ -293,6 +293,20 @@ impl ModelRegistry {
         self.requests.load(Ordering::Relaxed)
     }
 
+    /// The heap bytes of the snap-search line memos of every resident
+    /// set (see [`sigsim::CellModels::snap_memo_bytes`]).
+    #[must_use]
+    pub fn snap_memo_bytes(&self) -> u64 {
+        let entries = self.entries.lock().expect("registry poisoned");
+        entries
+            .values()
+            .filter_map(|slot| {
+                let state = slot.state.lock().expect("registry slot poisoned");
+                state.as_ref().map(|set| set.cells.snap_memo_bytes() as u64)
+            })
+            .sum()
+    }
+
     /// The `preset/library` keys of currently resident sets, sorted —
     /// the `model_sets` field of a stats reply.
     #[must_use]

@@ -113,6 +113,9 @@ pub fn aggregate_stats(shards: &[StatsReply]) -> StatsReply {
         total.gates_reeval += s.gates_reeval;
         total.fleet_runs += s.fleet_runs;
         total.fleet_rows += s.fleet_rows;
+        total.snap_memo_hits += s.snap_memo_hits;
+        total.snap_memo_searches += s.snap_memo_searches;
+        total.snap_memo_bytes += s.snap_memo_bytes;
         total.connections_open += s.connections_open;
         total.frames_pipelined += s.frames_pipelined;
         total.admission_rejects += s.admission_rejects;

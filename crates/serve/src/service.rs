@@ -108,10 +108,13 @@ pub enum Handled {
 /// workers: each executing request — solo, fleet or session open — pops
 /// one (or starts fresh), runs, and returns it, so steady-state traffic
 /// reuses grown buffers instead of re-allocating per request. Bounded so
-/// a one-off burst cannot pin memory forever.
+/// a one-off burst cannot pin memory forever. It also totals the snap
+/// memo's row counters of every execution (session deltas add theirs).
 #[derive(Debug, Default)]
 struct ScratchPool {
     pool: Mutex<Vec<FleetScratch>>,
+    memo_hits: AtomicU64,
+    memo_searches: AtomicU64,
 }
 
 /// Upper bound on pooled arenas (comfortably above any sane worker
@@ -144,6 +147,7 @@ impl ScratchPool {
         let start = Instant::now();
         let out = f(&mut scratch);
         let wall = start.elapsed();
+        self.count_memo_rows(scratch.snap_memo_hits(), scratch.snap_memo_searches());
         if scratch.net_capacity() <= MAX_POOLED_NET_SLOTS {
             let mut pool = self.pool.lock().expect("scratch pool poisoned");
             if pool.len() < MAX_POOLED_SCRATCH {
@@ -151,6 +155,11 @@ impl ScratchPool {
             }
         }
         (out, wall)
+    }
+
+    fn count_memo_rows(&self, hits: u64, searches: u64) {
+        self.memo_hits.fetch_add(hits, Ordering::Relaxed);
+        self.memo_searches.fetch_add(searches, Ordering::Relaxed);
     }
 }
 
@@ -287,6 +296,9 @@ impl Service {
             simd_level: signn::simd::active_level().as_str().to_string(),
             fleet_runs: self.fleet_runs.load(Ordering::Relaxed),
             fleet_rows: self.fleet_rows.load(Ordering::Relaxed),
+            snap_memo_hits: self.scratch.memo_hits.load(Ordering::Relaxed),
+            snap_memo_searches: self.scratch.memo_searches.load(Ordering::Relaxed),
+            snap_memo_bytes: self.registry.snap_memo_bytes(),
             obs_mode: sigobs::mode().as_str().to_string(),
             connections_open: self.transport.connections_open.load(Ordering::SeqCst),
             frames_pipelined: self.transport.frames_pipelined.load(Ordering::Relaxed),
@@ -593,12 +605,16 @@ impl Service {
                 })
                 .collect();
             let split = resolved(core.timings.then_some(t0));
+            let before = core.state.snap_memo_rows();
             let start = Instant::now();
             let executed = core
                 .program
                 .execute_delta(&mut core.state, &changes)
                 .map_err(simulation_error)?;
             let wall = core.timing.then(|| start.elapsed());
+            let after = core.state.snap_memo_rows();
+            self.scratch
+                .count_memo_rows(after.0 - before.0, after.1 - before.1);
             self.delta_hits.fetch_add(1, Ordering::Relaxed);
             self.gates_reeval
                 .fetch_add(core.state.last_reeval(), Ordering::Relaxed);

@@ -356,6 +356,9 @@ fn random_response(rng: &mut rand::rngs::StdRng) -> Response {
                 simd_level: ["scalar", "sse2", "avx2"][rng.gen_range(0..3usize)].to_string(),
                 fleet_runs: rng.gen_range(0..MAX_WIRE_INT),
                 fleet_rows: rng.gen_range(0..MAX_WIRE_INT),
+                snap_memo_hits: rng.gen_range(0..MAX_WIRE_INT),
+                snap_memo_searches: rng.gen_range(0..MAX_WIRE_INT),
+                snap_memo_bytes: rng.gen_range(0..MAX_WIRE_INT),
                 obs_mode: ["off", "counters", "trace"][rng.gen_range(0..3usize)].to_string(),
                 connections_open: rng.gen_range(0..MAX_WIRE_INT),
                 frames_pipelined: rng.gen_range(0..MAX_WIRE_INT),

@@ -392,3 +392,43 @@ fn daemon_matches_direct_harness_bit_for_bit() {
     );
     server.join().expect("server exits after shutdown");
 }
+
+#[test]
+fn snap_memo_warms_up_within_its_budget_on_c1355() {
+    // 64 fresh-seed requests of the served setup through one service: the
+    // model set's line memos answer most rows once warm, and their bytes
+    // never pass one memo budget per slot.
+    let service = Service::new(ServiceConfig {
+        models_dir: PathBuf::from(MODELS_DIR),
+        ..ServiceConfig::default()
+    });
+    let set = service
+        .registry()
+        .get_or_load("ci", "nor-only")
+        .expect("ci models");
+    let budget = (set.cells.slots() * sigtom::GateModel::SNAP_MEMO_BUDGET) as u64;
+    let mut early = (0, 0);
+    for k in 0..64u64 {
+        let sim = SimRequest {
+            transitions: 4,
+            ..sim(CircuitSource::Name("c1355".into()), 4_000 + k, false)
+        };
+        service.execute_sim(&sim).expect("c1355 request");
+        let stats = service.stats();
+        assert!(
+            stats.snap_memo_bytes <= budget,
+            "request {k}: {} memo bytes over the budget {budget}",
+            stats.snap_memo_bytes
+        );
+        if k == 3 {
+            early = (stats.snap_memo_hits, stats.snap_memo_searches);
+        }
+    }
+    let stats = service.stats();
+    let (hits, searches) = (
+        stats.snap_memo_hits - early.0,
+        stats.snap_memo_searches - early.1,
+    );
+    assert!(hits > searches, "{hits} hits, {searches} searches");
+    assert!(stats.snap_memo_bytes > 0);
+}

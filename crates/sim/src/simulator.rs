@@ -137,6 +137,19 @@ impl CellModels {
         &self.models[slot]
     }
 
+    /// The heap bytes of the slots' snap-search line memos, each memo
+    /// counted once (clones share one): at most
+    /// [`GateModel::SNAP_MEMO_BUDGET`] per slot.
+    #[must_use]
+    pub fn snap_memo_bytes(&self) -> usize {
+        self.models
+            .iter()
+            .enumerate()
+            .filter(|(i, m)| !self.models[..*i].iter().any(|o| o.shares_snap_memo(m)))
+            .map(|(_, m)| m.snap_memo_bytes())
+            .sum()
+    }
+
     /// The slot a gate of this kind/arity/fan-out resolves to, or `None`
     /// when the set has no model for it (the gate is unsimulable with
     /// these models). Arity legality is checked here too: NOR accepts
@@ -520,9 +533,12 @@ impl ProgramTables {
 /// only the output traces themselves (plus one small per-level plan
 /// list, whose elements borrow the arena and cannot outlive a level).
 ///
-/// The arena also keeps two monotone counters the service layer reports:
-/// total stimulus sets executed ([`FleetScratch::runs`]) and total query
-/// rows issued through merged batches ([`FleetScratch::rows_merged`]).
+/// The arena also keeps monotone counters the service layer reports:
+/// total stimulus sets executed ([`FleetScratch::runs`]), total query
+/// rows issued through merged batches ([`FleetScratch::rows_merged`]),
+/// and the rows the snap search's line memo answered or left to the
+/// search ([`FleetScratch::snap_memo_hits`],
+/// [`FleetScratch::snap_memo_searches`]).
 #[derive(Debug, Default)]
 pub struct FleetScratch {
     /// Run-major per-run/per-net resolved traces
@@ -570,6 +586,19 @@ impl FleetScratch {
         self.rows_merged
     }
 
+    /// Total rows of region models whose nearest training point came
+    /// from the model's line memo (see [`GateModel::predict_batch_with`]).
+    #[must_use]
+    pub fn snap_memo_hits(&self) -> u64 {
+        self.snap.memo_hits()
+    }
+
+    /// Total rows of region models that ran the nearest search.
+    #[must_use]
+    pub fn snap_memo_searches(&self) -> u64 {
+        self.snap.memo_searches()
+    }
+
     /// The per-net slot capacity currently retained — the arena's
     /// dominant allocation, `runs × net_count` of the largest fleet
     /// executed. Pools use this to drop arenas grown by a one-off huge
@@ -579,15 +608,16 @@ impl FleetScratch {
         self.nets.capacity()
     }
 
-    /// Resets the cumulative [`FleetScratch::runs`] /
-    /// [`FleetScratch::rows_merged`] counters to zero. The counters are
-    /// monotone over the arena's lifetime, so a pool that hands one arena
-    /// to unrelated requests must reset on acquire or per-request
-    /// accounting over-reports (the buffers themselves are untouched —
-    /// capacity reuse is the point of pooling).
+    /// Resets the cumulative counters ([`FleetScratch::runs`],
+    /// [`FleetScratch::rows_merged`] and the snap-memo rows) to zero. The
+    /// counters are monotone over the arena's lifetime, so a pool that
+    /// hands one arena to unrelated requests must reset on acquire or
+    /// per-request accounting over-reports (the buffers themselves are
+    /// untouched — capacity reuse is the point of pooling).
     pub fn reset_counters(&mut self) {
         self.runs = 0;
         self.rows_merged = 0;
+        self.snap.reset_counters();
     }
 }
 
@@ -991,6 +1021,17 @@ impl IncrementalState {
     #[must_use]
     pub fn last_reeval(&self) -> u64 {
         self.last_reeval
+    }
+
+    /// Cumulative rows across all deltas whose nearest training point
+    /// came from a line memo, and rows that ran the nearest search (see
+    /// [`FleetScratch::snap_memo_hits`]).
+    #[must_use]
+    pub fn snap_memo_rows(&self) -> (u64, u64) {
+        (
+            self.committed.snap_memo_hits(),
+            self.committed.snap_memo_searches(),
+        )
     }
 }
 
