@@ -144,12 +144,6 @@ impl GateModel {
             .bytes()
     }
 
-    /// `true` when `self` and `other` share one line memo (clones do).
-    #[must_use]
-    pub fn shares_snap_memo(&self, other: &GateModel) -> bool {
-        Arc::ptr_eq(&self.memo, &other.memo)
-    }
-
     /// Clamps a raw query to the trained domain and (when a region is
     /// attached) projects it into the valid region.
     fn prepare(&self, query: TransferQuery) -> TransferQuery {
@@ -229,10 +223,7 @@ impl GateModel {
         };
         for i in 0..queries.len() {
             let q = queries[i].clamped();
-            let (node, hit) = match memo.as_deref_mut() {
-                Some(memo) => region.snap_node_memo(&q, memo),
-                None => (region.snap_node(&q), false),
-            };
+            let (node, hit) = region.snap_node(&q, memo.as_deref_mut());
             if hit {
                 *memo_hits += 1;
             } else {
@@ -1500,7 +1491,7 @@ mod tests {
         );
         // Clones share the memo.
         let clone = m.clone();
-        assert!(clone.shares_snap_memo(&m));
+        assert!(Arc::ptr_eq(&clone.memo, &m.memo));
         scratch.reset_counters();
         assert_batches_match_scalar(&clone, &rows[..100], &mut scratch, &mut rng);
         assert!(scratch.memo_hits() > 90, "{}", scratch.memo_hits());
@@ -1585,11 +1576,9 @@ mod tests {
                 })
                 .collect::<Vec<_>>()
         };
-        let first = line(&mut rng);
         let mut scratch = SnapScratch::default();
-        assert_batches_match_scalar(&m, &rows_of(first, &mut rng), &mut scratch, &mut rng);
         // Every row of a distinct line: far more lines than the memo
-        // learns, and many more intervals than it holds.
+        // holds, and many more intervals.
         for _ in 0..40 {
             let rows: Vec<TransferQuery> = (0..200)
                 .flat_map(|_| rows_of(line(&mut rng), &mut rng))
@@ -1598,21 +1587,23 @@ mod tests {
             assert!(m.snap_memo_bytes() <= GateModel::SNAP_MEMO_BUDGET);
         }
         assert!(m.snap_memo_bytes() > GateModel::SNAP_MEMO_BUDGET / 4);
-        // Full: a new line is searched every time, and rows stay exact.
-        let late = rows_of(line(&mut rng), &mut rng);
-        for _pass in 0..2 {
+        // Traffic that settles on a few new lines gets them learned: the
+        // certified searches the full memo refuses make it sweep out the
+        // flood's lines, and rows stay exact throughout.
+        let settled: Vec<(f64, f64)> = (0..8).map(|_| line(&mut rng)).collect();
+        for _pass in 0..40 {
             scratch.reset_counters();
-            assert_batches_match_scalar(&m, &late, &mut scratch, &mut rng);
-            assert_eq!(scratch.memo_hits(), 0);
+            let rows: Vec<TransferQuery> =
+                settled.iter().flat_map(|&l| rows_of(l, &mut rng)).collect();
+            assert_batches_match_scalar(&m, &rows, &mut scratch, &mut rng);
+            assert!(m.snap_memo_bytes() <= GateModel::SNAP_MEMO_BUDGET);
         }
-        // A line learned before the memo filled still answers its rows.
-        let first_rows = rows_of(first, &mut rng);
-        scratch.reset_counters();
-        for _pass in 0..3 {
-            assert_batches_match_scalar(&m, &first_rows, &mut scratch, &mut rng);
-        }
-        assert!(scratch.memo_hits() > 0);
-        assert!(m.snap_memo_bytes() <= GateModel::SNAP_MEMO_BUDGET);
+        assert!(
+            scratch.memo_hits() > scratch.memo_searches(),
+            "{} hits, {} searches",
+            scratch.memo_hits(),
+            scratch.memo_searches()
+        );
     }
 
     #[test]

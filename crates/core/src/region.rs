@@ -108,9 +108,10 @@ struct Scan {
     d2: f64,
     ties: usize,
     node: u32,
-    /// No point but the ones at `d2` is nearer: the least of the other
-    /// distances computed and the box distances of the pruned buckets.
-    runner_up: f64,
+    /// If asked for: no point but the ones at `d2` is nearer. The least
+    /// of the other distances computed and the box distances of the
+    /// pruned buckets.
+    runner_up: Option<f64>,
 }
 
 /// The answer of a nearest search.
@@ -119,9 +120,9 @@ struct Nearest {
     d2: f64,
     /// The node at `d2`; `None` only when no distance is finite.
     node: Option<usize>,
-    /// If asked for, a lower bound on the squared distance of every other
-    /// node; `d2` when several nodes are at `d2`.
-    runner_up: f64,
+    /// If asked for and one node is at `d2`, a lower bound on the squared
+    /// distance of every other node.
+    runner_up: Option<f64>,
 }
 
 /// The valid input region of a trained transfer function.
@@ -133,7 +134,7 @@ pub struct ValidRegion {
     buckets: Buckets,
     /// The largest magnitude of each normalized coordinate over the
     /// points, which bounds the rounding of a distance (see
-    /// [`ValidRegion::snap_node_memo`]). Derived like `buckets`.
+    /// [`ValidRegion::snap_node`]). Derived like `buckets`.
     extent: Point,
 }
 
@@ -248,9 +249,9 @@ impl ValidRegion {
     }
 
     /// The node nearest to `q` (normalized space), its squared distance
-    /// and, if `runner_up` asks for it, a runner-up bound (without it the
-    /// bound means nothing); no node only when no distance is finite (a
-    /// query with a NaN or infinite coordinate).
+    /// and, if `runner_up` asks for it, a runner-up bound; no node only
+    /// when no distance is finite (a query with a NaN or infinite
+    /// coordinate).
     ///
     /// Exact, and the node [`KdTree::search`] finds: the bucket search
     /// computes every distance with the same bits and misses no point at
@@ -270,7 +271,7 @@ impl ValidRegion {
         Nearest {
             d2: best.0,
             node: best.2,
-            runner_up: best.0,
+            runner_up: None,
         }
     }
 
@@ -286,28 +287,10 @@ impl ValidRegion {
     }
 
     /// The node a query outside the region snaps to, or `None` for a
-    /// query inside it. One search yields both the membership distance
-    /// and the snap target.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a query with a NaN or infinite coordinate.
-    pub(crate) fn snap_node(&self, query: &TransferQuery) -> Option<usize> {
-        let nearest = self.closest(self.normalize(query), false);
-        self.snap_of(nearest.d2, nearest.node)
-    }
-
-    /// The membership test and snap target of a nearest node at squared
-    /// distance `d2`.
-    fn snap_of(&self, d2: f64, node: Option<usize>) -> Option<usize> {
-        if d2.sqrt() <= self.tree.threshold {
-            return None;
-        }
-        Some(node.expect("query coordinates are finite"))
-    }
-
-    /// [`ValidRegion::snap_node`] through a line memo, bit for bit. The
-    /// second value is `true` when the memo answered and no search ran.
+    /// query inside it, and whether `memo` answered without a search. One
+    /// search (or one memo lookup) yields both the membership distance and
+    /// the snap target; with or without a memo the answer is the same,
+    /// bit for bit.
     ///
     /// A line is the query's (`a_in`, `a_prev_out`) bits: y and z are
     /// fixed and x grows with `t`. For points p and r, the exact
@@ -322,20 +305,21 @@ impl ValidRegion {
     /// p the unique minimum and the search would name p with the bits of
     /// `dist2(p, q)`. The memo stores such brackets; a row inside one
     /// recomputes that distance and the threshold test, nothing else.
+    /// Rows with a non-finite coordinate bypass the memo.
     ///
     /// # Panics
     ///
-    /// Panics on a query with a NaN or infinite coordinate, as
-    /// [`ValidRegion::snap_node`] does.
-    pub(crate) fn snap_node_memo(
+    /// Panics on a query with a NaN or infinite coordinate.
+    pub(crate) fn snap_node(
         &self,
         query: &TransferQuery,
-        memo: &mut LineMemo,
+        memo: Option<&mut LineMemo>,
     ) -> (Option<usize>, bool) {
         let q = self.normalize(query);
-        if !q.iter().all(|c| c.is_finite()) {
-            return (self.snap_node(query), false);
-        }
+        let Some(memo) = memo.filter(|_| q.iter().all(|c| c.is_finite())) else {
+            let nearest = self.closest(q, false);
+            return (self.snap_of(nearest.d2, nearest.node), false);
+        };
         let key = [query.a_in.to_bits(), query.a_prev_out.to_bits()];
         let gap = match memo.lookup(key, q[0]) {
             Lookup::Hit(node) => {
@@ -344,16 +328,22 @@ impl ValidRegion {
             }
             Lookup::Miss(gap) => gap,
         };
-        // The runner-up costs the search a little; skip it when the
-        // memo could not use it.
-        let learn = q[0].abs() <= self.extent[0] && memo.can_learn(gap.as_ref());
-        let nearest = self.closest(q, learn);
-        if let Some(node) = nearest.node {
-            if learn && nearest.runner_up - nearest.d2 > 4.0 * self.margin(q) {
+        let nearest = self.closest(q, q[0].abs() <= self.extent[0]);
+        if let (Some(node), Some(runner_up)) = (nearest.node, nearest.runner_up) {
+            if runner_up - nearest.d2 > 4.0 * self.margin(q) {
                 memo.learn(key, gap, q[0], node);
             }
         }
         (self.snap_of(nearest.d2, nearest.node), false)
+    }
+
+    /// The membership test and snap target of a nearest node at squared
+    /// distance `d2`.
+    fn snap_of(&self, d2: f64, node: Option<usize>) -> Option<usize> {
+        if d2.sqrt() <= self.tree.threshold {
+            return None;
+        }
+        Some(node.expect("query coordinates are finite"))
     }
 
     /// 8·2⁻⁵³ times a bound on any squared distance from a point to `q`'s
@@ -391,7 +381,7 @@ impl ValidRegion {
     /// Panics on a query with a NaN or infinite coordinate.
     #[must_use]
     pub fn project(&self, query: TransferQuery) -> TransferQuery {
-        match self.snap_node(&query) {
+        match self.snap_node(&query, None).0 {
             None => query,
             Some(node) => self.node_query(node),
         }
@@ -556,20 +546,19 @@ impl Buckets {
     /// farther than the best distance so far, so every point at the
     /// minimum is counted. With `runner_up`, the runner-up bound comes at
     /// no extra visit: a point not scanned lies in a skipped box, whose
-    /// distance never exceeds the point's ([`box_dist2`]). Without it, the
-    /// leaves report no runner-up and the bound is meaningless.
+    /// distance never exceeds the point's ([`box_dist2`]).
     fn scan(&self, q: Point, level: SimdLevel, runner_up: bool) -> Scan {
         let mut best = Scan {
             d2: f64::INFINITY,
             ties: 0,
             node: 0,
-            runner_up: f64::INFINITY,
+            runner_up: runner_up.then_some(f64::INFINITY),
         };
-        self.visit(self.root, q, level, runner_up, &mut best);
+        self.visit(self.root, q, level, &mut best);
         best
     }
 
-    fn visit(&self, bucket: Bucket, q: Point, level: SimdLevel, runner_up: bool, best: &mut Scan) {
+    fn visit(&self, bucket: Bucket, q: Point, level: SimdLevel, best: &mut Scan) {
         match bucket {
             Bucket::Leaf(leaf) => {
                 let (start, end) = self.leaves[leaf];
@@ -578,18 +567,20 @@ impl Buckets {
                     &self.ys[start..end],
                     &self.zs[start..end],
                 );
+                let runner_up = best.runner_up.is_some();
                 let leaf = simd::leaf_nearest_soa(level, xs, ys, zs, q, best.d2, runner_up);
                 if leaf.d2 < best.d2 {
                     *best = Scan {
                         d2: leaf.d2,
                         ties: leaf.ties,
                         node: self.ids[start + leaf.index],
-                        runner_up: best.d2.min(best.runner_up).min(leaf.above),
+                        runner_up: best.runner_up.map(|r| r.min(best.d2).min(leaf.above)),
                     };
-                } else if leaf.d2 == best.d2 {
-                    best.ties += leaf.ties;
                 } else {
-                    best.runner_up = best.runner_up.min(leaf.d2);
+                    best.ties += leaf.ties;
+                    if let Some(r) = &mut best.runner_up {
+                        *r = r.min(leaf.d2);
+                    }
                 }
             }
             Bucket::Inner(inner) => {
@@ -606,11 +597,13 @@ impl Buckets {
                     }
                     // The rest are no nearer than `next`.
                     let Some(k) = next.filter(|_| next_d2 <= best.d2) else {
-                        best.runner_up = best.runner_up.min(next_d2);
+                        if let Some(r) = &mut best.runner_up {
+                            *r = r.min(next_d2);
+                        }
                         return;
                     };
                     d2[k] = f64::NAN;
-                    self.visit(inner.children[k], q, level, runner_up, best);
+                    self.visit(inner.children[k], q, level, best);
                 }
             }
         }
@@ -980,6 +973,7 @@ mod tests {
                     if scan.ties != 1 {
                         continue;
                     }
+                    let runner_up = scan.runner_up.expect("asked for");
                     let others = r
                         .tree
                         .nodes
@@ -989,11 +983,11 @@ mod tests {
                         .map(|(_, n)| dist2(n.point, norm))
                         .fold(f64::INFINITY, f64::min);
                     prop_assert!(
-                        scan.runner_up <= others,
+                        runner_up <= others,
                         "{:?} at {:?}: runner-up {} over {}",
                         query,
                         level,
-                        scan.runner_up,
+                        runner_up,
                         others
                     );
                 }

@@ -665,13 +665,12 @@ impl LeafNearest {
 /// NaN distances (`if d < min` from `+∞`).
 ///
 /// The scalar level scans once; AVX2 keeps a minimum per lane, merges
-/// the lanes, then counts the distances equal to the minimum (and takes
-/// the minimum of the others) in a second pass. Both give the same
-/// result: a minimum is order-free once NaN is skipped (and a squared
-/// distance is never `-0.0`), and the count and first position of a
-/// value are exact. SSE2 runs the scalar scan: its two-lane version
-/// measured no reliable gain over it. The runner-up costs the AVX2 pass
-/// about a sixth of a served search, hence the switch.
+/// the lanes, then counts the distances equal to the minimum in a second
+/// pass, and takes the smallest distance above it in a third pass only
+/// when asked. Both give the same result: a minimum is order-free once
+/// NaN is skipped (and a squared distance is never `-0.0`), and the count
+/// and first position of a value are exact. SSE2 runs the scalar scan:
+/// its two-lane version measured no reliable gain over it.
 ///
 /// # Panics
 ///
@@ -690,24 +689,11 @@ pub fn leaf_nearest_soa(
         ys.len() == n && zs.len() == n && n <= LEAF_POINTS,
         "point leaf shape mismatch"
     );
-    let found = match level {
+    match level {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: level provenance as in `dense_forward_soa`.
-        SimdLevel::Avx2 if runner_up => unsafe {
-            leaf_nearest_avx2::<true>(xs, ys, zs, query, bound)
-        },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above.
-        SimdLevel::Avx2 => unsafe { leaf_nearest_avx2::<false>(xs, ys, zs, query, bound) },
-        _ => leaf_nearest_scalar(xs, ys, zs, query, bound),
-    };
-    if runner_up {
-        found
-    } else {
-        LeafNearest {
-            above: f64::INFINITY,
-            ..found
-        }
+        SimdLevel::Avx2 => unsafe { leaf_nearest_avx2(xs, ys, zs, query, bound, runner_up) },
+        _ => leaf_nearest_scalar(xs, ys, zs, query, bound, runner_up),
     }
 }
 
@@ -717,6 +703,7 @@ fn leaf_nearest_scalar(
     zs: &[f64],
     query: [f64; 3],
     bound: f64,
+    runner_up: bool,
 ) -> LeafNearest {
     let mut found = LeafNearest::NONE;
     for r in 0..xs.len() {
@@ -743,24 +730,30 @@ fn leaf_nearest_scalar(
             d2: found.d2,
             ..LeafNearest::NONE
         }
-    } else {
+    } else if runner_up {
         found
+    } else {
+        LeafNearest {
+            above: f64::INFINITY,
+            ..found
+        }
     }
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn leaf_nearest_avx2<const RUNNER_UP: bool>(
+unsafe fn leaf_nearest_avx2(
     xs: &[f64],
     ys: &[f64],
     zs: &[f64],
     query: [f64; 3],
     bound: f64,
+    runner_up: bool,
 ) -> LeafNearest {
     use std::arch::x86_64::{
         __m256d, _mm256_add_pd, _mm256_blendv_pd, _mm256_cmp_pd, _mm256_loadu_pd, _mm256_min_pd,
         _mm256_movemask_pd, _mm256_mul_pd, _mm256_set1_pd, _mm256_storeu_pd, _mm256_sub_pd,
-        _CMP_EQ_OQ,
+        _CMP_EQ_OQ, _CMP_GT_OQ,
     };
     let n = xs.len();
     let main = n - n % 4;
@@ -821,15 +814,11 @@ unsafe fn leaf_nearest_avx2<const RUNNER_UP: bool>(
         return found;
     }
     // Count the distances equal to the minimum: bit `l` of a vector's
-    // mask is lane `l`. The others (none is below the minimum) feed lane
-    // minima of their own, into which a tie enters as +∞ and NaN not at
-    // all; four of them, so consecutive vectors do not wait on one
-    // another.
+    // mask is lane `l`.
     let target = _mm256_set1_pd(d2);
-    let infinity = _mm256_set1_pd(f64::INFINITY);
-    let mut count = |r: usize, above: __m256d| {
-        let d = _mm256_loadu_pd(out.as_ptr().add(r));
-        let equal = _mm256_cmp_pd::<_CMP_EQ_OQ>(d, target);
+    let mut r = 0;
+    while r < main {
+        let equal = _mm256_cmp_pd::<_CMP_EQ_OQ>(_mm256_loadu_pd(out.as_ptr().add(r)), target);
         let hits = _mm256_movemask_pd(equal) as u32;
         let first = if hits == 0 {
             usize::MAX
@@ -838,38 +827,39 @@ unsafe fn leaf_nearest_avx2<const RUNNER_UP: bool>(
         };
         found.ties += hits.count_ones() as usize;
         found.index = found.index.min(first);
-        if RUNNER_UP {
-            _mm256_min_pd(_mm256_blendv_pd(d, infinity, equal), above)
-        } else {
-            above
-        }
-    };
-    let mut above = [infinity; 4];
-    let mut r = 0;
-    while r + 16 <= main {
-        for (k, above) in above.iter_mut().enumerate() {
-            *above = count(r + 4 * k, *above);
-        }
-        r += 16;
-    }
-    while r < main {
-        above[0] = count(r, above[0]);
         r += 4;
-    }
-    let mut lanes = [0.0; 16];
-    for (k, &above) in above.iter().enumerate() {
-        _mm256_storeu_pd(lanes.as_mut_ptr().add(4 * k), above);
-    }
-    for &lane in &lanes {
-        if lane < found.above {
-            found.above = lane;
-        }
     }
     for (r, &d) in out.iter().enumerate().skip(main) {
         if d == d2 {
             found.ties += 1;
             found.index = found.index.min(r);
-        } else if d < found.above {
+        }
+    }
+    if !runner_up {
+        return found;
+    }
+    // The smallest distance above the minimum: a lane that is not above
+    // it (a tie, or NaN, which compares false) enters as +∞.
+    let infinity = _mm256_set1_pd(f64::INFINITY);
+    let farther = |r: usize, above: __m256d| {
+        let d = _mm256_loadu_pd(out.as_ptr().add(r));
+        let over = _mm256_cmp_pd::<_CMP_GT_OQ>(d, target);
+        _mm256_min_pd(_mm256_blendv_pd(infinity, d, over), above)
+    };
+    let mut above = [infinity; 2];
+    let mut r = 0;
+    while r + 8 <= main {
+        above[0] = farther(r, above[0]);
+        above[1] = farther(r + 4, above[1]);
+        r += 8;
+    }
+    if r < main {
+        above[0] = farther(r, above[0]);
+    }
+    _mm256_storeu_pd(lanes.as_mut_ptr(), above[0]);
+    _mm256_storeu_pd(lanes.as_mut_ptr().add(4), above[1]);
+    for &d in lanes.iter().chain(&out[main..]) {
+        if d > d2 && d < found.above {
             found.above = d;
         }
     }

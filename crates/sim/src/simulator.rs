@@ -137,17 +137,12 @@ impl CellModels {
         &self.models[slot]
     }
 
-    /// The heap bytes of the slots' snap-search line memos, each memo
-    /// counted once (clones share one): at most
-    /// [`GateModel::SNAP_MEMO_BUDGET`] per slot.
+    /// The heap bytes of the slots' snap-search line memos: at most
+    /// [`GateModel::SNAP_MEMO_BUDGET`] per slot. A memo that slots share
+    /// (clones do) is counted once per slot.
     #[must_use]
     pub fn snap_memo_bytes(&self) -> usize {
-        self.models
-            .iter()
-            .enumerate()
-            .filter(|(i, m)| !self.models[..*i].iter().any(|o| o.shares_snap_memo(m)))
-            .map(|(_, m)| m.snap_memo_bytes())
-            .sum()
+        self.models.iter().map(GateModel::snap_memo_bytes).sum()
     }
 
     /// The slot a gate of this kind/arity/fan-out resolves to, or `None`
