@@ -14,7 +14,9 @@
 //! run the served workload's engine: the trained `ci` NOR-only library,
 //! valid regions included, on the stimuli the daemon draws.
 //! `response_c1355/ci_digitize` times the response path after it:
-//! digitizing that engine's output traces. Every other row, the `ann_*`,
+//! digitizing that engine's output traces; `response_c17/ci_digitize`
+//! does the same for c17, the circuit scale of the routed small
+//! requests. Every other row, the `ann_*`,
 //! `fleet_*` and other `delta_*` rows included, uses an analytic
 //! transfer or random-weight MLPs without a valid region, so it measures
 //! scheduling and inference overhead only and never exercises
@@ -340,11 +342,12 @@ fn bench_program(c: &mut Criterion) {
     }
 }
 
-/// The served c1355 request: NOR-mapped c1355 compiled on the trained
-/// `ci` library (trained once and cached under `target/sigmodels`, as the
-/// daemon caches it), plus 16 stimulus sets drawn like the daemon's
-/// (µ 60 ps, σ 25 ps, 4 transitions; seeds 1000–1015).
-fn served_c1355() -> (Arc<sigcircuit::Circuit>, CircuitProgram, Vec<NetTraces>) {
+/// The served request on benchmark circuit `name`: its NOR mapping
+/// compiled on the trained `ci` library (trained once and cached under
+/// `target/sigmodels`, as the daemon caches it), plus 16 stimulus sets
+/// drawn like the daemon's (µ 60 ps, σ 25 ps, 4 transitions; seeds
+/// 1000–1015).
+fn served(name: &str) -> (Arc<sigcircuit::Circuit>, CircuitProgram, Vec<NetTraces>) {
     let path = concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/../../target/sigmodels/ci.nor-only.json"
@@ -355,7 +358,7 @@ fn served_c1355() -> (Arc<sigcircuit::Circuit>, CircuitProgram, Vec<NetTraces>) 
         &PipelineConfig::ci(),
     )
     .expect("ci library trains");
-    let bench = Benchmark::by_name("c1355").expect("benchmark");
+    let bench = Benchmark::by_name(name).expect("benchmark");
     let circuit = Arc::new(bench.nor_mapped.clone());
     let options = TomOptions::default();
     let program = CircuitProgram::compile(
@@ -368,7 +371,7 @@ fn served_c1355() -> (Arc<sigcircuit::Circuit>, CircuitProgram, Vec<NetTraces>) 
     (circuit, program, sets)
 }
 
-/// `count` served stimulus sets of c1355, from seeds `first..`.
+/// `count` served stimulus sets of `circuit`, from seeds `first..`.
 fn served_sets(circuit: &sigcircuit::Circuit, first: u64, count: u64) -> Vec<NetTraces> {
     let spec = StimulusSpec::new(60e-12, 25e-12, 4);
     let vdd = TomOptions::default().vdd;
@@ -396,7 +399,7 @@ const FRESH_SETS: u64 = 2048;
 /// The served c1355 program after [`WARM_SETS`] executes, and the
 /// [`FRESH_SETS`] stream the timed iterations draw from.
 fn warm_served_c1355() -> (Arc<sigcircuit::Circuit>, CircuitProgram, Vec<NetTraces>) {
-    let (circuit, program, _) = served_c1355();
+    let (circuit, program, _) = served("c1355");
     let mut scratch = FleetScratch::new();
     for set in served_sets(&circuit, 20_000, WARM_SETS) {
         program.execute(&set, &mut scratch).expect("sim");
@@ -429,40 +432,42 @@ fn bench_trained_program(c: &mut Criterion) {
 }
 
 /// The response path after the engine: every `sim` response digitizes
-/// each primary output at `vdd / 2`. Each iteration digitizes the 32
-/// output traces of the next of 16 recorded executes of the served c1355
-/// request.
+/// each primary output at `vdd / 2`. Each iteration digitizes the output
+/// traces (2 for c17, 32 for c1355) of the next of 16 recorded executes
+/// of the served request on the NOR-only `ci` library.
 fn bench_response_digitize(c: &mut Criterion) {
-    let (circuit, program, sets) = served_c1355();
-    let config = SigmoidSimConfig::default();
-    let mut scratch = FleetScratch::new();
-    let outputs: Vec<Vec<SigmoidTrace>> = sets
-        .iter()
-        .map(|set| {
-            let result = program
-                .execute_with(set, &config, &mut scratch)
-                .expect("sim");
-            circuit
-                .outputs()
-                .iter()
-                .map(|&o| result.trace(o).clone())
-                .collect()
-        })
-        .collect();
-    let threshold = TomOptions::default().vdd / 2.0;
-    let mut next = 0;
-    let mut group = c.benchmark_group("response_c1355");
-    group.sample_size(60);
-    group.bench_function("ci_digitize", |b| {
-        b.iter(|| {
-            next = (next + 1) % outputs.len();
-            outputs[next]
-                .iter()
-                .map(|trace| black_box(trace).digitize(threshold).len())
-                .sum::<usize>()
-        })
-    });
-    group.finish();
+    for name in ["c17", "c1355"] {
+        let (circuit, program, sets) = served(name);
+        let config = SigmoidSimConfig::default();
+        let mut scratch = FleetScratch::new();
+        let outputs: Vec<Vec<SigmoidTrace>> = sets
+            .iter()
+            .map(|set| {
+                let result = program
+                    .execute_with(set, &config, &mut scratch)
+                    .expect("sim");
+                circuit
+                    .outputs()
+                    .iter()
+                    .map(|&o| result.trace(o).clone())
+                    .collect()
+            })
+            .collect();
+        let threshold = TomOptions::default().vdd / 2.0;
+        let mut next = 0;
+        let mut group = c.benchmark_group(format!("response_{name}"));
+        group.sample_size(60);
+        group.bench_function("ci_digitize", |b| {
+            b.iter(|| {
+                next = (next + 1) % outputs.len();
+                outputs[next]
+                    .iter()
+                    .map(|trace| black_box(trace).digitize(threshold).len())
+                    .sum::<usize>()
+            })
+        });
+        group.finish();
+    }
 }
 
 /// Incremental-engine scheduling rows: a resident session absorbs

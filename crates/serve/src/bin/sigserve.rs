@@ -11,8 +11,8 @@
 //!
 //! TCP is served by one epoll reactor on the main thread (pipelined
 //! requests, in-order responses, admission control). `--max-inflight`
-//! bounds the per-connection pipelining window and `--admission` the
-//! daemon-wide heavy requests in flight.
+//! bounds the per-connection pipelining window (on `--stdio` too) and
+//! `--admission` the daemon-wide heavy requests in flight.
 //!
 //! `--trace PATH` forces `SIG_OBS=trace` (span journaling on) and writes
 //! whatever the journal still holds at exit as a Chrome trace-event JSON

@@ -796,7 +796,7 @@ mod service_tests {
     }
 
     /// Occupies the single worker of `service` until [`open_gate`].
-    fn hold_the_worker(service: &Arc<Service>) -> Arc<(Mutex<bool>, Condvar)> {
+    pub(crate) fn hold_the_worker(service: &Arc<Service>) -> Arc<(Mutex<bool>, Condvar)> {
         let gate = Arc::new((Mutex::new(false), Condvar::new()));
         let held = Arc::clone(&gate);
         service.pool_for_tests().execute(move || {
@@ -812,7 +812,7 @@ mod service_tests {
         gate
     }
 
-    fn open_gate(gate: &(Mutex<bool>, Condvar)) {
+    pub(crate) fn open_gate(gate: &(Mutex<bool>, Condvar)) {
         *gate.0.lock().expect("gate") = true;
         gate.1.notify_all();
     }

@@ -8,7 +8,10 @@
 //! answers each connection's frames in request order. Stdio streams
 //! each response back as its request finishes — possibly out of request
 //! order; clients correlate by id. The stdio writer is mutex-guarded so
-//! each frame is written atomically.
+//! each frame is written atomically. Both stop reading a connection that
+//! has `max_inflight` frames unanswered until one answers, so a client
+//! that pipelines more frames than the scheduler queue holds waits
+//! instead of being answered `overloaded`.
 //!
 //! Both read frames through one decode step and serialize answers
 //! through one encode step, so the `serve.decode` and `serve.encode`
@@ -24,7 +27,7 @@
 
 use std::io::{BufRead, Write};
 use std::net::TcpListener;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 
 use crate::protocol::{
     decode_request, encode_response, salvage_id, FrameReader, ProtocolError, Request, Response,
@@ -77,10 +80,38 @@ fn respond_line<W: Write>(writer: &Mutex<W>, response: &Response) {
     let _ = w.flush();
 }
 
+/// The frames a connection has handed to the service and not yet
+/// answered.
+#[derive(Default)]
+struct Unanswered {
+    count: Mutex<usize>,
+    answered: Condvar,
+}
+
+impl Unanswered {
+    /// Waits until fewer than `max` frames are unanswered.
+    fn wait_below(&self, max: usize) {
+        let mut count = self.count.lock().expect("unanswered poisoned");
+        while *count >= max {
+            count = self.answered.wait(count).expect("unanswered poisoned");
+        }
+    }
+
+    fn handed(&self) {
+        *self.count.lock().expect("unanswered poisoned") += 1;
+    }
+
+    fn answer(&self) {
+        *self.count.lock().expect("unanswered poisoned") -= 1;
+        self.answered.notify_one();
+    }
+}
+
 /// Drives one connection (any `BufRead`/`Write` pair) to completion:
 /// reads frames until EOF, a read failure or an acknowledged shutdown,
 /// then drains the service so every accepted request has answered.
-/// Returns what ended the connection.
+/// Reading pauses while `max_inflight` frames are unanswered, as the TCP
+/// transport's does. Returns what ended the connection.
 pub fn run_connection<R, W>(service: &Arc<Service>, reader: R, writer: W) -> Handled
 where
     R: BufRead,
@@ -92,7 +123,10 @@ where
     // function releases every session the client left open.
     let sessions = SessionTable::new(Arc::clone(service));
     let mut frames = FrameReader::new(reader, service.config().max_frame);
+    let max_inflight = service.config().max_inflight.max(1);
+    let unanswered = Arc::new(Unanswered::default());
     let outcome = loop {
+        unanswered.wait_below(max_inflight);
         let frame = match frames.next_frame() {
             Ok(Some(frame)) => frame,
             // EOF or transport failure.
@@ -107,8 +141,11 @@ where
             }
         };
         let respond_writer = Arc::clone(&writer);
+        let respond_unanswered = Arc::clone(&unanswered);
+        unanswered.handed();
         let handled = service.handle(request, &sessions, move |response| {
             respond_line(&respond_writer, &response);
+            respond_unanswered.answer();
         });
         if handled == Handled::Shutdown {
             break Handled::Shutdown;
@@ -255,6 +292,39 @@ mod tests {
             "id salvaged from bad op frame"
         );
         assert!(responses.contains(&Response::Pong { id: 4 }));
+    }
+
+    #[test]
+    fn stdio_waits_at_max_inflight_instead_of_answering_overloaded() {
+        // One held worker, a queue of 8 and a window of 8: three queues'
+        // worth of pipelined sims wait to be read, and every one of them
+        // runs once the worker is free.
+        let service = Service::new(ServiceConfig {
+            workers: 1,
+            queue_capacity: 8,
+            max_inflight: 8,
+            ..ServiceConfig::default()
+        });
+        service.registry().insert(synthetic_set("synth"));
+        let gate = crate::service_tests::hold_the_worker(&service);
+        let opener = {
+            let (gate, service) = (Arc::clone(&gate), Arc::clone(&service));
+            std::thread::spawn(move || {
+                // Free the worker only once the queue is full.
+                while service.pool_for_tests().queued() < 8 {
+                    std::thread::yield_now();
+                }
+                crate::service_tests::open_gate(&gate);
+            })
+        };
+        let input: String = (1..=24).map(|id| sim_line(id, false) + "\n").collect();
+        let responses = drive(&service, &input);
+        opener.join().expect("opener");
+        assert_eq!(responses.len(), 24);
+        assert!(
+            responses.iter().all(|r| matches!(r, Response::Sim { .. })),
+            "{responses:?}"
+        );
     }
 
     #[test]
